@@ -2,7 +2,8 @@
 
 Subcommands: sweep, evolve, steady, correlations, darkstate,
 populations, experiment.  Exit codes: 0 success, 1 runtime or
-convergence failure in a non-sweep command, 2 usage/config error.
+convergence failure (a sweep writes unstable cells as non-converged
+rows and exits 0), 2 usage/config error.
 """
 
 from __future__ import annotations
@@ -29,18 +30,19 @@ from .darkstates import (
     stable_dark_geometry,
     predicted_populations,
 )
-from .dynamics import EvolveConfig, IntegrationInstabilityError, steady_state
+from .dynamics import IntegrationInstabilityError, steady_state
 from .experiments import (
     EXPERIMENT_NAMES,
     run_experiment,
     run_sweep,
     series_columns,
+    setup_from_config,
     write_correlations_csv,
     write_populations_csv,
     write_series_csv,
     write_sweep_csv,
+    write_table,
 )
-from .model import build_model, make_bath, make_geometry
 from .observables import (
     dark_condition,
     excitation_populations,
@@ -124,15 +126,6 @@ def _resolve(args) -> "ExperimentConfig":
     return resolve_config(file_values, flag_values)
 
 
-def _setup(cfg):
-    geo = make_geometry(cfg.n_at, cfg.k0a, cfg.k0zc)
-    bath = make_bath(cfg.n_ph, cfg.phi)
-    model = build_model(geo, bath, cfg.gamma)
-    ecfg = EvolveConfig(dt=cfg.dt, t_max=cfg.t_max,
-                        record_stride=cfg.record_stride, convergence_tol=cfg.tol)
-    return geo, bath, model, ecfg
-
-
 def _print_summary(result, cfg):
     moments = polarization_moments(result.state, cfg.n_at)
     pops = excitation_populations(result.state)
@@ -156,7 +149,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_evolve(args) -> int:
     cfg = _resolve(args)
-    _, _, model, ecfg = _setup(cfg)
+    _, _, model, ecfg = setup_from_config(cfg)
     result = steady_state(initial_state_vector(cfg), model, ecfg, record=True)
     out = cfg.out or "series.csv"
     files = write_series_csv(out, result.series, cfg.n_at, cfg,
@@ -167,7 +160,7 @@ def _cmd_evolve(args) -> int:
 
 def _cmd_steady(args) -> int:
     cfg = _resolve(args)
-    _, _, model, ecfg = _setup(cfg)
+    _, _, model, ecfg = setup_from_config(cfg)
     result = steady_state(initial_state_vector(cfg), model, ecfg)
     _print_summary(result, cfg)
     if cfg.out:
@@ -177,15 +170,13 @@ def _cmd_steady(args) -> int:
         row = ([purity(result.state), moments.mean_x, moments.mean_y,
                 moments.mean_z, moments.var_x, moments.var_y]
                + list(pops) + [result.t_converge, result.converged])
-        from .experiments import _write_csv, _write_manifest
-        _write_csv(cfg.out, header, [row])
-        _write_manifest(cfg.out, cfg, header)
+        write_table(cfg.out, header, [row], cfg)
     return 0 if result.converged else 1
 
 
 def _cmd_correlations(args) -> int:
     cfg = _resolve(args)
-    _, _, model, ecfg = _setup(cfg)
+    _, _, model, ecfg = setup_from_config(cfg)
     result = steady_state(initial_state_vector(cfg), model, ecfg)
     corr = pair_correlations(result.state, cfg.n_at)
     out = cfg.out or "correlations.csv"
@@ -197,7 +188,7 @@ def _cmd_correlations(args) -> int:
 
 def _cmd_darkstate(args) -> int:
     cfg = _resolve(args)
-    geo, bath, model, _ = _setup(cfg)
+    geo, bath, model, _ = setup_from_config(cfg)
     if model.squeezed_jumps is None:
         raise ConfigError(
             "darkstate needs a minimal-uncertainty squeezed bath with n_ph > 0"
@@ -233,7 +224,7 @@ def _cmd_darkstate(args) -> int:
 
 def _cmd_populations(args) -> int:
     cfg = _resolve(args)
-    _, bath, model, ecfg = _setup(cfg)
+    _, bath, model, ecfg = setup_from_config(cfg)
     result = steady_state(initial_state_vector(cfg), model, ecfg)
     pops = excitation_populations(result.state)
     if args.law != "none":

@@ -3,8 +3,11 @@
 Two equivalent generators are available for every model: the
 travelling-wave form with eight signed channels ("general") and, for
 minimal-uncertainty baths with n_ph > 0, the two-jump standing-wave form
-("squeezed").  Integration is fixed-step classical Runge-Kutta (RK4)
-with per-step re-Hermitization and trace renormalization.
+("squeezed").  Either form is written once, as a list of sandwich terms
+(c, A, B): rho -> c A rho B, from which both the right-hand side and the
+dense superoperator are built.  Integration is fixed-step classical
+Runge-Kutta (RK4) with per-step re-Hermitization and trace
+renormalization.
 
 For long horizons `steady_state` evaluates the same RK4 iteration
 through its one-step matrix: the generator is vectorized in an
@@ -13,6 +16,9 @@ Hermiticity is structural), the degree-4 RK4 polynomial of dt*L is
 formed once, and repeated squaring of that matrix walks the trajectory
 in geometrically growing strides.  The visited states are bit-for-bit
 states of the plain RK4 iteration, just evaluated at coarse times.
+That matrix has 16**n_at entries, so `steady_state` accepts up to six
+atoms and raises ValueError above that; `liouvillian_matrix` is guarded
+to five.  `evolve`, the plain step-by-step RK4 loop, has no size guard.
 """
 
 from __future__ import annotations
@@ -24,14 +30,8 @@ from typing import Dict, Iterable, Optional, Tuple
 import numpy as np
 
 from .model import ModelOperators
-from .operators import (
-    embed_single_site,
-    excitation_counts,
-    pure_to_density,
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
-)
+from .observables import excitation_populations, polarization_moments, purity
+from .operators import excitation_counts, pure_to_density
 
 __all__ = [
     "EvolveConfig",
@@ -48,7 +48,7 @@ __all__ = [
 _SQRT2 = math.sqrt(2.0)
 # Dense superoperators get large quickly (16**n_at entries); 6 atoms is
 # 134 MB in the real representation, 7 would be 34 GB.
-_FAST_PATH_MAX_ATOMS = 6
+_STEADY_STATE_MAX_ATOMS = 6
 _LIOUVILLIAN_MAX_ATOMS = 5
 
 
@@ -84,9 +84,10 @@ class TimeSeries:
     """Recorded observables along a trajectory.
 
     data maps column names (purity, mean_x/y/z, var_x/y, p0..pN) to
-    arrays aligned with `times`.  max_trace_dev and min_eigenvalue track
-    the worst numerical-hygiene excursions seen at recorded steps
-    (trace deviation is measured before renormalization).
+    arrays aligned with `times`.  max_trace_dev and min_eigenvalue are
+    the worst numerical-hygiene excursions seen along the trajectory:
+    the trace deviation at every step, measured before renormalization,
+    and the smallest eigenvalue at the checked points.
     """
 
     times: np.ndarray
@@ -108,8 +109,10 @@ class SteadyStateResult:
 # Generators
 
 
-def _dissipator_terms(model: ModelOperators, form: str):
-    """(coefficient, op, op^dag, op^dag op) for the selected unraveling."""
+def _generator_terms(model: ModelOperators, form: str):
+    """Sandwich terms (c, A, B) with L(rho) = sum c A rho B, None standing
+    for the identity: -i[H, rho] first, then per jump op the terms
+    c (op rho op^dag - (op^dag op rho + rho op^dag op) / 2)."""
     if form == "squeezed":
         if model.squeezed_jumps is None:
             raise ValueError(
@@ -123,7 +126,15 @@ def _dissipator_terms(model: ModelOperators, form: str):
         ops = [(ch.coefficient, ch.operator) for ch in model.travelling_jumps]
     else:
         raise ValueError(f"unknown generator form {form!r}")
-    return [(c, op, op.conj().T, op.conj().T @ op) for c, op in ops if c != 0.0]
+    h = model.hamiltonian
+    terms = [(-1j, h, None), (1j, None, h)]
+    for c, op in ops:
+        if c == 0.0:
+            continue
+        opd = op.conj().T
+        k = opd @ op
+        terms += [(c, op, opd), (-0.5 * c, k, None), (-0.5 * c, None, k)]
+    return terms
 
 
 def _resolve_form(model: ModelOperators, form: str) -> str:
@@ -132,10 +143,18 @@ def _resolve_form(model: ModelOperators, form: str) -> str:
     return form
 
 
-def _rhs_from_terms(hamiltonian, terms, rho):
-    out = -1j * (hamiltonian @ rho - rho @ hamiltonian)
-    for c, op, opd, k in terms:
-        out += c * (op @ rho @ opd - 0.5 * (k @ rho + rho @ k))
+def _check_shape(rho: np.ndarray, model: ModelOperators) -> None:
+    if rho.shape != model.hamiltonian.shape:
+        raise ValueError(
+            f"dimension mismatch: rho {rho.shape}, model dim {model.hamiltonian.shape}"
+        )
+
+
+def _rhs_from_terms(terms, rho):
+    out = np.zeros(rho.shape, dtype=complex)
+    for c, a, b in terms:
+        x = rho if a is None else a @ rho
+        out += c * (x if b is None else x @ b)
     return out
 
 
@@ -144,21 +163,15 @@ def lindblad_rhs_general(rho: np.ndarray, model: ModelOperators) -> np.ndarray:
     -i[H, rho] plus the eight signed channels
     (gamma/2)[(N+1) L[J_s] + N L[J_s^dag] + |M|/2 L[J_{phi,s}]
               - |M|/2 L[J_{phi+pi,s}]] for s = +/-."""
-    if rho.shape != model.hamiltonian.shape:
-        raise ValueError(
-            f"dimension mismatch: rho {rho.shape}, model dim {model.hamiltonian.shape}"
-        )
-    return _rhs_from_terms(model.hamiltonian, _dissipator_terms(model, "general"), rho)
+    _check_shape(rho, model)
+    return _rhs_from_terms(_generator_terms(model, "general"), rho)
 
 
 def lindblad_rhs_squeezed(rho: np.ndarray, model: ModelOperators) -> np.ndarray:
     """d(rho)/dt of the manifestly completely-positive two-jump form:
     -i[H, rho] + 4 gamma |mu nu| (L[Jx] + L[Jy]) rho."""
-    if rho.shape != model.hamiltonian.shape:
-        raise ValueError(
-            f"dimension mismatch: rho {rho.shape}, model dim {model.hamiltonian.shape}"
-        )
-    return _rhs_from_terms(model.hamiltonian, _dissipator_terms(model, "squeezed"), rho)
+    _check_shape(rho, model)
+    return _rhs_from_terms(_generator_terms(model, "squeezed"), rho)
 
 
 def liouvillian_matrix(model: ModelOperators, form: str = "general") -> np.ndarray:
@@ -174,63 +187,74 @@ def liouvillian_matrix(model: ModelOperators, form: str = "general") -> np.ndarr
 
 
 def _superoperator(model: ModelOperators, form: str) -> np.ndarray:
+    # vec(A rho B) = kron(B^T, A) vec(rho) for column-stacked vec.  Each
+    # product is scaled in place and freed before the next one is made,
+    # so at most two d^2 x d^2 buffers are alive.
     d = model.hamiltonian.shape[0]
     eye = np.eye(d, dtype=complex)
-    h = model.hamiltonian
-    lv = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
-    for c, op, opd, k in _dissipator_terms(model, form):
-        lv += c * np.kron(op.conj(), op)
-        lv -= 0.5 * c * np.kron(eye, k)
-        lv -= 0.5 * c * np.kron(k.T, eye)
+    lv = None
+    for c, a, b in _generator_terms(model, form):
+        term = np.kron(eye if b is None else b.T, eye if a is None else a)
+        term *= c
+        if lv is None:
+            lv = term
+        else:
+            lv += term
+        del term
     return lv
 
 
 # ---------------------------------------------------------------------------
-# Observable recording
+# Checks and recording at visited points
 
 
-class _ObservableSet:
-    """Collective-polarization observables for an n_at register."""
+class _Recorder:
+    """What a trajectory reports at its visited points: the positivity
+    check, the numerical-hygiene extremes and, with `record`, the
+    observable columns of a TimeSeries (restricted to `observables`
+    when given)."""
 
-    def __init__(self, n_at: int):
-        d = 2**n_at
+    def __init__(self, n_at: int, record: bool, observables: Optional[Iterable[str]]):
         self.n_at = n_at
-        self.dim = d
-        sx = np.zeros((d, d), dtype=complex)
-        sy = np.zeros((d, d), dtype=complex)
-        sz = np.zeros((d, d), dtype=complex)
-        for n in range(1, n_at + 1):
-            sx += 0.5 * embed_single_site(SIGMA_X, n, n_at)
-            sy += 0.5 * embed_single_site(SIGMA_Y, n, n_at)
-            sz += 0.5 * embed_single_site(SIGMA_Z, n, n_at)
-        self.s_ops = {"x": sx, "y": sy, "z": sz}
-        self.s2_ops = {j: op @ op for j, op in self.s_ops.items()}
-        counts = excitation_counts(n_at)
-        self.pop_masks = [counts == k for k in range(n_at + 1)]
+        self.record = record
+        self.keep = None if observables is None else set(observables)
+        self.times = []
+        self.rows = []
+        self.max_trace_dev = 0.0
+        self.min_eigenvalue = math.inf
 
-    def record(self, rho: np.ndarray) -> Dict[str, float]:
-        rec = {"purity": float(np.trace(rho @ rho).real)}
-        for j in "xyz":
-            rec[f"mean_{j}"] = float(np.trace(rho @ self.s_ops[j]).real)
-        for j in "xy":
-            mean = rec[f"mean_{j}"]
-            rec[f"var_{j}"] = float(np.trace(rho @ self.s2_ops[j]).real) - mean**2
-        diag = rho.diagonal().real
-        for k, mask in enumerate(self.pop_masks):
-            rec[f"p{k}"] = float(diag[mask].sum())
-        return rec
+    def note_trace(self, tr: float) -> None:
+        """Track the trace before it is renormalized away."""
+        self.max_trace_dev = max(self.max_trace_dev, abs(tr - 1.0))
 
-    def column_names(self):
-        return (
-            ["purity", "mean_x", "mean_y", "mean_z", "var_x", "var_y"]
-            + [f"p{k}" for k in range(self.n_at + 1)]
+    def visit(self, t: float, rho: np.ndarray) -> None:
+        lam = float(np.linalg.eigvalsh(rho)[0])
+        self.min_eigenvalue = min(self.min_eigenvalue, lam)
+        if lam < -1e-6:
+            raise IntegrationInstabilityError(
+                f"smallest eigenvalue {lam:.3e} at t = {t:.4g}; "
+                "the integration is unstable, use a smaller dt"
+            )
+        if not self.record:
+            return
+        mom = polarization_moments(rho, self.n_at)
+        row = {"purity": purity(rho), "mean_x": mom.mean_x, "mean_y": mom.mean_y,
+               "mean_z": mom.mean_z, "var_x": mom.var_x, "var_y": mom.var_y}
+        row.update((f"p{k}", p) for k, p in enumerate(excitation_populations(rho)))
+        if self.keep is not None:
+            row = {k: v for k, v in row.items() if k in self.keep}
+        self.times.append(t)
+        self.rows.append(row)
+
+    def series(self) -> Optional[TimeSeries]:
+        if not self.rows:
+            return None
+        return TimeSeries(
+            times=np.array(self.times),
+            data={k: np.array([row[k] for row in self.rows]) for k in self.rows[0]},
+            max_trace_dev=self.max_trace_dev,
+            min_eigenvalue=self.min_eigenvalue,
         )
-
-
-def _filter_record(rec: Dict[str, float], observables) -> Dict[str, float]:
-    if observables is None:
-        return rec
-    return {k: v for k, v in rec.items() if k in observables}
 
 
 # ---------------------------------------------------------------------------
@@ -261,51 +285,27 @@ def evolve(
 
     Returns (TimeSeries, final density matrix).
     """
-    form = _resolve_form(model, form)
-    terms = _dissipator_terms(model, form)
-    h = model.hamiltonian
+    terms = _generator_terms(model, _resolve_form(model, form))
     rho = _as_density(rho0)
-    if rho.shape != h.shape:
-        raise ValueError(f"dimension mismatch: rho {rho.shape}, model {h.shape}")
-    obs = _ObservableSet(model.n_at)
-    if observables is not None:
-        observables = set(observables)
-
-    times = [0.0]
-    records = [_filter_record(obs.record(rho), observables)]
-    max_trace_dev = 0.0
-    min_eig = float(np.linalg.eigvalsh(rho)[0])
+    _check_shape(rho, model)
+    rec = _Recorder(model.n_at, True, observables)
+    rec.visit(0.0, rho)
 
     n_steps = int(round(cfg.t_max / cfg.dt))
     dt = cfg.dt
     for step in range(1, n_steps + 1):
-        k1 = _rhs_from_terms(h, terms, rho)
-        k2 = _rhs_from_terms(h, terms, rho + 0.5 * dt * k1)
-        k3 = _rhs_from_terms(h, terms, rho + 0.5 * dt * k2)
-        k4 = _rhs_from_terms(h, terms, rho + dt * k3)
+        k1 = _rhs_from_terms(terms, rho)
+        k2 = _rhs_from_terms(terms, rho + 0.5 * dt * k1)
+        k3 = _rhs_from_terms(terms, rho + 0.5 * dt * k2)
+        k4 = _rhs_from_terms(terms, rho + dt * k3)
         rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         tr = np.trace(rho).real
-        max_trace_dev = max(max_trace_dev, abs(tr - 1.0))
+        rec.note_trace(tr)
         rho = (rho + rho.conj().T) / 2.0
         rho /= tr
         if step % cfg.record_stride == 0 or step == n_steps:
-            lam = float(np.linalg.eigvalsh(rho)[0])
-            min_eig = min(min_eig, lam)
-            if lam < -1e-6:
-                raise IntegrationInstabilityError(
-                    f"smallest eigenvalue {lam:.3e} at t = {step * dt:.4g}; "
-                    "the integration is unstable, use a smaller dt"
-                )
-            times.append(step * dt)
-            records.append(_filter_record(obs.record(rho), observables))
-
-    series = TimeSeries(
-        times=np.array(times),
-        data={k: np.array([r[k] for r in records]) for k in records[0]},
-        max_trace_dev=max_trace_dev,
-        min_eigenvalue=min_eig,
-    )
-    return series, rho
+            rec.visit(step * dt, rho)
+    return rec.series(), rho
 
 
 # ---------------------------------------------------------------------------
@@ -392,19 +392,21 @@ def steady_state(
 
     Uses the vectorized RK4 propagator with repeated squaring, so the
     walk accelerates geometrically while staying on the exact fixed-step
-    RK4 trajectory; the convergence time is resolved to ~t/4.  Returns a
-    SteadyStateResult whose `converged` flag is False (with the final
-    residual attached) when t_max is hit first; callers decide what a
-    non-converged state means.  With record=True the visited points are
-    returned as a TimeSeries.
+    RK4 trajectory; the convergence time is resolved to ~t/4.  The
+    propagator is a dense matrix with 16**n_at entries, so registers of
+    more than six atoms raise ValueError.  Returns a SteadyStateResult
+    whose `converged` flag is False (with the final residual attached)
+    when t_max is hit first; callers decide what a non-converged state
+    means.  Positivity is checked at every visited point; with
+    record=True those points are returned as a TimeSeries.
     """
-    form = _resolve_form(model, form)
-    if model.n_at > _FAST_PATH_MAX_ATOMS:
-        return _steady_state_loop(rho0, model, cfg, form, record, observables)
-    gen = _VectorizedGenerator(model, form)
-    obs = _ObservableSet(model.n_at)
-    if observables is not None:
-        observables = set(observables)
+    if model.n_at > _STEADY_STATE_MAX_ATOMS:
+        raise ValueError(
+            f"steady_state is limited to n_at <= {_STEADY_STATE_MAX_ATOMS} (its "
+            f"dense propagator has 16**n_at entries); got n_at = {model.n_at}"
+        )
+    gen = _VectorizedGenerator(model, _resolve_form(model, form))
+    rec = _Recorder(model.n_at, record, observables)
 
     r_full = gen.to_coords(_as_density(rho0))
     mask = gen.parity_mask
@@ -423,140 +425,42 @@ def steady_state(
         out[mask] = rv
         return out
 
-    # Diagonal coordinates always survive the parity restriction and
-    # stay the leading block, so the trace is their plain sum either way.
-    diag_slice = slice(0, gen.dim)
+    def visit(t, rv):
+        """Check (and record) the state at rv; return its residual."""
+        rec.visit(t, gen.from_coords(full_coords(rv)))
+        return float(np.linalg.norm(m @ rv))
 
-    times = [0.0]
-    records = []
-    max_trace_dev = 0.0
-    min_eig = 0.0
-
-    def record_point(rv):
-        nonlocal min_eig
-        rho = gen.from_coords(full_coords(rv))
-        lam = float(np.linalg.eigvalsh(rho)[0])
-        min_eig = min(min_eig, lam)
-        if lam < -1e-6:
-            raise IntegrationInstabilityError(
-                f"smallest eigenvalue {lam:.3e}; integration unstable, "
-                "use a smaller dt"
-            )
-        if record:
-            records.append(_filter_record(obs.record(rho), observables))
-
-    record_point(r)
-    residual = float(np.linalg.norm(m @ r))
-    if residual <= cfg.convergence_tol:
-        return _steady_result(gen, full_coords(r), 0.0, residual, True,
-                              times, records, max_trace_dev, min_eig, obs)
-
-    p = _rk4_step_matrix(m, cfg.dt)
-    tau = cfg.dt
     t = 0.0
-    apps_per_stage = 8
-    converged = False
-    while t < cfg.t_max * (1.0 - 1e-12):
-        for _ in range(apps_per_stage):
-            r = p @ r
-            t += tau
-            tr = r[diag_slice].sum()
-            max_trace_dev = max(max_trace_dev, abs(tr - 1.0))
-            r /= tr
-            times.append(t)
-            record_point(r)
-            residual = float(np.linalg.norm(m @ r))
-            if residual <= cfg.convergence_tol:
-                converged = True
-                break
-            if t >= cfg.t_max * (1.0 - 1e-12):
-                break
-        if converged or t >= cfg.t_max * (1.0 - 1e-12):
-            break
-        if 2.0 * tau <= max(cfg.dt, t / 4.0):
+    residual = visit(t, r)
+    converged = residual <= cfg.convergence_tol
+    t_end = cfg.t_max * (1.0 - 1e-12)
+    p = None
+    while not converged and t < t_end:
+        if p is None:
+            p = _rk4_step_matrix(m, cfg.dt)
+            tau = cfg.dt
+        elif 2.0 * tau <= max(cfg.dt, t / 4.0):
             p = p @ p
             tau *= 2.0
-
-    return _steady_result(gen, full_coords(r), t, residual, converged,
-                          times, records, max_trace_dev, min_eig, obs)
-
-
-def _steady_result(gen, r_full, t, residual, converged, times, records,
-                   max_trace_dev, min_eig, obs) -> SteadyStateResult:
-    rho = gen.from_coords(r_full)
-    rho /= np.trace(rho).real
-    series = None
-    if records:
-        series = TimeSeries(
-            times=np.array(times[: len(records)]),
-            data={k: np.array([rec[k] for rec in records]) for k in records[0]},
-            max_trace_dev=max_trace_dev,
-            min_eigenvalue=min_eig,
-        )
-    return SteadyStateResult(
-        state=rho,
-        t_converge=t if converged else float("nan"),
-        residual=residual,
-        converged=converged,
-        series=series,
-    )
-
-
-def _steady_state_loop(rho0, model, cfg, form, record, observables):
-    """Fallback for registers too large for the dense superoperator."""
-    terms = _dissipator_terms(model, form)
-    h = model.hamiltonian
-    rho = _as_density(rho0)
-    obs = _ObservableSet(model.n_at)
-    if observables is not None:
-        observables = set(observables)
-    times = [0.0]
-    records = [_filter_record(obs.record(rho), observables)] if record else []
-    max_trace_dev = 0.0
-    min_eig = float(np.linalg.eigvalsh(rho)[0])
-    dt = cfg.dt
-    n_steps = int(round(cfg.t_max / dt))
-    t = 0.0
-    residual = float(np.linalg.norm(_rhs_from_terms(h, terms, rho)))
-    converged = residual <= cfg.convergence_tol
-    step = 0
-    while not converged and step < n_steps:
-        step += 1
-        k1 = _rhs_from_terms(h, terms, rho)
-        k2 = _rhs_from_terms(h, terms, rho + 0.5 * dt * k1)
-        k3 = _rhs_from_terms(h, terms, rho + 0.5 * dt * k2)
-        k4 = _rhs_from_terms(h, terms, rho + dt * k3)
-        rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        tr = np.trace(rho).real
-        max_trace_dev = max(max_trace_dev, abs(tr - 1.0))
-        rho = (rho + rho.conj().T) / 2.0
-        rho /= tr
-        t = step * dt
-        if step % cfg.record_stride == 0 or step == n_steps:
-            lam = float(np.linalg.eigvalsh(rho)[0])
-            min_eig = min(min_eig, lam)
-            if lam < -1e-6:
-                raise IntegrationInstabilityError(
-                    f"smallest eigenvalue {lam:.3e} at t = {t:.4g}; "
-                    "integration unstable, use a smaller dt"
-                )
-            if record:
-                times.append(t)
-                records.append(_filter_record(obs.record(rho), observables))
-            residual = float(np.linalg.norm(_rhs_from_terms(h, terms, rho)))
+        for _ in range(8):
+            r = p @ r
+            t += tau
+            # Diagonal coordinates always survive the parity restriction
+            # and stay the leading block, so the trace is their plain sum.
+            tr = r[: gen.dim].sum()
+            rec.note_trace(tr)
+            r /= tr
+            residual = visit(t, r)
             converged = residual <= cfg.convergence_tol
-    series = None
-    if record and records:
-        series = TimeSeries(
-            times=np.array(times),
-            data={k: np.array([rec[k] for rec in records]) for k in records[0]},
-            max_trace_dev=max_trace_dev,
-            min_eigenvalue=min_eig,
-        )
+            if converged or t >= t_end:
+                break
+
+    rho = gen.from_coords(full_coords(r))
+    rho /= np.trace(rho).real
     return SteadyStateResult(
         state=rho,
         t_converge=t if converged else float("nan"),
         residual=residual,
         converged=converged,
-        series=series,
+        series=rec.series(),
     )

@@ -13,7 +13,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -21,14 +21,28 @@ import numpy as np
 from . import __version__
 from .config import ExperimentConfig, initial_state_vector, parse_grid
 from .darkstates import predicted_populations
-from .dynamics import EvolveConfig, TimeSeries, steady_state
-from .model import build_model, make_bath, make_geometry
+from .dynamics import (
+    EvolveConfig,
+    IntegrationInstabilityError,
+    TimeSeries,
+    steady_state,
+)
+from .model import (
+    ArrayGeometry,
+    BathParams,
+    ModelOperators,
+    build_model,
+    make_bath,
+    make_geometry,
+)
 from .observables import pair_correlations, polarization_moments, purity
 
 __all__ = [
+    "setup_from_config",
     "SweepCell",
     "run_sweep",
     "run_experiment",
+    "write_table",
     "write_sweep_csv",
     "write_series_csv",
     "write_correlations_csv",
@@ -49,28 +63,40 @@ def _fmt(value) -> str:
     return f"{v:.12g}"
 
 
-def _write_csv(path: str, header: Sequence[str], rows) -> None:
+def write_table(path: str, columns: Sequence[str], rows, cfg: ExperimentConfig,
+                extra: Optional[Dict] = None) -> List[str]:
+    """Write `rows` under the header `columns` to the CSV at `path`, and
+    its JSON manifest next to it; returns both paths."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
+        fh.write(",".join(columns) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
-
-
-def _write_manifest(csv_path: str, cfg: ExperimentConfig, columns: Sequence[str],
-                    extra: Optional[Dict] = None) -> str:
     manifest = {
-        "file": os.path.basename(csv_path),
+        "file": os.path.basename(path),
         "columns": list(columns),
         "config": cfg.to_dict(),
         "version": __version__,
     }
     if extra:
         manifest.update(extra)
-    path = os.path.splitext(csv_path)[0] + ".json"
-    with open(path, "w", encoding="utf-8") as fh:
+    manifest_path = os.path.splitext(path)[0] + ".json"
+    with open(manifest_path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return path
+    return [path, manifest_path]
+
+
+def setup_from_config(
+    cfg: ExperimentConfig,
+) -> Tuple[ArrayGeometry, BathParams, ModelOperators, EvolveConfig]:
+    """The geometry, bath, model operators and integration parameters
+    that a resolved configuration describes."""
+    geo = make_geometry(cfg.n_at, cfg.k0a, cfg.k0zc)
+    bath = make_bath(cfg.n_ph, cfg.phi)
+    model = build_model(geo, bath, cfg.gamma)
+    ecfg = EvolveConfig(dt=cfg.dt, t_max=cfg.t_max,
+                        record_stride=cfg.record_stride, convergence_tol=cfg.tol)
+    return geo, bath, model, ecfg
 
 
 # ---------------------------------------------------------------------------
@@ -93,36 +119,27 @@ SWEEP_COLUMNS = ("k0zc", "k0a", "var_x", "var_y", "purity", "mean_z",
                  "t_converge", "converged")
 
 
-def _evolve_config(cfg: ExperimentConfig) -> EvolveConfig:
-    return EvolveConfig(dt=cfg.dt, t_max=cfg.t_max,
-                        record_stride=cfg.record_stride, convergence_tol=cfg.tol)
-
-
 def _sweep_cell(args) -> Tuple[int, SweepCell]:
     index, cfg, k0zc, k0a = args
+    _, _, model, ecfg = setup_from_config(replace(cfg, k0zc=k0zc, k0a=k0a))
     try:
-        geo = make_geometry(cfg.n_at, k0a, k0zc)
-        bath = make_bath(cfg.n_ph, cfg.phi)
-        model = build_model(geo, bath, cfg.gamma)
-        psi0 = initial_state_vector(cfg)
-        result = steady_state(psi0, model, _evolve_config(cfg))
-        moments = polarization_moments(result.state, cfg.n_at)
-        cell = SweepCell(
-            k0zc=k0zc,
-            k0a=k0a,
-            var_x=moments.var_x,
-            var_y=moments.var_y,
-            purity=purity(result.state),
-            mean_z=moments.mean_z,
-            t_converge=result.t_converge,
-            converged=result.converged,
-        )
-    except Exception:
-        # A failed cell must not abort the sweep; it is reported as
+        result = steady_state(initial_state_vector(cfg), model, ecfg)
+    except IntegrationInstabilityError:
+        # An unstable cell must not abort the sweep; it is reported as
         # non-converged with empty observables.
         nan = float("nan")
-        cell = SweepCell(k0zc, k0a, nan, nan, nan, nan, nan, False)
-    return index, cell
+        return index, SweepCell(k0zc, k0a, nan, nan, nan, nan, nan, False)
+    moments = polarization_moments(result.state, cfg.n_at)
+    return index, SweepCell(
+        k0zc=k0zc,
+        k0a=k0a,
+        var_x=moments.var_x,
+        var_y=moments.var_y,
+        purity=purity(result.state),
+        mean_z=moments.mean_z,
+        t_converge=result.t_converge,
+        converged=result.converged,
+    )
 
 
 def run_sweep(
@@ -162,9 +179,7 @@ def write_sweep_csv(path: str, cells: Sequence[SweepCell], cfg: ExperimentConfig
          c.converged)
         for c in cells
     ]
-    _write_csv(path, SWEEP_COLUMNS, rows)
-    manifest = _write_manifest(path, cfg, SWEEP_COLUMNS, extra)
-    return [path, manifest]
+    return write_table(path, SWEEP_COLUMNS, rows, cfg, extra)
 
 
 # ---------------------------------------------------------------------------
@@ -180,44 +195,24 @@ def write_series_csv(path: str, series: TimeSeries, n_at: int,
                      cfg: ExperimentConfig, extra: Optional[Dict] = None) -> List[str]:
     cols = series_columns(n_at)
     rows = zip(series.times, *(series.data[c] for c in cols[1:]))
-    _write_csv(path, cols, rows)
-    manifest = _write_manifest(path, cfg, cols, extra)
-    return [path, manifest]
+    return write_table(path, cols, rows, cfg, extra)
 
 
 def write_correlations_csv(path: str, corr: np.ndarray, cfg: ExperimentConfig,
                            extra: Optional[Dict] = None) -> List[str]:
     n_at = corr.shape[0]
     rows = [(n + 1, m + 1, corr[n, m]) for n in range(n_at) for m in range(n_at)]
-    _write_csv(path, ("n", "m", "C"), rows)
-    manifest = _write_manifest(path, cfg, ("n", "m", "C"), extra)
-    return [path, manifest]
+    return write_table(path, ("n", "m", "C"), rows, cfg, extra)
 
 
 def write_populations_csv(path: str, steady: np.ndarray, predicted: np.ndarray,
                           cfg: ExperimentConfig, extra: Optional[Dict] = None) -> List[str]:
     rows = [(ne, steady[ne], predicted[ne]) for ne in range(steady.size)]
-    _write_csv(path, ("n_e", "p_steady", "p_predicted"), rows)
-    manifest = _write_manifest(path, cfg, ("n_e", "p_steady", "p_predicted"), extra)
-    return [path, manifest]
+    return write_table(path, ("n_e", "p_steady", "p_predicted"), rows, cfg, extra)
 
 
 # ---------------------------------------------------------------------------
 # Named experiments
-
-
-def _replace(cfg: ExperimentConfig, **kwargs) -> ExperimentConfig:
-    data = cfg.to_dict()
-    data.update(kwargs)
-    return ExperimentConfig(**data)
-
-
-def _steady_with_series(cfg: ExperimentConfig):
-    geo = make_geometry(cfg.n_at, cfg.k0a, cfg.k0zc)
-    bath = make_bath(cfg.n_ph, cfg.phi)
-    model = build_model(geo, bath, cfg.gamma)
-    psi0 = initial_state_vector(cfg)
-    return steady_state(psi0, model, _evolve_config(cfg), record=True), geo, bath
 
 
 def dimer_center(n_at: int, k0a: float) -> float:
@@ -240,7 +235,7 @@ def run_experiment(name: str, cfg: ExperimentConfig, outdir: str) -> List[str]:
 
     if name == "fig2":
         # Steady-state map over array center and separation.
-        sweep_cfg = _replace(cfg, initial="ground")
+        sweep_cfg = replace(cfg, initial="ground")
         cells = run_sweep(sweep_cfg)
         files += write_sweep_csv(
             os.path.join(outdir, "fig2_sweep.csv"), cells, sweep_cfg,
@@ -250,8 +245,9 @@ def run_experiment(name: str, cfg: ExperimentConfig, outdir: str) -> List[str]:
     elif name == "fig3":
         # Pair correlations of the dimerized and melted six-atom chains.
         for tag, k0a in (("dimer", math.pi / 4), ("melted", math.pi)):
-            case = _replace(cfg, n_at=6, k0a=k0a, k0zc=0.0, initial="ground")
-            result, _, _ = _steady_with_series(case)
+            case = replace(cfg, n_at=6, k0a=k0a, k0zc=0.0, initial="ground")
+            _, _, model, ecfg = setup_from_config(case)
+            result = steady_state(initial_state_vector(case), model, ecfg, record=True)
             corr = pair_correlations(result.state, case.n_at)
             files += write_correlations_csv(
                 os.path.join(outdir, f"fig3_{tag}_correlations.csv"), corr, case,
@@ -264,8 +260,10 @@ def run_experiment(name: str, cfg: ExperimentConfig, outdir: str) -> List[str]:
         for tag, k0a in (("dimer", math.pi / 4), ("melted", math.pi)):
             for n_at in (2, 4, 6):
                 zc = dimer_center(n_at, k0a) if tag == "dimer" else 0.0
-                case = _replace(cfg, n_at=n_at, k0a=k0a, k0zc=zc, initial="ground")
-                result, _, _ = _steady_with_series(case)
+                case = replace(cfg, n_at=n_at, k0a=k0a, k0zc=zc, initial="ground")
+                _, _, model, ecfg = setup_from_config(case)
+                result = steady_state(initial_state_vector(case), model, ecfg,
+                                      record=True)
                 files += write_series_csv(
                     os.path.join(outdir, f"fig4_{tag}_n{n_at}_series.csv"),
                     result.series, n_at, case,
@@ -284,8 +282,9 @@ def run_experiment(name: str, cfg: ExperimentConfig, outdir: str) -> List[str]:
             ("dimer", 0.0, math.pi / 4),
         )
         for tag, k0zc, k0a in cases:
-            case = _replace(cfg, n_at=6, k0a=k0a, k0zc=k0zc, initial="plus-pi-4")
-            result, geo, bath = _steady_with_series(case)
+            case = replace(cfg, n_at=6, k0a=k0a, k0zc=k0zc, initial="plus-pi-4")
+            _, bath, model, ecfg = setup_from_config(case)
+            result = steady_state(initial_state_vector(case), model, ecfg, record=True)
             files += write_series_csv(
                 os.path.join(outdir, f"fig5_{tag}_series.csv"),
                 result.series, case.n_at, case,

@@ -4,6 +4,8 @@ the dark-state condition, and fidelities."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -42,33 +44,32 @@ class PolarizationMoments:
     var_z: float
 
 
-def _collective(n_at: int, sigma: np.ndarray) -> np.ndarray:
+@lru_cache(maxsize=8)
+def _collective_spin(n_at: int):
+    """(S_j, S_j^2) for j = x, y, z, S_j = (1/2) sum_n sigma_j^(n), built
+    once per register size and returned as read-only arrays."""
     d = 2**n_at
-    s = np.zeros((d, d), dtype=complex)
-    for n in range(1, n_at + 1):
-        s += 0.5 * embed_single_site(sigma, n, n_at)
-    return s
+    ops = {}
+    for label, sigma in (("x", SIGMA_X), ("y", SIGMA_Y), ("z", SIGMA_Z)):
+        s = np.zeros((d, d), dtype=complex)
+        for n in range(1, n_at + 1):
+            s += 0.5 * embed_single_site(sigma, n, n_at)
+        s2 = s @ s
+        s.flags.writeable = False
+        s2.flags.writeable = False
+        ops[label] = (s, s2)
+    return MappingProxyType(ops)
 
 
 def polarization_moments(state: np.ndarray, n_at: int) -> PolarizationMoments:
     """Collective polarization means and variances of a state (vector or
     density matrix) of n_at atoms."""
-    means = {}
-    variances = {}
-    for label, sigma in (("x", SIGMA_X), ("y", SIGMA_Y), ("z", SIGMA_Z)):
-        s = _collective(n_at, sigma)
+    values = {}
+    for label, (s, s2) in _collective_spin(n_at).items():
         mean = expectation(state, s).real
-        second = expectation(state, s @ s).real
-        means[label] = mean
-        variances[label] = second - mean**2
-    return PolarizationMoments(
-        mean_x=means["x"],
-        mean_y=means["y"],
-        mean_z=means["z"],
-        var_x=variances["x"],
-        var_y=variances["y"],
-        var_z=variances["z"],
-    )
+        values[f"mean_{label}"] = mean
+        values[f"var_{label}"] = expectation(state, s2).real - mean**2
+    return PolarizationMoments(**values)
 
 
 def purity(rho: np.ndarray) -> float:

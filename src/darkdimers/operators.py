@@ -24,15 +24,12 @@ __all__ = [
     "SIGMA_Z",
     "IDENTITY_2",
     "kron",
-    "kron_all",
     "embed_single_site",
     "expectation",
     "is_hermitian",
     "is_unitary",
-    "hermitian_eigensystem",
     "smallest_eigenvalue",
     "is_valid_density_matrix",
-    "frobenius_norm",
     "ground_state",
     "basis_state",
     "product_state",
@@ -55,14 +52,6 @@ IDENTITY_2 = np.eye(2, dtype=complex)
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Tensor product with `a` as the more significant factor."""
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
-def kron_all(ops) -> np.ndarray:
-    """Left-to-right tensor product of a sequence of operators."""
-    out = np.array([[1.0 + 0.0j]])
-    for op in ops:
-        out = np.kron(out, np.asarray(op, dtype=complex))
-    return out
 
 
 def embed_single_site(op2: np.ndarray, site: int, n_at: int) -> np.ndarray:
@@ -118,17 +107,8 @@ def is_unitary(m: np.ndarray, tol: float = 1e-12) -> bool:
     return bool(np.max(np.abs(m.conj().T @ m - np.eye(d))) <= tol)
 
 
-def hermitian_eigensystem(m: np.ndarray):
-    """Eigenvalues (ascending) and eigenvectors of a Hermitian matrix."""
-    return np.linalg.eigh(m)
-
-
 def smallest_eigenvalue(m: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(m)[0])
-
-
-def frobenius_norm(m: np.ndarray) -> float:
-    return float(np.linalg.norm(m))
 
 
 def is_valid_density_matrix(

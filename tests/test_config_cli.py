@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import time
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from darkdimers.config import (
     parse_grid,
     resolve_config,
 )
-from darkdimers.experiments import run_sweep, write_sweep_csv
+from darkdimers.experiments import dimer_center, run_sweep, write_sweep_csv
 from darkdimers.observables import polarization_moments
 
 
@@ -145,6 +146,15 @@ class TestSweepPlumbing:
         blobs = [open(p, "rb").read() for p in paths]
         assert blobs[0] == blobs[1] == blobs[2]
 
+    def test_unstable_cell_is_a_nan_row(self):
+        # collective geometry at a coarse step: the cell loses positivity,
+        # and the sweep still finishes with a non-converged NaN row
+        cfg = ExperimentConfig(n_at=4, dt=0.099, t_max=50.0, grid_zc="0", grid_a="2pi")
+        (cell,) = run_sweep(cfg)
+        assert not cell.converged
+        for value in (cell.var_x, cell.var_y, cell.purity, cell.mean_z, cell.t_converge):
+            assert math.isnan(value)
+
     def test_csv_schema_and_manifest(self, small_cfg, tmp_path):
         cells = run_sweep(small_cfg)
         path = str(tmp_path / "sweep.csv")
@@ -172,6 +182,32 @@ class TestCli:
         code = main(["steady", "--n-at", "2", "--t-max", "0.05"])
         assert code == 1
         assert "converged: False" in capsys.readouterr().out
+
+    def test_steady_beyond_six_atoms_exits_1(self, capsys):
+        assert main(["steady", "--n-at", "7"]) == 1
+        err = capsys.readouterr().err
+        assert "n_at <= 6" in err and "n_at = 7" in err
+
+    def test_sweep_beyond_six_atoms_exits_1_at_once(self, tmp_path, capsys):
+        start = time.perf_counter()
+        code = main(["sweep", "--n-at", "7", "--grid-zc", "0", "--grid-a", "pi/4",
+                     "--out", str(tmp_path / "sweep.csv")])
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert "n_at <= 6" in capsys.readouterr().err
+
+    def test_steady_out_writes_row_and_manifest(self, tmp_path):
+        out = tmp_path / "steady.csv"
+        code = main(["steady", "--n-at", "2", "--k0a", "pi/4", "--t-max", "500",
+                     "--out", str(out)])
+        assert code == 0
+        lines = out.read_text(encoding="utf-8").splitlines()
+        header = "purity,mean_x,mean_y,mean_z,var_x,var_y,p0,p1,p2,t_converge,converged"
+        assert lines[0] == header
+        assert len(lines) == 2 and lines[1].endswith(",true")
+        manifest = json.loads(out.with_suffix(".json").read_text(encoding="utf-8"))
+        assert manifest["file"] == "steady.csv"
+        assert manifest["columns"] == header.split(",")
 
     def test_steady_summary(self, capsys):
         code = main(["steady", "--n-at", "2", "--k0a", "pi/4", "--t-max", "500"])
@@ -208,6 +244,12 @@ class TestCli:
         assert code == 0
         out = capsys.readouterr().out
         assert "dimer_chain" in out and "annihilation" in out
+
+    def test_darkstate_eight_atoms(self, capsys):
+        k0zc = dimer_center(8, math.pi / 4)
+        code = main(["darkstate", "--n-at", "8", "--k0a", "pi/4", "--k0zc", repr(k0zc)])
+        assert code == 0
+        assert "dimer_chain" in capsys.readouterr().out
 
     def test_darkstate_rejects_non_dark_geometry(self, capsys):
         code = main(["darkstate", "--n-at", "4", "--k0a", "pi/3", "--k0zc", "0"])

@@ -17,7 +17,7 @@ from darkdimers import (
     steady_state,
 )
 from darkdimers.darkstates import PairSpec, dimer_chain, pair_state
-from darkdimers.observables import fidelity
+from darkdimers.observables import fidelity, polarization_moments
 from darkdimers.operators import ground_state, is_hermitian, pure_to_density
 
 from conftest import random_hermitian_unit_trace
@@ -202,6 +202,18 @@ class TestSteadyState:
         # dominant eigenvector of one of them
         w, v = np.linalg.eigh(res_ground.state)
         assert fidelity(v[:, -1], res_random.state) >= 0.999
+
+    def test_beyond_six_atoms_raises(self, bath088):
+        model = build_model(make_geometry(7, math.pi / 4, 0.0), bath088)
+        with pytest.raises(ValueError, match="n_at"):
+            steady_state(ground_state(7), model, EvolveConfig())
+
+    def test_recorded_moments_match_final_state(self, bath088):
+        model = build_model(make_geometry(3, 0.8, 0.2), bath088)
+        res = steady_state(ground_state(3), model, EvolveConfig(t_max=20.0), record=True)
+        mom = polarization_moments(res.state, 3)
+        for key in ("var_x", "var_y", "mean_z"):
+            assert abs(res.series.data[key][-1] - getattr(mom, key)) <= 1e-12
 
     def test_record_series(self, model2):
         res = steady_state(ground_state(2), model2, EvolveConfig(), record=True)
