@@ -4,21 +4,22 @@ Two equivalent generators are available for every model: the
 travelling-wave form with eight signed channels ("general") and, for
 minimal-uncertainty baths with n_ph > 0, the two-jump standing-wave form
 ("squeezed").  Either form is written once, as a list of sandwich terms
-(c, A, B): rho -> c A rho B, from which both the right-hand side and the
-dense superoperator are built.  Integration is fixed-step classical
-Runge-Kutta (RK4) with per-step re-Hermitization and trace
-renormalization.
+(c, A, B): rho -> c A rho B, from which the right-hand side and, through
+their sparse entries, both generator matrices are built.  Integration is
+fixed-step classical Runge-Kutta (RK4) with per-step re-Hermitization
+and trace renormalization.
 
 For long horizons `steady_state` evaluates the same RK4 iteration
 through its one-step matrix: the generator is vectorized in an
 orthonormal basis of Hermitian matrices (real coordinates, so
 Hermiticity is structural), the degree-4 RK4 polynomial of dt*L is
 formed once, and repeated squaring of that matrix walks the trajectory
-in geometrically growing strides.  The visited states are bit-for-bit
-states of the plain RK4 iteration, just evaluated at coarse times.
-That matrix has 16**n_at entries, so `steady_state` accepts up to six
-atoms and raises ValueError above that; `liouvillian_matrix` is guarded
-to five.  `evolve`, the plain step-by-step RK4 loop, has no size guard.
+in geometrically growing strides, one matrix per excitation-parity
+block.  The visited states are states of the plain RK4 iteration, up to
+rounding, just evaluated at coarse times.  Each block has 16**n_at / 4
+entries, so `steady_state` accepts up to six atoms and raises ValueError
+above that; `liouvillian_matrix` is guarded to five.  `evolve`, the
+plain step-by-step RK4 loop, has no size guard.
 """
 
 from __future__ import annotations
@@ -46,8 +47,8 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
-# Dense superoperators get large quickly (16**n_at entries); 6 atoms is
-# 134 MB in the real representation, 7 would be 34 GB.
+# Dense superoperators get large quickly (16**n_at entries): at 6 atoms
+# each real parity block is 2048^2 (34 MB), at 7 it would be 8192^2 (537 MB).
 _STEADY_STATE_MAX_ATOMS = 6
 _LIOUVILLIAN_MAX_ATOMS = 5
 
@@ -174,6 +175,17 @@ def lindblad_rhs_squeezed(rho: np.ndarray, model: ModelOperators) -> np.ndarray:
     return _rhs_from_terms(_generator_terms(model, "squeezed"), rho)
 
 
+def _sandwich_entries(terms, d: int):
+    """Per term (c, A, B), the COO form of rho -> c A rho B: flat
+    row-major output elements p*d + q, input elements r*d + s and values
+    c A[p, r] B[s, q], from the nonzeros of A times those of B."""
+    for c, a, b in terms:
+        a, b = (np.eye(d) if x is None else x for x in (a, b))
+        (p, r), (s, q) = np.nonzero(a), np.nonzero(b)
+        yield ((p[:, None] * d + q).ravel(), (r[:, None] * d + s).ravel(),
+               (c * a[p, r][:, None] * b[s, q]).ravel())
+
+
 def liouvillian_matrix(model: ModelOperators, form: str = "general") -> np.ndarray:
     """Dense superoperator L with L vec(rho) = vec(d rho/dt), vec
     column-stacked.  Guarded to n_at <= 5 (the matrix has 16**n_at
@@ -183,24 +195,12 @@ def liouvillian_matrix(model: ModelOperators, form: str = "general") -> np.ndarr
             f"dense Liouvillian is guarded to n_at <= {_LIOUVILLIAN_MAX_ATOMS}; "
             f"got n_at = {model.n_at}"
         )
-    return _superoperator(model, _resolve_form(model, form))
-
-
-def _superoperator(model: ModelOperators, form: str) -> np.ndarray:
-    # vec(A rho B) = kron(B^T, A) vec(rho) for column-stacked vec.  Each
-    # product is scaled in place and freed before the next one is made,
-    # so at most two d^2 x d^2 buffers are alive.
     d = model.hamiltonian.shape[0]
-    eye = np.eye(d, dtype=complex)
-    lv = None
-    for c, a, b in _generator_terms(model, form):
-        term = np.kron(eye if b is None else b.T, eye if a is None else a)
-        term *= c
-        if lv is None:
-            lv = term
-        else:
-            lv += term
-        del term
+    col_stacked = np.arange(d * d).reshape(d, d).T.ravel()
+    lv = np.zeros((d * d, d * d), dtype=complex)
+    terms = _generator_terms(model, _resolve_form(model, form))
+    for e_out, e_in, v in _sandwich_entries(terms, d):
+        np.add.at(lv, (col_stacked[e_out], col_stacked[e_in]), v)
     return lv
 
 
@@ -316,67 +316,76 @@ class _VectorizedGenerator:
     """Generator in an orthonormal Hermitian-matrix basis (real coords).
 
     Basis: E_ii; (|i><j| + |j><i|)/sqrt2; i(|i><j| - |j><i|)/sqrt2 for
-    i < j.  A Hermitian matrix maps to the real coordinate vector
-    [diag, sqrt2*Re upper, sqrt2*Im upper]; Tr[A B] is the plain dot
-    product there and Tr[rho^2] = |r|^2.
+    i < j, so Tr[A B] is the dot product of coordinates.  Every generator
+    term flips excitation-number parity on bra and ket together, so the
+    coordinates split into two invariant blocks, stored in turn: block 0
+    (diagonal, then Re and Im of the same-parity pairs) and block 1 (Re
+    and Im of the opposite-parity pairs).
     """
 
     def __init__(self, model: ModelOperators, form: str):
         d = model.hamiltonian.shape[0]
         self.dim = d
-        self.iu = np.triu_indices(d, 1)
-        self.n_pairs = self.iu[0].size
-        self._diag_vec = np.arange(d) * (d + 1)
-        self._vij = self.iu[0] + self.iu[1] * d
-        self._vji = self.iu[1] + self.iu[0] * d
-        self.m = self._real_superop(_superoperator(model, form))
-        # Excitation-number parity is flipped on bra and ket together by
-        # every generator term, so coordinates mixing the two parity
-        # sectors decouple; restricting to the invariant block when the
-        # initial state allows it shrinks the matrices 2x-4x.
+        self.terms = _generator_terms(model, form)
         par = excitation_counts(model.n_at) % 2
-        pair_keep = par[self.iu[0]] == par[self.iu[1]]
-        self.parity_mask = np.concatenate([np.ones(d, dtype=bool), pair_keep, pair_keep])
+        i, j = np.triu_indices(d, 1)
+        odd = par[i] != par[j]
+        # Per matrix element (i, j), flat row-major: the Re and Im basis
+        # matrices E_k it appears in, as (k, E_k[i, j]).  A diagonal element
+        # appears in its diagonal E_ii only (weight 0 on the Im side).
+        re = np.diag(np.arange(d))
+        im = re.copy()
+        start = d
+        for sel in (~odd, odd):
+            k = start + np.arange(sel.sum())
+            re[i[sel], j[sel]] = re[j[sel], i[sel]] = k
+            im[i[sel], j[sel]] = im[j[sel], i[sel]] = k + k.size
+            start += 2 * k.size
+        n0 = d * d - 2 * int(odd.sum())
+        self.blocks = (slice(0, n0), slice(n0, d * d))
+        w_re = np.where(np.eye(d, dtype=bool), 1.0, 1.0 / _SQRT2)
+        w_im = 1j * np.sign(np.arange(d) - np.arange(d)[:, None]) / _SQRT2
+        self._basis = ((re.ravel(), w_re.ravel()), (im.ravel(), w_im.ravel()))
+        self._odd = (par[:, None] != par).ravel()
 
-    def _real_superop(self, lv: np.ndarray) -> np.ndarray:
-        n = lv.shape[0]
-        d, npair = self.dim, self.n_pairs
-        vd, vij, vji = self._diag_vec, self._vij, self._vji
-        lt = np.empty((n, n), dtype=complex)
-        lt[:, :d] = lv[:, vd]
-        lt[:, d : d + npair] = (lv[:, vij] + lv[:, vji]) * (1.0 / _SQRT2)
-        lt[:, d + npair :] = (lv[:, vij] - lv[:, vji]) * (1j / _SQRT2)
-        del lv
-        m = np.empty((n, n))
-        m[:d, :] = lt[vd, :].real
-        m[d : d + npair, :] = ((lt[vij, :] + lt[vji, :]) * (1.0 / _SQRT2)).real
-        m[d + npair :, :] = ((lt[vji, :] - lt[vij, :]) * (1j / _SQRT2)).real
-        return m
+    def assemble(self, b: int) -> np.ndarray:
+        """Real matrix of parity block b: entry (k', k) is Tr[E_k' L(E_k)],
+        accumulated from the complex sandwich entries."""
+        off, n = self.blocks[b].start, self.blocks[b].stop - self.blocks[b].start
+        acc = np.zeros(n * n)
+        for e_out, e_in, v in _sandwich_entries(self.terms, self.dim):
+            keep = self._odd[e_in] == bool(b)
+            eo, ei, v = e_out[keep], e_in[keep], v[keep]
+            # v rho[r, s] lands in out[p, q]: entry (k', k) gains
+            # conj(E_k'[p, q]) v E_k[r, s], real once summed
+            for ko, wo in self._basis:
+                for ki, wi in self._basis:
+                    np.add.at(acc, (ko[eo] - off) * n + ki[ei] - off,
+                              (wo[eo].conj() * v * wi[ei]).real)
+        return acc.reshape(n, n)
 
     def to_coords(self, a: np.ndarray) -> np.ndarray:
-        d, npair = self.dim, self.n_pairs
-        r = np.empty(d * d)
-        r[:d] = a.diagonal().real
-        r[d : d + npair] = _SQRT2 * a[self.iu].real
-        r[d + npair :] = _SQRT2 * a[self.iu].imag
+        r = np.zeros(self.dim**2)
+        for k, w in self._basis:
+            np.add.at(r, k, (w.conj() * a.ravel()).real)
         return r
 
     def from_coords(self, r: np.ndarray) -> np.ndarray:
-        d, npair = self.dim, self.n_pairs
-        a = np.zeros((d, d), dtype=complex)
-        a[np.arange(d), np.arange(d)] = r[:d]
-        upper = (r[d : d + npair] + 1j * r[d + npair :]) / _SQRT2
-        a[self.iu] = upper
-        a[self.iu[1], self.iu[0]] = upper.conj()
-        return a
+        return sum(w * r[k] for k, w in self._basis).reshape(self.dim, self.dim)
 
 
 def _rk4_step_matrix(m: np.ndarray, dt: float) -> np.ndarray:
+    # I + a + a^2/2 + a^3/6 + a^4/24, summed in place so that at most
+    # four buffers of m's size are alive
     a = dt * m
     a2 = a @ a
-    a3 = a2 @ a
-    a4 = a2 @ a2
-    return np.eye(m.shape[0]) + a + a2 / 2.0 + a3 / 6.0 + a4 / 24.0
+    p = np.eye(m.shape[0]) + a
+    p += a2 / 2.0
+    a = a2 @ a
+    p += a / 6.0
+    a = a2 @ a2
+    p += a / 24.0
+    return p
 
 
 def steady_state(
@@ -393,69 +402,59 @@ def steady_state(
     Uses the vectorized RK4 propagator with repeated squaring, so the
     walk accelerates geometrically while staying on the exact fixed-step
     RK4 trajectory; the convergence time is resolved to ~t/4.  The
-    propagator is a dense matrix with 16**n_at entries, so registers of
-    more than six atoms raise ValueError.  Returns a SteadyStateResult
-    whose `converged` flag is False (with the final residual attached)
-    when t_max is hit first; callers decide what a non-converged state
-    means.  Positivity is checked at every visited point; with
-    record=True those points are returned as a TimeSeries.
+    parity-diagonal block is propagated always, the parity-off-diagonal
+    one only when rho0 has coherences between the even and odd sectors;
+    each has 16**n_at / 4 entries, so registers of more than six atoms
+    raise ValueError.  Returns a SteadyStateResult whose `converged` flag
+    is False (with the final residual attached) when t_max is hit first;
+    callers decide what a non-converged state means.  Positivity is
+    checked at every visited point; with record=True those points are
+    returned as a TimeSeries.
     """
     if model.n_at > _STEADY_STATE_MAX_ATOMS:
         raise ValueError(
             f"steady_state is limited to n_at <= {_STEADY_STATE_MAX_ATOMS} (its "
-            f"dense propagator has 16**n_at entries); got n_at = {model.n_at}"
+            f"dense parity blocks have 16**n_at / 4 entries); got n_at = {model.n_at}"
         )
     gen = _VectorizedGenerator(model, _resolve_form(model, form))
     rec = _Recorder(model.n_at, record, observables)
 
-    r_full = gen.to_coords(_as_density(rho0))
-    mask = gen.parity_mask
-    restrict = bool(np.all(r_full[~mask] == 0.0))
-    if restrict:
-        m = gen.m[np.ix_(mask, mask)]
-        r = r_full[mask]
-    else:
-        m = gen.m
-        r = r_full
+    rs = np.split(gen.to_coords(_as_density(rho0)), [gen.blocks[1].start])
+    # Block 0 holds the trace; block 1 stays exactly zero, and is not
+    # propagated, unless rho0 has coherences between the parity sectors.
+    ms = [gen.assemble(b) for b in range(1 + bool(np.any(rs[1] != 0.0)))]
 
-    def full_coords(rv):
-        if not restrict:
-            return rv
-        out = np.zeros(gen.dim**2)
-        out[mask] = rv
-        return out
-
-    def visit(t, rv):
-        """Check (and record) the state at rv; return its residual."""
-        rec.visit(t, gen.from_coords(full_coords(rv)))
-        return float(np.linalg.norm(m @ rv))
+    def visit(t):
+        """Check (and record) the state; return its residual."""
+        rec.visit(t, gen.from_coords(np.concatenate(rs)))
+        return float(np.linalg.norm(np.concatenate([m @ r for m, r in zip(ms, rs)])))
 
     t = 0.0
-    residual = visit(t, r)
+    residual = visit(t)
     converged = residual <= cfg.convergence_tol
     t_end = cfg.t_max * (1.0 - 1e-12)
-    p = None
+    ps = None
     while not converged and t < t_end:
-        if p is None:
-            p = _rk4_step_matrix(m, cfg.dt)
+        if ps is None:
+            ps = [_rk4_step_matrix(m, cfg.dt) for m in ms]
             tau = cfg.dt
         elif 2.0 * tau <= max(cfg.dt, t / 4.0):
-            p = p @ p
+            ps = [p @ p for p in ps]
             tau *= 2.0
         for _ in range(8):
-            r = p @ r
+            rs[: len(ps)] = [p @ r for p, r in zip(ps, rs)]
             t += tau
-            # Diagonal coordinates always survive the parity restriction
-            # and stay the leading block, so the trace is their plain sum.
-            tr = r[: gen.dim].sum()
+            # the diagonal coordinates lead block 0
+            tr = rs[0][: gen.dim].sum()
             rec.note_trace(tr)
-            r /= tr
-            residual = visit(t, r)
+            for r in rs:
+                r /= tr
+            residual = visit(t)
             converged = residual <= cfg.convergence_tol
             if converged or t >= t_end:
                 break
 
-    rho = gen.from_coords(full_coords(r))
+    rho = gen.from_coords(np.concatenate(rs))
     rho /= np.trace(rho).real
     return SteadyStateResult(
         state=rho,

@@ -18,7 +18,13 @@ from darkdimers import (
 )
 from darkdimers.darkstates import PairSpec, dimer_chain, pair_state
 from darkdimers.observables import fidelity, polarization_moments
-from darkdimers.operators import ground_state, is_hermitian, pure_to_density
+from darkdimers.operators import (
+    excitation_counts,
+    ground_state,
+    is_hermitian,
+    product_state,
+    pure_to_density,
+)
 
 from conftest import random_hermitian_unit_trace
 
@@ -171,17 +177,40 @@ class TestSteadyState:
         assert res.converged
         assert res.t_converge == 0.0
 
-    def test_matches_plain_rk4_loop(self, bath088):
+    @staticmethod
+    def _propagator_vs_plain_loop(psi, bath088):
         # the propagator path is the same RK4 iteration: compare after 8
         # steps of a 3-atom evolution
         geo = make_geometry(3, 0.8, 0.2)
         model = build_model(geo, bath088)
         dt, n = 0.005, 8
         cfg_loop = EvolveConfig(dt=dt, t_max=n * dt, record_stride=n)
-        _, rho_loop = evolve(ground_state(3), model, cfg_loop)
-        res = steady_state(ground_state(3), model,
+        _, rho_loop = evolve(psi, model, cfg_loop)
+        res = steady_state(psi, model,
                            EvolveConfig(dt=dt, t_max=n * dt, convergence_tol=1e-300))
-        assert np.max(np.abs(res.state - rho_loop)) <= 1e-12
+        # the residual covers every propagated block: it is ||L(rho)||_F
+        direct = np.linalg.norm(lindblad_rhs_squeezed(res.state, model))
+        assert res.residual == pytest.approx(direct, rel=1e-10)
+        return np.max(np.abs(res.state - rho_loop))
+
+    def test_matches_plain_rk4_loop(self, bath088):
+        assert self._propagator_vs_plain_loop(ground_state(3), bath088) <= 1e-12
+
+    @pytest.mark.parametrize("start", ["plus-pi-4", "random"])
+    def test_matches_plain_rk4_loop_parity_mixed(self, bath088, start):
+        # these starts have coherences between the even and odd sectors,
+        # so both parity blocks are propagated
+        if start == "plus-pi-4":
+            plus = np.array([1.0, np.exp(1j * math.pi / 4)]) / math.sqrt(2.0)
+            psi = product_state([plus] * 3)
+        else:
+            rng = np.random.default_rng(17)
+            psi = rng.normal(size=8) + 1j * rng.normal(size=8)
+            psi /= np.linalg.norm(psi)
+        odd = excitation_counts(3) % 2
+        cross = np.outer(psi, psi.conj())[np.ix_(odd == 0, odd == 1)]
+        assert np.max(np.abs(cross)) > 0.1
+        assert self._propagator_vs_plain_loop(psi, bath088) <= 1e-12
 
     def test_instability_raises(self, bath088):
         geo = make_geometry(4, 2 * math.pi, 0.0)
@@ -266,15 +295,42 @@ class TestLiouvillian:
 class TestVectorizedEngine:
     @pytest.mark.parametrize("form", ["general", "squeezed"])
     def test_parity_blocks_decouple_exactly(self, bath088, form):
-        # the fast path restricts to the parity-diagonal block for
-        # ground-start runs; both cross blocks must be structural zeros
+        # the fast path propagates the two parity blocks separately: in
+        # real coordinates the dense Liouvillian must have structural
+        # zeros between them, and each assembled block must be its
+        # restriction to that block
         from darkdimers.dynamics import _VectorizedGenerator
 
         model = build_model(make_geometry(3, 0.9, 0.4), bath088)
         gen = _VectorizedGenerator(model, form)
-        mask = gen.parity_mask
-        assert np.max(np.abs(gen.m[np.ix_(mask, ~mask)])) == 0.0
-        assert np.max(np.abs(gen.m[np.ix_(~mask, mask)])) == 0.0
+        # columns: the basis matrices E_k, column-stacked like the vec of
+        # liouvillian_matrix; M[k', k] = Tr[E_k' L(E_k)]
+        basis = np.stack([gen.from_coords(e).reshape(-1, order="F")
+                          for e in np.eye(gen.dim**2)], axis=1)
+        m = (basis.conj().T @ liouvillian_matrix(model, form) @ basis).real
+        b0, b1 = gen.blocks
+        assert np.max(np.abs(m[b0, b1])) == 0.0
+        assert np.max(np.abs(m[b1, b0])) == 0.0
+        for b, s in enumerate(gen.blocks):
+            assert np.max(np.abs(gen.assemble(b) - m[s, s])) <= 1e-13
+
+    def test_assembly_stays_below_one_complex_superoperator(self, bath088):
+        # the blocks are accumulated from sparse sandwich entries; the old
+        # kron assembly held several dense d^2 x d^2 complex buffers
+        import tracemalloc
+
+        from darkdimers.dynamics import _VectorizedGenerator
+
+        model = build_model(make_geometry(5, 0.9, 0.3), bath088)
+        tracemalloc.start()
+        try:
+            gen = _VectorizedGenerator(model, "general")
+            blocks = [gen.assemble(b) for b in (0, 1)]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [m.shape for m in blocks] == [(512, 512)] * 2
+        assert peak < 16**5 * 16
 
     def test_coordinate_roundtrip(self, bath088):
         from darkdimers.dynamics import _VectorizedGenerator
