@@ -17,6 +17,7 @@ import numpy as np
 
 from . import __version__
 from .config import (
+    CONFIG_KEYS,
     ConfigError,
     initial_state_vector,
     load_config_file,
@@ -35,7 +36,6 @@ from .experiments import (
     EXPERIMENT_NAMES,
     run_experiment,
     run_sweep,
-    series_columns,
     setup_from_config,
     write_correlations_csv,
     write_populations_csv,
@@ -47,33 +47,15 @@ from .observables import (
     dark_condition,
     excitation_populations,
     pair_correlations,
-    polarization_moments,
-    purity,
-)
-
-_CONFIG_FLAGS = (
-    ("--n-at", "n_at", "number of atoms"),
-    ("--n-ph", "n_ph", "photons per mode N_ph"),
-    ("--phi", "phi", "squeezing reference phase (accepts pi expressions)"),
-    ("--k0a", "k0a", "dimensionless lattice constant k0*a"),
-    ("--k0zc", "k0zc", "dimensionless array center k0*z_c"),
-    ("--gamma", "gamma", "waveguide decay rate"),
-    ("--dt", "dt", "integrator step (units 1/gamma)"),
-    ("--t-max", "t_max", "integration horizon"),
-    ("--tol", "tol", "steady-state residual tolerance on ||drho/dt||_F"),
-    ("--record-stride", "record_stride", "steps between recorded points"),
-    ("--initial", "initial", "ground | plus-pi-4 | state file"),
-    ("--grid-zc", "grid_zc", "sweep grid for k0zc: 'lo:hi:n' or comma list"),
-    ("--grid-a", "grid_a", "sweep grid for k0a: 'lo:hi:n' or comma list"),
-    ("--workers", "workers", "parallel worker processes"),
-    ("--out", "out", "output file (or directory for experiments)"),
+    state_row,
 )
 
 
 def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--config", metavar="FILE", help="key/value config file")
-    for flag, dest, help_text in _CONFIG_FLAGS:
-        parser.add_argument(flag, dest=dest, metavar="V", help=help_text)
+    for name, key in CONFIG_KEYS.items():
+        parser.add_argument("--" + name.replace("_", "-"), dest=name, metavar="V",
+                            help=key.metadata["help"])
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -119,23 +101,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _resolve(args) -> "ExperimentConfig":
     file_values = load_config_file(args.config) if args.config else None
-    flag_values = {
-        dest: getattr(args, dest) for _, dest, _ in _CONFIG_FLAGS
-        if getattr(args, dest, None) is not None
-    }
+    flag_values = {name: getattr(args, name) for name in CONFIG_KEYS}
     return resolve_config(file_values, flag_values)
-
-
-def _print_summary(result, cfg):
-    moments = polarization_moments(result.state, cfg.n_at)
-    pops = excitation_populations(result.state)
-    print(f"converged: {result.converged}")
-    print(f"t_converge: {result.t_converge:.6g}")
-    print(f"residual: {result.residual:.6g}")
-    print(f"purity: {purity(result.state):.12g}")
-    print(f"mean_x/y/z: {moments.mean_x:.6g} {moments.mean_y:.6g} {moments.mean_z:.6g}")
-    print(f"var_x/y: {moments.var_x:.6g} {moments.var_y:.6g}")
-    print("populations: " + " ".join(f"{p:.6g}" for p in pops))
 
 
 def _cmd_sweep(args) -> int:
@@ -162,15 +129,19 @@ def _cmd_steady(args) -> int:
     cfg = _resolve(args)
     _, _, model, ecfg = setup_from_config(cfg)
     result = steady_state(initial_state_vector(cfg), model, ecfg)
-    _print_summary(result, cfg)
+    row = state_row(result.state, cfg.n_at)
+    print(f"converged: {result.converged}")
+    print(f"t_converge: {result.t_converge:.6g}")
+    print(f"residual: {result.residual:.6g}")
+    print(f"purity: {row['purity']:.12g}")
+    print(f"mean_x/y/z: {row['mean_x']:.6g} {row['mean_y']:.6g} {row['mean_z']:.6g}")
+    print(f"var_x/y: {row['var_x']:.6g} {row['var_y']:.6g}")
+    print("populations: "
+          + " ".join(f"{row[f'p{k}']:.6g}" for k in range(cfg.n_at + 1)))
     if cfg.out:
-        moments = polarization_moments(result.state, cfg.n_at)
-        pops = excitation_populations(result.state)
-        header = series_columns(cfg.n_at)[1:] + ["t_converge", "converged"]
-        row = ([purity(result.state), moments.mean_x, moments.mean_y,
-                moments.mean_z, moments.var_x, moments.var_y]
-               + list(pops) + [result.t_converge, result.converged])
-        write_table(cfg.out, header, [row], cfg)
+        header = list(row) + ["t_converge", "converged"]
+        values = list(row.values()) + [result.t_converge, result.converged]
+        write_table(cfg.out, header, [values], cfg)
     return 0 if result.converged else 1
 
 

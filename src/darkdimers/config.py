@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, field, fields
+from types import MappingProxyType
 from typing import Dict, Optional
 
 import numpy as np
@@ -18,6 +19,7 @@ import numpy as np
 __all__ = [
     "ConfigError",
     "ExperimentConfig",
+    "CONFIG_KEYS",
     "parse_angle",
     "parse_grid",
     "load_config_file",
@@ -75,45 +77,42 @@ def parse_grid(text) -> np.ndarray:
     return np.array([parse_angle(tok) for tok in s.split(",") if tok.strip()])
 
 
+def _key(default, parse, help_text):
+    """A config field: its default, the parser of its text form (file
+    value or flag), and the help text of its flag."""
+    return field(default=default, metadata={"parse": parse, "help": help_text})
+
+
 @dataclass
 class ExperimentConfig:
-    n_at: int = 4
-    n_ph: float = 0.88
-    phi: float = 0.0
-    k0a: float = math.pi / 4
-    k0zc: float = 0.0
-    gamma: float = 1.0
-    dt: float = 0.005
-    t_max: float = 2.0e4
-    tol: float = 1e-9
-    record_stride: int = 200
-    initial: str = "ground"
-    grid_zc: str = "0:pi:65"
-    grid_a: str = "0:pi:65"
-    workers: int = 1
-    out: Optional[str] = None
+    """The resolved configuration.  Each field is one key of the config
+    file and one CLI flag, `--` + its name with `_` turned into `-`; the
+    field order is the order of the flags in `--help`."""
+
+    n_at: int = _key(4, int, "number of atoms")
+    n_ph: float = _key(0.88, float, "photons per mode N_ph")
+    phi: float = _key(0.0, parse_angle,
+                      "squeezing reference phase (accepts pi expressions)")
+    k0a: float = _key(math.pi / 4, parse_angle, "dimensionless lattice constant k0*a")
+    k0zc: float = _key(0.0, parse_angle, "dimensionless array center k0*z_c")
+    gamma: float = _key(1.0, float, "waveguide decay rate")
+    dt: float = _key(0.005, float, "integrator step (units 1/gamma)")
+    t_max: float = _key(2.0e4, float, "integration horizon")
+    tol: float = _key(1e-9, float, "steady-state residual tolerance on ||drho/dt||_F")
+    record_stride: int = _key(200, int, "steps between recorded points")
+    initial: str = _key("ground", str, "ground | plus-pi-4 | state file")
+    grid_zc: str = _key("0:pi:65", str, "sweep grid for k0zc: 'lo:hi:n' or comma list")
+    grid_a: str = _key("0:pi:65", str, "sweep grid for k0a: 'lo:hi:n' or comma list")
+    workers: int = _key(1, int, "parallel worker processes")
+    out: Optional[str] = _key(None, str, "output file (or directory for experiments)")
 
     def to_dict(self) -> Dict:
         return asdict(self)
 
 
-_FIELD_PARSERS = {
-    "n_at": int,
-    "n_ph": float,
-    "phi": parse_angle,
-    "k0a": parse_angle,
-    "k0zc": parse_angle,
-    "gamma": float,
-    "dt": float,
-    "t_max": float,
-    "tol": float,
-    "record_stride": int,
-    "initial": str,
-    "grid_zc": str,
-    "grid_a": str,
-    "workers": int,
-    "out": str,
-}
+# The config keys, in field order: name -> dataclasses.Field, whose
+# metadata holds "parse" and "help".
+CONFIG_KEYS = MappingProxyType({f.name: f for f in fields(ExperimentConfig)})
 
 
 def load_config_file(path: str) -> Dict[str, str]:
@@ -131,7 +130,7 @@ def load_config_file(path: str) -> Dict[str, str]:
                     )
                 key, _, value = line.partition("=")
                 key = key.strip().replace("-", "_")
-                if key not in _FIELD_PARSERS:
+                if key not in CONFIG_KEYS:
                     raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
                 values[key] = value.strip()
     except OSError as exc:
@@ -150,14 +149,13 @@ def resolve_config(
             if value is None:
                 continue
             key = key.replace("-", "_")
-            if key not in _FIELD_PARSERS:
+            if key not in CONFIG_KEYS:
                 raise ConfigError(f"unknown config key {key!r}")
             merged[key] = value
     cfg = ExperimentConfig()
     for key, value in merged.items():
-        parser = _FIELD_PARSERS[key]
         try:
-            setattr(cfg, key, parser(value))
+            setattr(cfg, key, CONFIG_KEYS[key].metadata["parse"](value))
         except ConfigError:
             raise
         except (TypeError, ValueError):

@@ -26,12 +26,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from .model import ModelOperators
-from .observables import excitation_populations, polarization_moments, purity
+from .observables import state_row
 from .operators import excitation_counts, pure_to_density
 
 __all__ = [
@@ -162,8 +162,8 @@ def _rhs_from_terms(terms, rho):
 def lindblad_rhs_general(rho: np.ndarray, model: ModelOperators) -> np.ndarray:
     """d(rho)/dt of the travelling-wave master equation:
     -i[H, rho] plus the eight signed channels
-    (gamma/2)[(N+1) L[J_s] + N L[J_s^dag] + |M|/2 L[J_{phi,s}]
-              - |M|/2 L[J_{phi+pi,s}]] for s = +/-."""
+    (gamma/2)[(N+1) L[J_s] + N L[J_s^dag] + |M|/2 L[J_{-phi,s}]
+              - |M|/2 L[J_{pi-phi,s}]] for s = +/-."""
     _check_shape(rho, model)
     return _rhs_from_terms(_generator_terms(model, "general"), rho)
 
@@ -211,13 +211,11 @@ def liouvillian_matrix(model: ModelOperators, form: str = "general") -> np.ndarr
 class _Recorder:
     """What a trajectory reports at its visited points: the positivity
     check, the numerical-hygiene extremes and, with `record`, the
-    observable columns of a TimeSeries (restricted to `observables`
-    when given)."""
+    observable columns of a TimeSeries."""
 
-    def __init__(self, n_at: int, record: bool, observables: Optional[Iterable[str]]):
+    def __init__(self, n_at: int, record: bool):
         self.n_at = n_at
         self.record = record
-        self.keep = None if observables is None else set(observables)
         self.times = []
         self.rows = []
         self.max_trace_dev = 0.0
@@ -235,16 +233,9 @@ class _Recorder:
                 f"smallest eigenvalue {lam:.3e} at t = {t:.4g}; "
                 "the integration is unstable, use a smaller dt"
             )
-        if not self.record:
-            return
-        mom = polarization_moments(rho, self.n_at)
-        row = {"purity": purity(rho), "mean_x": mom.mean_x, "mean_y": mom.mean_y,
-               "mean_z": mom.mean_z, "var_x": mom.var_x, "var_y": mom.var_y}
-        row.update((f"p{k}", p) for k, p in enumerate(excitation_populations(rho)))
-        if self.keep is not None:
-            row = {k: v for k, v in row.items() if k in self.keep}
-        self.times.append(t)
-        self.rows.append(row)
+        if self.record:
+            self.times.append(t)
+            self.rows.append(state_row(rho, self.n_at))
 
     def series(self) -> Optional[TimeSeries]:
         if not self.rows:
@@ -272,7 +263,6 @@ def evolve(
     rho0: np.ndarray,
     model: ModelOperators,
     cfg: EvolveConfig,
-    observables: Optional[Iterable[str]] = None,
     form: str = "auto",
 ) -> Tuple[TimeSeries, np.ndarray]:
     """Integrate the master equation with fixed-step RK4.
@@ -288,7 +278,7 @@ def evolve(
     terms = _generator_terms(model, _resolve_form(model, form))
     rho = _as_density(rho0)
     _check_shape(rho, model)
-    rec = _Recorder(model.n_at, True, observables)
+    rec = _Recorder(model.n_at, True)
     rec.visit(0.0, rho)
 
     n_steps = int(round(cfg.t_max / cfg.dt))
@@ -394,7 +384,6 @@ def steady_state(
     cfg: EvolveConfig,
     form: str = "auto",
     record: bool = False,
-    observables: Optional[Iterable[str]] = None,
 ) -> SteadyStateResult:
     """Integrate from rho0 until ||d rho/dt||_F <= convergence_tol or
     t_max is reached.
@@ -417,7 +406,7 @@ def steady_state(
             f"dense parity blocks have 16**n_at / 4 entries); got n_at = {model.n_at}"
         )
     gen = _VectorizedGenerator(model, _resolve_form(model, form))
-    rec = _Recorder(model.n_at, record, observables)
+    rec = _Recorder(model.n_at, record)
 
     rs = np.split(gen.to_coords(_as_density(rho0)), [gen.blocks[1].start])
     # Block 0 holds the trace; block 1 stays exactly zero, and is not

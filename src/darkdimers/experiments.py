@@ -13,7 +13,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -35,7 +35,7 @@ from .model import (
     make_bath,
     make_geometry,
 )
-from .observables import pair_correlations, polarization_moments, purity
+from .observables import pair_correlations, state_row
 
 __all__ = [
     "setup_from_config",
@@ -115,8 +115,7 @@ class SweepCell:
     converged: bool
 
 
-SWEEP_COLUMNS = ("k0zc", "k0a", "var_x", "var_y", "purity", "mean_z",
-                 "t_converge", "converged")
+SWEEP_COLUMNS = tuple(f.name for f in fields(SweepCell))
 
 
 def _sweep_cell(args) -> Tuple[int, SweepCell]:
@@ -129,40 +128,25 @@ def _sweep_cell(args) -> Tuple[int, SweepCell]:
         # non-converged with empty observables.
         nan = float("nan")
         return index, SweepCell(k0zc, k0a, nan, nan, nan, nan, nan, False)
-    moments = polarization_moments(result.state, cfg.n_at)
-    return index, SweepCell(
-        k0zc=k0zc,
-        k0a=k0a,
-        var_x=moments.var_x,
-        var_y=moments.var_y,
-        purity=purity(result.state),
-        mean_z=moments.mean_z,
-        t_converge=result.t_converge,
-        converged=result.converged,
-    )
+    row = state_row(result.state, cfg.n_at)
+    return index, SweepCell(k0zc, k0a, row["var_x"], row["var_y"], row["purity"],
+                            row["mean_z"], result.t_converge, result.converged)
 
 
-def run_sweep(
-    cfg: ExperimentConfig,
-    zc_values: Optional[np.ndarray] = None,
-    a_values: Optional[np.ndarray] = None,
-    workers: Optional[int] = None,
-) -> List[SweepCell]:
-    """Steady-state observables on the (k0zc, k0a) grid, rows in
-    deterministic zc-major order.  Cells are independent and are
-    distributed over a process pool when workers > 1; the merge order
+def run_sweep(cfg: ExperimentConfig) -> List[SweepCell]:
+    """Steady-state observables on the (cfg.grid_zc, cfg.grid_a) grid,
+    rows in deterministic zc-major order.  Cells are independent and are
+    distributed over a process pool when cfg.workers > 1; the merge order
     (and therefore the output) does not depend on the worker count."""
-    zc_values = parse_grid(cfg.grid_zc) if zc_values is None else np.asarray(zc_values)
-    a_values = parse_grid(cfg.grid_a) if a_values is None else np.asarray(a_values)
-    workers = cfg.workers if workers is None else workers
+    zc_values, a_values = parse_grid(cfg.grid_zc), parse_grid(cfg.grid_a)
     tasks = [
         (i * a_values.size + j, cfg, float(zc), float(a))
         for i, zc in enumerate(zc_values)
         for j, a in enumerate(a_values)
     ]
     cells: List[Optional[SweepCell]] = [None] * len(tasks)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+    if cfg.workers > 1:
+        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             for index, cell in pool.map(_sweep_cell, tasks, chunksize=4):
                 cells[index] = cell
     else:
@@ -174,12 +158,7 @@ def run_sweep(
 
 def write_sweep_csv(path: str, cells: Sequence[SweepCell], cfg: ExperimentConfig,
                     extra: Optional[Dict] = None) -> List[str]:
-    rows = [
-        (c.k0zc, c.k0a, c.var_x, c.var_y, c.purity, c.mean_z, c.t_converge,
-         c.converged)
-        for c in cells
-    ]
-    return write_table(path, SWEEP_COLUMNS, rows, cfg, extra)
+    return write_table(path, SWEEP_COLUMNS, map(astuple, cells), cfg, extra)
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,12 @@ The dissipative part of the master equation comes in two equivalent
 forms: the eight signed travelling-wave channels
 
     (gamma/2) [ (N+1) L[J_s] + N L[J_s^dag]
-                + |M|/2 L[J_{phi,s}] - |M|/2 L[J_{phi+pi,s}] ],  s = +/-
+                + |M|/2 L[J_{-phi,s}] - |M|/2 L[J_{pi-phi,s}] ],  s = +/-
 
 and, for a minimal-uncertainty bath, two squeezed standing-wave jumps
-Jx, Jy with a common rate 4 gamma |mu nu|.  Both sets are built here;
+Jx, Jy with a common rate 4 gamma |mu nu|.  The quadrature channels
+J_{-phi,s} put M^* = |M| e^{-i phi} on J_s rho J_s, which is what
+Jx, Jy (built from mu and nu = -M / mu^*) give.  Both sets are built here;
 `darkdimers.dynamics` turns them into generators.
 """
 
@@ -293,14 +295,14 @@ def build_model(geo: ArrayGeometry, bath: BathParams, gamma: float = 1.0) -> Mod
         channels.append(
             TravellingChannel(
                 f"Jphi{tag}",
-                jump_quadrature(geo, s, bath.phi),
+                jump_quadrature(geo, s, -bath.phi),
                 0.25 * gamma * bath.m_abs,
             )
         )
         channels.append(
             TravellingChannel(
                 f"Jphi+pi{tag}",
-                jump_quadrature(geo, s, bath.phi + math.pi),
+                jump_quadrature(geo, s, math.pi - bath.phi),
                 -0.25 * gamma * bath.m_abs,
             )
         )

@@ -23,6 +23,7 @@ __all__ = [
     "PolarizationMoments",
     "polarization_moments",
     "purity",
+    "state_row",
     "pair_correlations",
     "excitation_populations",
     "dark_condition",
@@ -79,6 +80,17 @@ def purity(rho: np.ndarray) -> float:
         n = float(np.vdot(rho, rho).real)
         return n * n
     return float(np.trace(rho @ rho).real)
+
+
+def state_row(state: np.ndarray, n_at: int) -> dict:
+    """The observables that describe one state, in series-CSV column
+    order: purity, mean_x/y/z, var_x/y, then the excitation populations
+    p0..pN."""
+    mom = polarization_moments(state, n_at)
+    row = {"purity": purity(state), "mean_x": mom.mean_x, "mean_y": mom.mean_y,
+           "mean_z": mom.mean_z, "var_x": mom.var_x, "var_y": mom.var_y}
+    row.update((f"p{k}", p) for k, p in enumerate(excitation_populations(state)))
+    return row
 
 
 def pair_correlations(state: np.ndarray, n_at: int) -> np.ndarray:

@@ -1,13 +1,15 @@
+import argparse
 import json
 import math
 import os
 import time
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from darkdimers.cli import main
+from darkdimers.cli import _build_parser, main
 from darkdimers.config import (
     ConfigError,
     ExperimentConfig,
@@ -80,6 +82,13 @@ class TestResolveConfig:
         with pytest.raises(ConfigError, match=fragment):
             resolve_config(flag_values={field: value})
 
+    @pytest.mark.parametrize("name", [f.name for f in fields(ExperimentConfig)])
+    def test_every_field_is_a_file_key(self, tmp_path, name):
+        path = tmp_path / "run.cfg"
+        for key in (name, name.replace("_", "-")):
+            path.write_text(f"{key} = 1\n", encoding="utf-8")
+            assert load_config_file(str(path)) == {name: "1"}
+
 
 class TestInitialState:
     def test_ground(self):
@@ -137,7 +146,7 @@ class TestSweepPlumbing:
     def test_deterministic_and_worker_invariant(self, small_cfg, tmp_path):
         cells1 = run_sweep(small_cfg)
         cells2 = run_sweep(small_cfg)
-        cells_par = run_sweep(small_cfg, workers=2)
+        cells_par = run_sweep(replace(small_cfg, workers=2))
         paths = []
         for tag, cells in (("a", cells1), ("b", cells2), ("p", cells_par)):
             path = str(tmp_path / f"sweep_{tag}.csv")
@@ -169,6 +178,23 @@ class TestSweepPlumbing:
 
 
 class TestCli:
+    def test_flags_are_the_config_fields(self):
+        # every subcommand takes --config plus one flag per config field,
+        # stored under the field name, and only its own extras besides
+        flags = {"--" + f.name.replace("_", "-"): f.name for f in fields(ExperimentConfig)}
+        extras = {"darkstate": {"--l"}, "populations": {"--law"}, "experiment": {"name"}}
+        sub = next(a for a in _build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        assert set(sub.choices) == {"sweep", "evolve", "steady", "correlations",
+                                    "darkstate", "populations", "experiment"}
+        for command, parser in sub.choices.items():
+            actions = [a for a in parser._actions
+                       if not isinstance(a, argparse._HelpAction)]
+            options = {s for a in actions for s in a.option_strings or [a.dest]}
+            assert options == {"--config"} | set(flags) | extras.get(command, set())
+            dests = {s: a.dest for a in actions for s in a.option_strings}
+            assert {flag: dests[flag] for flag in flags} == flags
+
     def test_bad_flag_exits_2(self, capsys):
         assert main(["steady", "--n-ph=-1"]) == 2
         assert "n_ph" in capsys.readouterr().err

@@ -1,5 +1,6 @@
-"""Property tests of the real-coordinate parity blocks over random
-geometries and squeezed baths, in both generator forms."""
+"""Property tests over random geometries and squeezed baths: the
+real-coordinate parity blocks in both generator forms, and the two forms
+of the generator against each other."""
 
 import math
 
@@ -8,7 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from darkdimers import build_model, make_bath, make_geometry
-from darkdimers.dynamics import _generator_terms, _rhs_from_terms, _VectorizedGenerator
+from darkdimers.dynamics import (
+    _generator_terms,
+    _rhs_from_terms,
+    _VectorizedGenerator,
+    lindblad_rhs_general,
+    lindblad_rhs_squeezed,
+)
+
+from conftest import random_hermitian_unit_trace
 
 angles = st.floats(0.0, 2.0 * math.pi)
 models = st.builds(
@@ -36,3 +45,16 @@ def test_blocks_match_rhs_and_preserve_trace(model, form):
             assert np.max(np.abs(col), initial=0.0) <= 1e-12
     # the diagonal coordinates lead block 0: Tr L(E_k) = 0 for every k
     assert np.max(np.abs(gen.assemble(0)[:d].sum(axis=0))) <= 1e-12
+
+
+@settings(max_examples=50, deadline=None)
+@given(model=models, seed=st.integers(0, 2**32 - 1))
+def test_forms_agree_and_preserve_hermiticity_and_trace(model, seed):
+    rho = random_hermitian_unit_trace(np.random.default_rng(seed),
+                                      model.hamiltonian.shape[0])
+    lg = lindblad_rhs_general(rho, model)
+    ls = lindblad_rhs_squeezed(rho, model)
+    assert np.max(np.abs(lg - ls)) <= 1e-12 * max(1.0, np.max(np.abs(lg)))
+    for lr in (lg, ls):
+        assert np.max(np.abs(lr - lr.conj().T)) <= 1e-12
+        assert abs(np.trace(lr)) <= 1e-12

@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from darkdimers import make_geometry
 from darkdimers.darkstates import PairSpec, dimer_chain, pair_state
+from darkdimers.experiments import series_columns
 from darkdimers.observables import (
     dark_condition,
     excitation_populations,
@@ -13,6 +14,7 @@ from darkdimers.observables import (
     pair_correlations,
     polarization_moments,
     purity,
+    state_row,
 )
 from darkdimers.operators import basis_state, ground_state, pure_to_density
 
@@ -82,6 +84,19 @@ class TestPurity:
     def test_state_vector_input(self, geo2_dark, bath088):
         psi = pair_state(geo2_dark, bath088, PairSpec(1, 2, "squeezed"))
         assert purity(psi) == pytest.approx(1.0, abs=1e-12)
+
+
+class TestStateRow:
+    def test_series_columns_and_values(self, bath088):
+        psi = dimer_chain(make_geometry(4, math.pi / 4, math.pi / 4), bath088)
+        rho = 0.5 * (pure_to_density(psi) + pure_to_density(ground_state(4)))
+        row = state_row(rho, 4)
+        assert list(row) == series_columns(4)[1:]
+        mom = polarization_moments(rho, 4)
+        assert row["purity"] == purity(rho)
+        assert [row[k] for k in ("mean_x", "mean_y", "mean_z", "var_x", "var_y")] == \
+            [mom.mean_x, mom.mean_y, mom.mean_z, mom.var_x, mom.var_y]
+        assert [row[f"p{k}"] for k in range(5)] == list(excitation_populations(rho))
 
 
 class TestPairCorrelations:
