@@ -3,7 +3,7 @@
 Subcommands: sweep, evolve, steady, correlations, darkstate,
 populations, experiment.  Exit codes: 0 success, 1 runtime or
 convergence failure (a sweep writes unstable cells as non-converged
-rows and exits 0), 2 usage/config error.
+rows, with reasons in its manifest, and exits 0), 2 usage/config error.
 """
 
 from __future__ import annotations
@@ -119,8 +119,8 @@ def _cmd_evolve(args) -> int:
     _, _, model, ecfg = setup_from_config(cfg)
     result = steady_state(initial_state_vector(cfg), model, ecfg, record=True)
     out = cfg.out or "series.csv"
-    files = write_series_csv(out, result.series, cfg.n_at, cfg,
-                             {"converged": bool(result.converged)})
+    extra = {"converged": bool(result.converged), "stats": result.stats}
+    files = write_series_csv(out, result.series, cfg.n_at, cfg, extra)
     print("\n".join(files))
     return 0
 
@@ -151,8 +151,8 @@ def _cmd_correlations(args) -> int:
     result = steady_state(initial_state_vector(cfg), model, ecfg)
     corr = pair_correlations(result.state, cfg.n_at)
     out = cfg.out or "correlations.csv"
-    files = write_correlations_csv(out, corr, cfg,
-                                   {"converged": bool(result.converged)})
+    extra = {"converged": bool(result.converged), "stats": result.stats}
+    files = write_correlations_csv(out, corr, cfg, extra)
     print("\n".join(files))
     return 0 if result.converged else 1
 

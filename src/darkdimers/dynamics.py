@@ -15,11 +15,14 @@ orthonormal basis of Hermitian matrices (real coordinates, so
 Hermiticity is structural), the degree-4 RK4 polynomial of dt*L is
 formed once, and repeated squaring of that matrix walks the trajectory
 in geometrically growing strides, one matrix per excitation-parity
-block.  The visited states are states of the plain RK4 iteration, up to
-rounding, just evaluated at coarse times.  Each block has 16**n_at / 4
-entries, so `steady_state` accepts up to six atoms and raises ValueError
-above that; `liouvillian_matrix` is guarded to five.  `evolve`, the
-plain step-by-step RK4 loop, has no size guard.
+block, restricted to the states sharing rho0's site symmetries (each
+transposition or chain reflection that fixes rho0 and commutes with L to
+1e-12; a start with no symmetry gets no reduction).  The visited states
+are states of the plain RK4 iteration, up to rounding, just evaluated at
+coarse times.  Each block has up to 16**n_at / 4 entries, so
+`steady_state` accepts up to six atoms and raises ValueError above that;
+`liouvillian_matrix` is guarded to five.  `evolve`, the plain
+step-by-step RK4 loop, has no size guard.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ __all__ = [
 
 _SQRT2 = math.sqrt(2.0)
 # Dense superoperators get large quickly (16**n_at entries): at 6 atoms
-# each real parity block is 2048^2 (34 MB), at 7 it would be 8192^2 (537 MB).
+# each real parity block is up to 2048^2 (34 MB), at 7 up to 8192^2 (537 MB).
 _STEADY_STATE_MAX_ATOMS = 6
 _LIOUVILLIAN_MAX_ATOMS = 5
 
@@ -104,6 +107,7 @@ class SteadyStateResult:
     residual: float
     converged: bool
     series: Optional[TimeSeries] = None
+    stats: Optional[Dict] = None
 
 
 # ---------------------------------------------------------------------------
@@ -311,9 +315,14 @@ class _VectorizedGenerator:
     coordinates split into two invariant blocks, stored in turn: block 0
     (diagonal, then Re and Im of the same-parity pairs) and block 1 (Re
     and Im of the opposite-parity pairs).
+
+    Site transpositions and the chain reflection that fix rho0 and commute
+    with L (both to 1e-12, L on a random Hermitian probe) generate a group
+    G; the coordinates are G's signed orbits sum s_k E_k / sqrt|orbit|,
+    less those whose signs conflict: the plain ones when G is trivial.
     """
 
-    def __init__(self, model: ModelOperators, form: str):
+    def __init__(self, model: ModelOperators, form: str, rho0: np.ndarray):
         d = model.hamiltonian.shape[0]
         self.dim = d
         self.terms = _generator_terms(model, form)
@@ -332,11 +341,41 @@ class _VectorizedGenerator:
             im[i[sel], j[sel]] = im[j[sel], i[sel]] = k + k.size
             start += 2 * k.size
         n0 = d * d - 2 * int(odd.sum())
-        self.blocks = (slice(0, n0), slice(n0, d * d))
+        self.full_dims = (n0, d * d - n0)
         w_re = np.where(np.eye(d, dtype=bool), 1.0, 1.0 / _SQRT2)
         w_im = 1j * np.sign(np.arange(d) - np.arange(d)[:, None]) / _SQRT2
         self._basis = ((re.ravel(), w_re.ravel()), (im.ravel(), w_im.ravel()))
         self._odd = (par[:, None] != par).ravel()
+        sites, flat = self._symmetries(model.n_at, rho0)
+        self.symmetries = [tuple(int(x) + 1 for x in row) for row in sites]
+        dims = self.full_dims
+        if len(flat):
+            index, weight, dims = _signed_orbits(self._basis, flat, n0)
+            self._basis = tuple((index[k], w * weight[k]) for k, w in self._basis)
+        self.blocks = (slice(0, dims[0]), slice(dims[0], sum(dims)))
+
+    def _symmetries(self, n_at: int, rho0: np.ndarray):
+        """Candidate site permutations (0-based images, all involutions) that
+        rho0 and L share, and as `flat` where they send each matrix element."""
+        # below four atoms the reflection is a transposition or the identity
+        ident = list(range(n_at))
+        sites = [[{i: j, j: i}.get(s, s) for s in ident] for j in ident for i in range(j)]
+        sites = np.array(sites + [ident[::-1]] * (n_at > 3), dtype=int).reshape(-1, n_at)
+        d, bit = self.dim, n_at - 1 - np.arange(n_at)  # site 1: most significant bit
+        perms = (((np.arange(d)[:, None] >> bit) & 1) @ (1 << bit[sites]).T).T
+        flat = (perms[:, :, None] * d + perms[:, None, :]).reshape(len(perms), d * d)
+        ok = abs(rho0.ravel()[flat] - rho0.ravel()).max(1) <= 1e-12
+        if ok.any():
+            x = np.random.default_rng(0).normal(size=(d, 2 * d)).view(complex)
+            x = (x + x.conj().T).ravel()
+            # one-sided terms summed first; L(X), then L(U X U^dag) per candidate
+            terms = [(1.0, sum(c * a for c, a, b in self.terms if b is None), None),
+                     (1.0, None, sum(c * b for c, a, b in self.terms if a is None))]
+            terms += [t for t in self.terms if t[1] is not None and t[2] is not None]
+            probes = np.concatenate([x[None], x[flat[ok]]]).reshape(-1, d, d)
+            lx = _rhs_from_terms(terms, probes).reshape(len(probes), -1)
+            ok[ok] = abs(lx[1:] - lx[0][flat[ok]]).max(1) <= 1e-12 * abs(lx[0]).max()
+        return sites[ok], flat[ok]
 
     def assemble(self, b: int) -> np.ndarray:
         """Real matrix of parity block b: entry (k', k) is Tr[E_k' L(E_k)],
@@ -355,13 +394,40 @@ class _VectorizedGenerator:
         return acc.reshape(n, n)
 
     def to_coords(self, a: np.ndarray) -> np.ndarray:
-        r = np.zeros(self.dim**2)
+        r = np.zeros(self.blocks[1].stop)
         for k, w in self._basis:
             np.add.at(r, k, (w.conj() * a.ravel()).real)
         return r
 
     def from_coords(self, r: np.ndarray) -> np.ndarray:
         return sum(w * r[k] for k, w in self._basis).reshape(self.dim, self.dim)
+
+
+def _signed_orbits(basis, flat: np.ndarray, n0: int):
+    """Orbit index and weight s_k / sqrt|orbit| (0 if signs conflict) of each real
+    coordinate k under the group `flat` generates, and each block's orbit count."""
+    n = basis[0][0].size
+    # U E_k U^dag = sign E_img: compare the weights at an element and its image
+    img, sign = np.empty((len(flat), n), dtype=int), np.ones((len(flat), n))
+    for k, w in basis:
+        nz = w != 0
+        img[:, k[nz]] = k[flat][:, nz]
+        sign[:, k[nz]] = (w[nz] / w[flat][:, nz]).real
+    # label each coordinate with the smallest one it reaches, and with its
+    # sign relative to it in an invariant state
+    rep, s, cols = np.arange(n), np.ones(n), np.arange(n)
+    while True:
+        cand = np.vstack([rep, rep[img]])
+        pick = cand.argmin(axis=0)
+        if np.array_equal(cand[pick, cols], rep):
+            break
+        rep, s = cand[pick, cols], np.vstack([s, sign * s[img]])[pick, cols]
+    bad = np.isin(rep, rep[(s != sign * s[img]).any(axis=0)])
+    roots = (rep == cols) & ~bad
+    dims = (int(roots[:n0].sum()), int(roots[n0:].sum()))
+    index = np.where(bad, np.where(cols < n0, 0, dims[0]), np.cumsum(roots)[rep] - 1)
+    weight = np.where(bad, 0.0, s / np.sqrt(np.bincount(rep, minlength=n)[rep]))
+    return index, weight, dims
 
 
 def _rk4_step_matrix(m: np.ndarray, dt: float) -> np.ndarray:
@@ -390,31 +456,40 @@ def steady_state(
 
     Uses the vectorized RK4 propagator with repeated squaring, so the
     walk accelerates geometrically while staying on the exact fixed-step
-    RK4 trajectory; the convergence time is resolved to ~t/4.  The
-    parity-diagonal block is propagated always, the parity-off-diagonal
-    one only when rho0 has coherences between the even and odd sectors;
-    each has 16**n_at / 4 entries, so registers of more than six atoms
-    raise ValueError.  Returns a SteadyStateResult whose `converged` flag
-    is False (with the final residual attached) when t_max is hit first;
-    callers decide what a non-converged state means.  Positivity is
-    checked at every visited point; with record=True those points are
-    returned as a TimeSeries.
+    RK4 trajectory; the convergence time is resolved to ~t/4.  It stays
+    among the states sharing rho0's site symmetries (1e-12 test, see
+    _VectorizedGenerator): a start with no symmetry gets no reduction.
+    The parity-diagonal block is propagated always, the parity-off-
+    diagonal one only when rho0 has coherences between the even and odd
+    sectors; each has up to 16**n_at / 4 entries, so registers of more
+    than six atoms raise ValueError.  Returns a SteadyStateResult whose
+    `converged` flag is False (with the final residual attached) when
+    t_max is hit first; callers decide what a non-converged state means.
+    Positivity is checked on the full state at every visited point; with
+    record=True those points are returned as a TimeSeries.  `stats` names
+    the accepted site permutations (1-based images), each propagated
+    block's full and reduced size, the squarings and the visited points.
     """
     if model.n_at > _STEADY_STATE_MAX_ATOMS:
         raise ValueError(
             f"steady_state is limited to n_at <= {_STEADY_STATE_MAX_ATOMS} (its "
             f"dense parity blocks have 16**n_at / 4 entries); got n_at = {model.n_at}"
         )
-    gen = _VectorizedGenerator(model, _resolve_form(model, form))
+    rho0 = _as_density(rho0)
+    gen = _VectorizedGenerator(model, _resolve_form(model, form), rho0)
     rec = _Recorder(model.n_at, record)
 
-    rs = np.split(gen.to_coords(_as_density(rho0)), [gen.blocks[1].start])
+    rs = np.split(gen.to_coords(rho0), [gen.blocks[1].start])
     # Block 0 holds the trace; block 1 stays exactly zero, and is not
     # propagated, unless rho0 has coherences between the parity sectors.
     ms = [gen.assemble(b) for b in range(1 + bool(np.any(rs[1] != 0.0)))]
+    unit = gen.to_coords(np.eye(gen.dim))[gen.blocks[0]]
+    stats = {"symmetries": gen.symmetries, "squarings": 0, "visited_points": 0,
+             "blocks": [dict(full=f, reduced=len(m)) for f, m in zip(gen.full_dims, ms)]}
 
     def visit(t):
         """Check (and record) the state; return its residual."""
+        stats["visited_points"] += 1
         rec.visit(t, gen.from_coords(np.concatenate(rs)))
         return float(np.linalg.norm(np.concatenate([m @ r for m, r in zip(ms, rs)])))
 
@@ -430,11 +505,11 @@ def steady_state(
         elif 2.0 * tau <= max(cfg.dt, t / 4.0):
             ps = [p @ p for p in ps]
             tau *= 2.0
+            stats["squarings"] += 1
         for _ in range(8):
             rs[: len(ps)] = [p @ r for p, r in zip(ps, rs)]
             t += tau
-            # the diagonal coordinates lead block 0
-            tr = rs[0][: gen.dim].sum()
+            tr = unit @ rs[0]
             rec.note_trace(tr)
             for r in rs:
                 r /= tr
@@ -451,4 +526,5 @@ def steady_state(
         residual=residual,
         converged=converged,
         series=rec.series(),
+        stats=stats,
     )

@@ -113,9 +113,10 @@ class SweepCell:
     mean_z: float
     t_converge: float
     converged: bool
+    error: Optional[str] = None  # why the cell has no steady state; not a CSV column
 
 
-SWEEP_COLUMNS = tuple(f.name for f in fields(SweepCell))
+SWEEP_COLUMNS = tuple(f.name for f in fields(SweepCell))[:-1]
 
 
 def _sweep_cell(args) -> Tuple[int, SweepCell]:
@@ -123,11 +124,11 @@ def _sweep_cell(args) -> Tuple[int, SweepCell]:
     _, _, model, ecfg = setup_from_config(replace(cfg, k0zc=k0zc, k0a=k0a))
     try:
         result = steady_state(initial_state_vector(cfg), model, ecfg)
-    except IntegrationInstabilityError:
+    except IntegrationInstabilityError as exc:
         # An unstable cell must not abort the sweep; it is reported as
-        # non-converged with empty observables.
+        # non-converged with empty observables and its reason.
         nan = float("nan")
-        return index, SweepCell(k0zc, k0a, nan, nan, nan, nan, nan, False)
+        return index, SweepCell(k0zc, k0a, nan, nan, nan, nan, nan, False, str(exc))
     row = state_row(result.state, cfg.n_at)
     return index, SweepCell(k0zc, k0a, row["var_x"], row["var_y"], row["purity"],
                             row["mean_z"], result.t_converge, result.converged)
@@ -158,7 +159,10 @@ def run_sweep(cfg: ExperimentConfig) -> List[SweepCell]:
 
 def write_sweep_csv(path: str, cells: Sequence[SweepCell], cfg: ExperimentConfig,
                     extra: Optional[Dict] = None) -> List[str]:
-    return write_table(path, SWEEP_COLUMNS, map(astuple, cells), cfg, extra)
+    failed = {"non_converged": sum(not c.converged for c in cells), "cells": [
+        {"k0zc": c.k0zc, "k0a": c.k0a, "error": c.error} for c in cells if c.error]}
+    return write_table(path, SWEEP_COLUMNS, (astuple(c)[:-1] for c in cells), cfg,
+                       {**(extra or {}), "failed": failed})
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +235,7 @@ def run_experiment(name: str, cfg: ExperimentConfig, outdir: str) -> List[str]:
             files += write_correlations_csv(
                 os.path.join(outdir, f"fig3_{tag}_correlations.csv"), corr, case,
                 {"experiment": "fig3", "case": tag,
-                 "converged": bool(result.converged)},
+                 "converged": bool(result.converged), "stats": result.stats},
             )
 
     elif name == "fig4":
@@ -248,7 +252,7 @@ def run_experiment(name: str, cfg: ExperimentConfig, outdir: str) -> List[str]:
                     result.series, n_at, case,
                     {"experiment": "fig4", "case": tag, "n_at": n_at,
                      "converged": bool(result.converged),
-                     "t_converge": result.t_converge},
+                     "t_converge": result.t_converge, "stats": result.stats},
                 )
 
     elif name == "fig5":
@@ -268,7 +272,7 @@ def run_experiment(name: str, cfg: ExperimentConfig, outdir: str) -> List[str]:
                 os.path.join(outdir, f"fig5_{tag}_series.csv"),
                 result.series, case.n_at, case,
                 {"experiment": "fig5", "case": tag,
-                 "converged": bool(result.converged)},
+                 "converged": bool(result.converged), "stats": result.stats},
             )
             steady_pop = np.array(
                 [result.series.data[f"p{k}"][-1] for k in range(case.n_at + 1)]

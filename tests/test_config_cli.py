@@ -2,6 +2,8 @@ import argparse
 import json
 import math
 import os
+import subprocess
+import sys
 import time
 from dataclasses import fields, replace
 
@@ -155,14 +157,38 @@ class TestSweepPlumbing:
         blobs = [open(p, "rb").read() for p in paths]
         assert blobs[0] == blobs[1] == blobs[2]
 
-    def test_unstable_cell_is_a_nan_row(self):
+    def test_unstable_cell_is_a_nan_row(self, tmp_path):
         # collective geometry at a coarse step: the cell loses positivity,
-        # and the sweep still finishes with a non-converged NaN row
+        # and the sweep still finishes with a non-converged NaN row whose
+        # reason is in the manifest
         cfg = ExperimentConfig(n_at=4, dt=0.099, t_max=50.0, grid_zc="0", grid_a="2pi")
         (cell,) = run_sweep(cfg)
         assert not cell.converged
         for value in (cell.var_x, cell.var_y, cell.purity, cell.mean_z, cell.t_converge):
             assert math.isnan(value)
+        files = write_sweep_csv(str(tmp_path / "sweep.csv"), [cell], cfg)
+        failed = json.load(open(files[1], encoding="utf-8"))["failed"]
+        assert failed["non_converged"] == 1
+        (entry,) = failed["cells"]
+        assert (entry["k0zc"], entry["k0a"]) == (0.0, 2 * math.pi)
+        assert "smallest eigenvalue" in entry["error"] and "dt" in entry["error"]
+        header = open(files[0], encoding="utf-8").readline().strip()
+        assert header == "k0zc,k0a,var_x,var_y,purity,mean_z,t_converge,converged"
+
+    def test_csv_bytes_independent_of_blas_threads(self, tmp_path):
+        # the reduced blocks change BLAS blocking with the thread count;
+        # the 12-digit CSV must not notice
+        blobs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"sweep_{threads}.csv"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(sys.path))
+            subprocess.run([sys.executable, "-m", "darkdimers", "sweep", "--n-at", "3",
+                            "--grid-zc", "0:pi:4", "--grid-a", "0:pi:4", "--out", str(out)],
+                           env=env, check=True, capture_output=True, timeout=300)
+            blobs.append(out.read_bytes())
+        assert blobs[0] == blobs[1]
+        assert len(blobs[0].splitlines()) == 17
 
     def test_csv_schema_and_manifest(self, small_cfg, tmp_path):
         cells = run_sweep(small_cfg)

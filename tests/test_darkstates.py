@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from darkdimers import build_model, make_bath, make_geometry
@@ -17,7 +19,8 @@ from darkdimers.darkstates import (
     stability_residual,
     stable_dark_geometry,
 )
-from darkdimers.observables import excitation_populations, fidelity
+from darkdimers.experiments import dimer_center
+from darkdimers.observables import dark_condition, excitation_populations, fidelity
 from darkdimers.operators import dicke_state
 
 
@@ -399,3 +402,23 @@ class TestStableDarkGeometry:
         # a single centered pair is stable regardless of separation
         assert stable_dark_geometry(2, 1.234, 0.0)
         assert not stable_dark_geometry(2, 1.234, 0.3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_at=st.sampled_from([2, 4, 6]), a_steps=st.integers(0, 7),
+       zc_steps=st.integers(0, 3), n_ph=st.floats(1e-3, 2.0),
+       phi=st.floats(0.0, 2.0 * math.pi))
+def test_dark_state_annihilated_wherever_geometry_is_stable(n_at, a_steps, zc_steps,
+                                                            n_ph, phi):
+    # k0a on the (pi/4) lattice, the array centered where every nearest-
+    # neighbor pair sits at a quadrature extremum
+    k0a = a_steps * math.pi / 4
+    k0zc = dimer_center(n_at, k0a) + zc_steps * math.pi / 2
+    assume(stable_dark_geometry(n_at, k0a, k0zc))
+    geo, bath = make_geometry(n_at, k0a, k0zc), make_bath(n_ph, phi)
+    assert abs(dark_condition(geo, bath)) <= 1e-10
+    if abs(math.sin(k0a)) <= 1e-9:
+        psi = melted_dark(geo, bath, n_at // 2)
+    else:
+        psi = dimer_chain(geo, bath)
+    assert max(jump_norms(geo, bath, psi)) <= 1e-10

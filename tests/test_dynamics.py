@@ -255,6 +255,51 @@ class TestSteadyState:
         assert res.series.data["purity"][-1] == pytest.approx(1.0, abs=1e-6)
 
 
+def _plus_pi_4(n_at):
+    return product_state([np.array([1.0, np.exp(1j * math.pi / 4)]) / math.sqrt(2.0)] * n_at)
+
+
+class TestSymmetryReduction:
+    """steady_state walks only the states that share rho0's site
+    symmetries; its stats name them and the block sizes."""
+
+    @staticmethod
+    def _stats(n_at, k0a, k0zc, psi, bath):
+        model = build_model(make_geometry(n_at, k0a, k0zc), bath)
+        return steady_state(psi, model, EvolveConfig(t_max=0.05)).stats
+
+    def test_identical_atoms_keep_the_permutation_invariant_sector(self, bath088):
+        # at k0a = 2 pi every atom sees the same phase: all transpositions
+        # are symmetries and C(n_at + 3, 3) coordinates remain
+        stats = self._stats(4, 2 * math.pi, 0.3, _plus_pi_4(4), bath088)
+        assert len(stats["symmetries"]) == 7
+        assert [b["full"] for b in stats["blocks"]] == [128, 128]
+        assert sum(b["reduced"] for b in stats["blocks"]) == math.comb(7, 3)
+
+    def test_reflection_only_at_zero_center(self, bath088):
+        stats = self._stats(4, 0.9, 0.0, ground_state(4), bath088)
+        assert stats["symmetries"] == [(4, 3, 2, 1)]
+        assert stats["blocks"] == [{"full": 128, "reduced": 72}]
+
+    @pytest.mark.parametrize("k0a,k0zc,start", [(0.9, 0.3, "ground"),
+                                                (2 * math.pi, 0.0, "random")])
+    def test_no_reduction(self, bath088, k0a, k0zc, start):
+        if start == "ground":
+            psi = ground_state(4)
+        else:
+            rng = np.random.default_rng(5)
+            psi = rng.normal(size=16) + 1j * rng.normal(size=16)
+            psi /= np.linalg.norm(psi)
+        stats = self._stats(4, k0a, k0zc, psi, bath088)
+        assert stats["symmetries"] == []
+        assert all(b["reduced"] == b["full"] == 128 for b in stats["blocks"])
+
+    def test_counts_squarings_and_visited_points(self, model2):
+        res = steady_state(ground_state(2), model2, EvolveConfig(), record=True)
+        assert res.stats["visited_points"] == len(res.series.times)
+        assert res.stats["squarings"] >= 1
+
+
 class TestLiouvillian:
     def test_resource_guard(self, bath088):
         geo = make_geometry(6, math.pi / 4, 0.0)
@@ -306,7 +351,10 @@ class TestVectorizedEngine:
         from darkdimers.dynamics import _VectorizedGenerator
 
         model = build_model(make_geometry(3, 0.9, 0.4), bath088)
-        gen = _VectorizedGenerator(model, form)
+        # a start with no site symmetry keeps the plain coordinates
+        rho0 = random_hermitian_unit_trace(np.random.default_rng(2), 8)
+        gen = _VectorizedGenerator(model, form, rho0)
+        assert gen.symmetries == []
         # columns: the basis matrices E_k, column-stacked like the vec of
         # liouvillian_matrix; M[k', k] = Tr[E_k' L(E_k)]
         basis = np.stack([gen.from_coords(e).reshape(-1, order="F")
@@ -326,9 +374,10 @@ class TestVectorizedEngine:
         from darkdimers.dynamics import _VectorizedGenerator
 
         model = build_model(make_geometry(5, 0.9, 0.3), bath088)
+        rho0 = random_hermitian_unit_trace(np.random.default_rng(2), 32)
         tracemalloc.start()
         try:
-            gen = _VectorizedGenerator(model, "general")
+            gen = _VectorizedGenerator(model, "general", rho0)
             blocks = [gen.assemble(b) for b in (0, 1)]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -340,9 +389,9 @@ class TestVectorizedEngine:
         from darkdimers.dynamics import _VectorizedGenerator
 
         model = build_model(make_geometry(2, 0.9, 0.1), bath088)
-        gen = _VectorizedGenerator(model, "general")
         rng = np.random.default_rng(8)
         rho = random_hermitian_unit_trace(rng, 4)
+        gen = _VectorizedGenerator(model, "general", rho)
         r = gen.to_coords(rho)
         assert np.max(np.abs(gen.from_coords(r) - rho)) <= 1e-14
         # orthonormal basis: purity is the squared coordinate norm

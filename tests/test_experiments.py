@@ -113,6 +113,10 @@ class TestFig3:
             )
             assert manifest["case"] == tag
             assert manifest["converged"] is True
+            # the chain reflection, plus same-sublattice swaps when melted
+            reduced = {"dimer": 1056, "melted": 110}[tag]
+            assert manifest["stats"]["blocks"] == [{"full": 2048, "reduced": reduced}]
+            assert [6, 5, 4, 3, 2, 1] in manifest["stats"]["symmetries"]
 
 
 class TestFig4:
@@ -160,6 +164,17 @@ class TestFig5:
         assert abs(sx[half] - sy[half]) > 0.1
         # both polarizations vanish in the steady state
         assert abs(sx[-1]) <= 1e-6 and abs(sy[-1]) <= 1e-6
+
+    def test_thermal_walks_the_permutation_invariant_sector(self, fig5_dir):
+        # identical atoms from a product start: C(6 + 3, 3) = 84 coordinates
+        manifest = json.load(open(os.path.join(fig5_dir, "fig5_thermal_series.json"),
+                                  encoding="utf-8"))
+        stats = manifest["stats"]
+        assert len(stats["symmetries"]) == 16
+        assert stats["blocks"] == [{"full": 2048, "reduced": 44},
+                                   {"full": 2048, "reduced": 40}]
+        _, data = read_csv(os.path.join(fig5_dir, "fig5_thermal_series.csv"))
+        assert stats["visited_points"] == len(data["t"])
 
     def test_thermal_polarizations_decay_together(self, fig5_dir):
         _, data = read_csv(os.path.join(fig5_dir, "fig5_thermal_series.csv"))

@@ -1,6 +1,7 @@
 """Property tests over random geometries and squeezed baths: the
-real-coordinate parity blocks in both generator forms, and the two forms
-of the generator against each other."""
+real-coordinate blocks in both generator forms, reduced by the site
+symmetries of the start state, and the two forms of the generator
+against each other."""
 
 import math
 
@@ -8,7 +9,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from darkdimers import build_model, make_bath, make_geometry
+from darkdimers import EvolveConfig, build_model, evolve, make_bath, make_geometry, steady_state
 from darkdimers.dynamics import (
     _generator_terms,
     _rhs_from_terms,
@@ -16,35 +17,70 @@ from darkdimers.dynamics import (
     lindblad_rhs_general,
     lindblad_rhs_squeezed,
 )
+from darkdimers.operators import ground_state, product_state
 
 from conftest import random_hermitian_unit_trace
 
 angles = st.floats(0.0, 2.0 * math.pi)
+n_phs = st.floats(0.0, 2.0, exclude_min=True)
 models = st.builds(
     lambda n_at, k0a, k0zc, n_ph, phi: build_model(
         make_geometry(n_at, k0a, k0zc), make_bath(n_ph, phi)),
-    st.integers(1, 4), angles, angles,
-    st.floats(0.0, 2.0, exclude_min=True), angles,
+    st.integers(1, 4), angles, angles, n_phs, angles,
+)
+# geometries with and without site symmetries: identical atoms at
+# k0a = 2 pi, a mirror-symmetric chain at k0zc = 0 or pi/2
+symmetric_models = st.builds(
+    lambda n_at, k0a, k0zc, n_ph, phi: build_model(
+        make_geometry(n_at, k0a, k0zc), make_bath(n_ph, phi)),
+    st.integers(1, 4),
+    st.one_of(angles, st.sampled_from([math.pi / 4, math.pi, 2.0 * math.pi])),
+    st.one_of(angles, st.sampled_from([0.0, math.pi / 4, math.pi / 2])),
+    n_phs, angles,
 )
 
 
+def _start(kind, n_at, seed):
+    if kind == "ground":
+        return ground_state(n_at)
+    if kind == "plus-pi-4":
+        plus = np.array([1.0, np.exp(1j * math.pi / 4)]) / math.sqrt(2.0)
+        return product_state([plus] * n_at)
+    rng = np.random.default_rng(seed)
+    psi = rng.normal(size=2**n_at) + 1j * rng.normal(size=2**n_at)
+    return psi / np.linalg.norm(psi)
+
+
 @settings(max_examples=50, deadline=None)
-@given(model=models, form=st.sampled_from(["general", "squeezed"]))
-def test_blocks_match_rhs_and_preserve_trace(model, form):
-    gen = _VectorizedGenerator(model, form)
+@given(model=symmetric_models, form=st.sampled_from(["general", "squeezed"]),
+       start=st.sampled_from(["ground", "plus-pi-4", "random"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_blocks_match_rhs_and_preserve_trace(model, form, start, seed):
+    psi = _start(start, model.n_at, seed)
+    gen = _VectorizedGenerator(model, form, np.outer(psi, psi.conj()))
     terms = _generator_terms(model, form)
     d = gen.dim
     for b, coords in enumerate(gen.blocks):
         m = gen.assemble(b)
-        # column k is L(E_k) in coordinates, and L(E_k) has no weight
-        # outside the block
-        for k, e in enumerate(np.eye(d * d)[coords]):
-            col = gen.to_coords(_rhs_from_terms(terms, gen.from_coords(e)))
+        # column o is L(F_o) in coordinates: L(F_o) lies in the reduced
+        # coordinates, with no weight outside the block
+        for k, e in enumerate(np.eye(gen.blocks[1].stop)[coords]):
+            lf = _rhs_from_terms(terms, gen.from_coords(e))
+            col = gen.to_coords(lf)
+            assert np.max(np.abs(gen.from_coords(col) - lf)) <= 1e-12
             assert np.max(np.abs(m[:, k] - col[coords])) <= 1e-12
             col[coords] = 0.0
             assert np.max(np.abs(col), initial=0.0) <= 1e-12
-    # the diagonal coordinates lead block 0: Tr L(E_k) = 0 for every k
-    assert np.max(np.abs(gen.assemble(0)[:d].sum(axis=0))) <= 1e-12
+    # block 0 holds the trace: Tr L(F_o) = 0 for every o
+    unit = gen.to_coords(np.eye(d))[gen.blocks[0]]
+    assert np.max(np.abs(unit @ gen.assemble(0))) <= 1e-12
+    # the reduced walk is the plain RK4 loop: compare after 8 steps
+    dt, n = 0.005, 8
+    _, rho_loop = evolve(psi, model, EvolveConfig(dt=dt, t_max=n * dt, record_stride=n),
+                         form=form)
+    res = steady_state(psi, model, EvolveConfig(dt=dt, t_max=n * dt, convergence_tol=1e-300),
+                       form=form)
+    assert np.max(np.abs(res.state - rho_loop)) <= 1e-12
 
 
 @settings(max_examples=50, deadline=None)
