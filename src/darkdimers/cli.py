@@ -16,39 +16,30 @@ from typing import List, Optional
 import numpy as np
 
 from . import __version__
-from .config import (
-    CONFIG_KEYS,
-    ConfigError,
-    initial_state_vector,
-    load_config_file,
-    resolve_config,
-)
+from .config import CONFIG_KEYS, ConfigError, load_config_file, resolve_config
 from .darkstates import (
     collective_dark_state,
     dimer_chain,
     melted_dark,
     stability_residual,
     stable_dark_geometry,
-    predicted_populations,
 )
-from .dynamics import IntegrationInstabilityError, steady_state
+from .dynamics import IntegrationInstabilityError
 from .experiments import (
     EXPERIMENT_NAMES,
+    population_rows,
     run_experiment,
     run_sweep,
     setup_from_config,
+    solve,
+    solve_record,
     write_correlations_csv,
     write_populations_csv,
     write_series_csv,
     write_sweep_csv,
     write_table,
 )
-from .observables import (
-    dark_condition,
-    excitation_populations,
-    pair_correlations,
-    state_row,
-)
+from .observables import dark_condition, excitation_populations, state_row
 
 
 def _add_common(parser: argparse.ArgumentParser):
@@ -116,19 +107,14 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_evolve(args) -> int:
     cfg = _resolve(args)
-    _, _, model, ecfg = setup_from_config(cfg)
-    result = steady_state(initial_state_vector(cfg), model, ecfg, record=True)
-    out = cfg.out or "series.csv"
-    extra = {"converged": bool(result.converged), "stats": result.stats}
-    files = write_series_csv(out, result.series, cfg.n_at, cfg, extra)
+    files = write_series_csv(cfg.out or "series.csv", cfg, solve(cfg, record=True))
     print("\n".join(files))
     return 0
 
 
 def _cmd_steady(args) -> int:
     cfg = _resolve(args)
-    _, _, model, ecfg = setup_from_config(cfg)
-    result = steady_state(initial_state_vector(cfg), model, ecfg)
+    result = solve(cfg)
     row = state_row(result.state, cfg.n_at)
     print(f"converged: {result.converged}")
     print(f"t_converge: {result.t_converge:.6g}")
@@ -141,18 +127,14 @@ def _cmd_steady(args) -> int:
     if cfg.out:
         header = list(row) + ["t_converge", "converged"]
         values = list(row.values()) + [result.t_converge, result.converged]
-        write_table(cfg.out, header, [values], cfg)
+        write_table(cfg.out, header, [values], cfg, solve_record(result))
     return 0 if result.converged else 1
 
 
 def _cmd_correlations(args) -> int:
     cfg = _resolve(args)
-    _, _, model, ecfg = setup_from_config(cfg)
-    result = steady_state(initial_state_vector(cfg), model, ecfg)
-    corr = pair_correlations(result.state, cfg.n_at)
-    out = cfg.out or "correlations.csv"
-    extra = {"converged": bool(result.converged), "stats": result.stats}
-    files = write_correlations_csv(out, corr, cfg, extra)
+    result = solve(cfg)
+    files = write_correlations_csv(cfg.out or "correlations.csv", cfg, result)
     print("\n".join(files))
     return 0 if result.converged else 1
 
@@ -183,7 +165,7 @@ def _cmd_darkstate(args) -> int:
     print(f"jump annihilation |Jx psi|: {np.linalg.norm(jx @ psi):.3e}")
     print(f"jump annihilation |Jy psi|: {np.linalg.norm(jy @ psi):.3e}")
     print(f"hamiltonian stability residual: {stability_residual(psi, model):.3e}")
-    print(f"dark condition min eig: {dark_condition(geo, bath):.3e}")
+    print(f"rate-weighted dark condition min eig: {dark_condition(geo, bath):.3e}")
     print("populations: " + " ".join(f"{p:.6g}" for p in excitation_populations(psi)))
     if melted and abs(math.sin(cfg.k0a / 2.0)) <= 1e-9 \
             and abs(math.sin(2.0 * cfg.k0zc)) <= 1e-9:
@@ -195,20 +177,14 @@ def _cmd_darkstate(args) -> int:
 
 def _cmd_populations(args) -> int:
     cfg = _resolve(args)
-    _, bath, model, ecfg = setup_from_config(cfg)
-    result = steady_state(initial_state_vector(cfg), model, ecfg)
-    pops = excitation_populations(result.state)
-    if args.law != "none":
-        predicted = predicted_populations(args.law, cfg.n_at, bath)
-    else:
-        predicted = np.full(cfg.n_at + 1, float("nan"))
-    for ne in range(cfg.n_at + 1):
-        line = f"P({ne}) = {pops[ne]:.6g}"
+    result = solve(cfg)
+    for ne, pop, predicted in population_rows(cfg, result, args.law):
+        line = f"P({ne}) = {pop:.6g}"
         if args.law != "none":
-            line += f"   {args.law}: {predicted[ne]:.6g}"
+            line += f"   {args.law}: {predicted:.6g}"
         print(line)
     if cfg.out:
-        write_populations_csv(cfg.out, pops, predicted, cfg, {"law": args.law})
+        write_populations_csv(cfg.out, cfg, result, {"law": args.law})
     return 0 if result.converged else 1
 
 

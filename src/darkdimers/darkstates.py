@@ -244,7 +244,6 @@ def collective_dark_state(geo: ArrayGeometry, bath: BathParams, l: int) -> np.nd
     pi/2) and 1 otherwise; both choices are verified against the
     matching-sum constructor and the jump-annihilation oracle.
     """
-    two_pi = 2.0 * math.pi
     if abs(math.sin(geo.k0a / 2.0)) > _GEOM_TOL:
         raise ValueError(
             f"collective form needs k0 a = 0 (mod 2pi); got k0 a = {geo.k0a:.6g}"

@@ -1,10 +1,15 @@
 """Experiment orchestration: parameter sweeps, named experiment presets,
 and deterministic CSV/JSON output.
 
+`solve(cfg)` is the one path from a configuration to a steady state.
+Each report (series, correlations, populations) has one writer, used by
+the CLI command of the same name and by the presets: fig3-fig5 are
+tables of solves at fixed geometries (`PRESETS`), fig2 is the sweep.
 Every CSV gets a JSON sidecar (same stem, .json) recording the fully
-resolved configuration and the library version.  Floats are written
-with 12 significant digits so identical configs give byte-identical
-files.
+resolved configuration and the library version, plus the solve record
+(`converged`, `t_converge`, `stats`) for reports of a solve.  Floats are
+written with 12 significant digits so identical configs give
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -21,12 +26,8 @@ import numpy as np
 from . import __version__
 from .config import ExperimentConfig, initial_state_vector, parse_grid
 from .darkstates import predicted_populations
-from .dynamics import (
-    EvolveConfig,
-    IntegrationInstabilityError,
-    TimeSeries,
-    steady_state,
-)
+from .dynamics import (EvolveConfig, IntegrationInstabilityError, SteadyStateResult,
+                       steady_state)
 from .model import (
     ArrayGeometry,
     BathParams,
@@ -35,10 +36,12 @@ from .model import (
     make_bath,
     make_geometry,
 )
-from .observables import pair_correlations, state_row
+from .observables import excitation_populations, pair_correlations, state_row
 
 __all__ = [
     "setup_from_config",
+    "solve",
+    "solve_record",
     "SweepCell",
     "run_sweep",
     "run_experiment",
@@ -46,10 +49,10 @@ __all__ = [
     "write_sweep_csv",
     "write_series_csv",
     "write_correlations_csv",
+    "write_populations_csv",
+    "population_rows",
     "EXPERIMENT_NAMES",
 ]
-
-EXPERIMENT_NAMES = ("fig2", "fig3", "fig4", "fig5")
 
 
 def _fmt(value) -> str:
@@ -99,6 +102,13 @@ def setup_from_config(
     return geo, bath, model, ecfg
 
 
+def solve(cfg: ExperimentConfig, record: bool = False) -> SteadyStateResult:
+    """The steady state that `cfg` describes, walked from its start state;
+    with `record`, the visited points come back as `result.series`."""
+    _, _, model, ecfg = setup_from_config(cfg)
+    return steady_state(initial_state_vector(cfg), model, ecfg, record=record)
+
+
 # ---------------------------------------------------------------------------
 # Parameter sweep
 
@@ -121,9 +131,8 @@ SWEEP_COLUMNS = tuple(f.name for f in fields(SweepCell))[:-1]
 
 def _sweep_cell(args) -> Tuple[int, SweepCell]:
     index, cfg, k0zc, k0a = args
-    _, _, model, ecfg = setup_from_config(replace(cfg, k0zc=k0zc, k0a=k0a))
     try:
-        result = steady_state(initial_state_vector(cfg), model, ecfg)
+        result = solve(replace(cfg, k0zc=k0zc, k0a=k0a))
     except IntegrationInstabilityError as exc:
         # An unstable cell must not abort the sweep; it is reported as
         # non-converged with empty observables and its reason.
@@ -166,7 +175,14 @@ def write_sweep_csv(path: str, cells: Sequence[SweepCell], cfg: ExperimentConfig
 
 
 # ---------------------------------------------------------------------------
-# Series and matrix output
+# Reports of one solve.  Each writer takes the solved configuration and its
+# SteadyStateResult, and every manifest carries the same solve record.
+
+
+def solve_record(result: SteadyStateResult) -> Dict:
+    """The manifest keys that describe how a steady-state solve went."""
+    return {"converged": bool(result.converged), "t_converge": result.t_converge,
+            "stats": result.stats}
 
 
 def series_columns(n_at: int) -> List[str]:
@@ -174,24 +190,42 @@ def series_columns(n_at: int) -> List[str]:
             + [f"p{k}" for k in range(n_at + 1)])
 
 
-def write_series_csv(path: str, series: TimeSeries, n_at: int,
-                     cfg: ExperimentConfig, extra: Optional[Dict] = None) -> List[str]:
-    cols = series_columns(n_at)
-    rows = zip(series.times, *(series.data[c] for c in cols[1:]))
-    return write_table(path, cols, rows, cfg, extra)
+def write_series_csv(path: str, cfg: ExperimentConfig, result: SteadyStateResult,
+                     extra: Optional[Dict] = None) -> List[str]:
+    """The recorded series of a `solve(cfg, record=True)`."""
+    cols = series_columns(cfg.n_at)
+    rows = zip(result.series.times, *(result.series.data[c] for c in cols[1:]))
+    return write_table(path, cols, rows, cfg, {**solve_record(result), **(extra or {})})
 
 
-def write_correlations_csv(path: str, corr: np.ndarray, cfg: ExperimentConfig,
+def write_correlations_csv(path: str, cfg: ExperimentConfig, result: SteadyStateResult,
                            extra: Optional[Dict] = None) -> List[str]:
-    n_at = corr.shape[0]
-    rows = [(n + 1, m + 1, corr[n, m]) for n in range(n_at) for m in range(n_at)]
-    return write_table(path, ("n", "m", "C"), rows, cfg, extra)
+    """The sigma_x pair correlations of the steady state, one row per (n, m)."""
+    corr = pair_correlations(result.state, cfg.n_at)
+    rows = [(n + 1, m + 1, corr[n, m]) for n in range(cfg.n_at) for m in range(cfg.n_at)]
+    return write_table(path, ("n", "m", "C"), rows, cfg,
+                       {**solve_record(result), **(extra or {})})
 
 
-def write_populations_csv(path: str, steady: np.ndarray, predicted: np.ndarray,
-                          cfg: ExperimentConfig, extra: Optional[Dict] = None) -> List[str]:
-    rows = [(ne, steady[ne], predicted[ne]) for ne in range(steady.size)]
-    return write_table(path, ("n_e", "p_steady", "p_predicted"), rows, cfg, extra)
+def population_rows(cfg: ExperimentConfig, result: SteadyStateResult,
+                    law: str) -> List[Tuple[int, float, float]]:
+    """(n_e, steady-state population, closed-form `law` or nan for
+    "none") for n_e = 0..n_at."""
+    pops = excitation_populations(result.state)
+    if law == "none":
+        predicted = np.full(cfg.n_at + 1, float("nan"))
+    else:
+        predicted = predicted_populations(law, cfg.n_at, make_bath(cfg.n_ph, cfg.phi))
+    return list(zip(range(cfg.n_at + 1), pops, predicted))
+
+
+def write_populations_csv(path: str, cfg: ExperimentConfig, result: SteadyStateResult,
+                          extra: Dict) -> List[str]:
+    """The excitation populations of the steady state next to the law that
+    `extra["law"]` names; `extra` goes into the manifest."""
+    rows = population_rows(cfg, result, extra["law"])
+    return write_table(path, ("n_e", "p_steady", "p_predicted"), rows, cfg,
+                       {**solve_record(result), **extra})
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +240,36 @@ def dimer_center(n_at: int, k0a: float) -> float:
     return ((n_at - 2) * k0a / 2.0) % (math.pi / 2.0)
 
 
+_WRITERS = {"series": write_series_csv, "correlations": write_correlations_csv,
+            "populations": write_populations_csv}
+
+_CHAINS = (("dimer", math.pi / 4), ("melted", math.pi))
+
+# The solves of each preset besides the fig2 sweep: (file stem, config
+# overrides, {report: manifest tags of that report}, manifest tags).  Each
+# report goes to `<stem>_<report>.csv`.
+PRESETS = {
+    # Pair correlations of the dimerized and melted six-atom chains.
+    "fig3": [(f"fig3_{tag}", dict(n_at=6, k0a=k0a, k0zc=0.0, initial="ground"),
+              {"correlations": {}}, {"case": tag}) for tag, k0a in _CHAINS],
+    # Relaxation timescales for growing arrays, dimerized vs melted.
+    "fig4": [(f"fig4_{tag}_n{n_at}",
+              dict(n_at=n_at, k0a=k0a, initial="ground",
+                   k0zc=dimer_center(n_at, k0a) if tag == "dimer" else 0.0),
+              {"series": {}}, {"case": tag, "n_at": n_at})
+             for tag, k0a in _CHAINS for n_at in (2, 4, 6)],
+    # Polarization decay and final excitation statistics for the three
+    # six-atom geometries, each atom starting in (|g> + e^{i pi/4} |e>)/sqrt(2).
+    "fig5": [(f"fig5_{tag}", dict(n_at=6, k0a=k0a, k0zc=k0zc, initial="plus-pi-4"),
+              {"series": {}, "populations": {"law": tag}}, {"case": tag})
+             for tag, k0zc, k0a in (("thermal", math.pi / 4, 2.0 * math.pi),
+                                    ("squeezed", 0.0, 2.0 * math.pi),
+                                    ("dimer", 0.0, math.pi / 4))],
+}
+
+EXPERIMENT_NAMES = ("fig2", *PRESETS)
+
+
 def run_experiment(name: str, cfg: ExperimentConfig, outdir: str) -> List[str]:
     """Produce the data files of one named experiment preset under
     `outdir`; returns the written paths."""
@@ -214,74 +278,16 @@ def run_experiment(name: str, cfg: ExperimentConfig, outdir: str) -> List[str]:
             f"unknown experiment {name!r}; expected one of {EXPERIMENT_NAMES}"
         )
     os.makedirs(outdir, exist_ok=True)
-    files: List[str] = []
-
     if name == "fig2":
         # Steady-state map over array center and separation.
         sweep_cfg = replace(cfg, initial="ground")
-        cells = run_sweep(sweep_cfg)
-        files += write_sweep_csv(
-            os.path.join(outdir, "fig2_sweep.csv"), cells, sweep_cfg,
-            {"experiment": "fig2"},
-        )
-
-    elif name == "fig3":
-        # Pair correlations of the dimerized and melted six-atom chains.
-        for tag, k0a in (("dimer", math.pi / 4), ("melted", math.pi)):
-            case = replace(cfg, n_at=6, k0a=k0a, k0zc=0.0, initial="ground")
-            _, _, model, ecfg = setup_from_config(case)
-            result = steady_state(initial_state_vector(case), model, ecfg, record=True)
-            corr = pair_correlations(result.state, case.n_at)
-            files += write_correlations_csv(
-                os.path.join(outdir, f"fig3_{tag}_correlations.csv"), corr, case,
-                {"experiment": "fig3", "case": tag,
-                 "converged": bool(result.converged), "stats": result.stats},
-            )
-
-    elif name == "fig4":
-        # Relaxation timescales for growing arrays, dimerized vs melted.
-        for tag, k0a in (("dimer", math.pi / 4), ("melted", math.pi)):
-            for n_at in (2, 4, 6):
-                zc = dimer_center(n_at, k0a) if tag == "dimer" else 0.0
-                case = replace(cfg, n_at=n_at, k0a=k0a, k0zc=zc, initial="ground")
-                _, _, model, ecfg = setup_from_config(case)
-                result = steady_state(initial_state_vector(case), model, ecfg,
-                                      record=True)
-                files += write_series_csv(
-                    os.path.join(outdir, f"fig4_{tag}_n{n_at}_series.csv"),
-                    result.series, n_at, case,
-                    {"experiment": "fig4", "case": tag, "n_at": n_at,
-                     "converged": bool(result.converged),
-                     "t_converge": result.t_converge, "stats": result.stats},
-                )
-
-    elif name == "fig5":
-        # Polarization decay and final excitation statistics for the
-        # three six-atom geometries, each atom starting in
-        # (|g> + e^{i pi/4} |e>)/sqrt(2).
-        cases = (
-            ("thermal", math.pi / 4, 2.0 * math.pi),
-            ("squeezed", 0.0, 2.0 * math.pi),
-            ("dimer", 0.0, math.pi / 4),
-        )
-        for tag, k0zc, k0a in cases:
-            case = replace(cfg, n_at=6, k0a=k0a, k0zc=k0zc, initial="plus-pi-4")
-            _, bath, model, ecfg = setup_from_config(case)
-            result = steady_state(initial_state_vector(case), model, ecfg, record=True)
-            files += write_series_csv(
-                os.path.join(outdir, f"fig5_{tag}_series.csv"),
-                result.series, case.n_at, case,
-                {"experiment": "fig5", "case": tag,
-                 "converged": bool(result.converged), "stats": result.stats},
-            )
-            steady_pop = np.array(
-                [result.series.data[f"p{k}"][-1] for k in range(case.n_at + 1)]
-            )
-            predicted = predicted_populations(tag, case.n_at, bath)
-            files += write_populations_csv(
-                os.path.join(outdir, f"fig5_{tag}_populations.csv"),
-                steady_pop, predicted, case,
-                {"experiment": "fig5", "case": tag, "law": tag},
-            )
-
+        return write_sweep_csv(os.path.join(outdir, "fig2_sweep.csv"),
+                               run_sweep(sweep_cfg), sweep_cfg, {"experiment": "fig2"})
+    files: List[str] = []
+    for stem, overrides, reports, tags in PRESETS[name]:
+        case = replace(cfg, **overrides)
+        result = solve(case, record="series" in reports)
+        for report, report_tags in reports.items():
+            files += _WRITERS[report](os.path.join(outdir, f"{stem}_{report}.csv"), case,
+                                      result, {"experiment": name, **tags, **report_tags})
     return files

@@ -14,8 +14,9 @@ forms: the eight signed travelling-wave channels
 and, for a minimal-uncertainty bath, two squeezed standing-wave jumps
 Jx, Jy with a common rate 4 gamma |mu nu|.  The quadrature channels
 J_{-phi,s} put M^* = |M| e^{-i phi} on J_s rho J_s, which is what
-Jx, Jy (built from mu and nu = -M / mu^*) give.  Both sets are built here;
-`darkdimers.dynamics` turns them into generators.
+Jx, Jy (built from mu and nu = -M / mu^*) give.  Both sets are built here,
+each collective operator as one contraction of the cached per-site stack
+`operators.site_lowering`; `darkdimers.dynamics` turns them into generators.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .operators import SIGMA_MINUS, SIGMA_PLUS, embed_single_site
+from .operators import site_lowering
 
 __all__ = [
     "BathParams",
@@ -151,10 +152,6 @@ def make_geometry(n_at: int, k0a: float, k0zc: float = 0.0) -> ArrayGeometry:
     return ArrayGeometry(n_at=int(n_at), k0a=float(k0a), k0zc=float(k0zc), k0z=k0z)
 
 
-def _sigma_sites(geo: ArrayGeometry, op2: np.ndarray):
-    return [embed_single_site(op2, n, geo.n_at) for n in range(1, geo.n_at + 1)]
-
-
 def hamiltonian_scatt(geo: ArrayGeometry, gamma: float = 1.0) -> np.ndarray:
     """Waveguide-mediated hopping Hamiltonian.
 
@@ -164,18 +161,10 @@ def hamiltonian_scatt(geo: ArrayGeometry, gamma: float = 1.0) -> np.ndarray:
     """
     if gamma <= 0:
         raise ValueError(f"gamma must be > 0, got {gamma}")
-    d = 2**geo.n_at
-    raise_ops = _sigma_sites(geo, SIGMA_PLUS)
-    lower_ops = _sigma_sites(geo, SIGMA_MINUS)
-    h = np.zeros((d, d), dtype=complex)
-    for n in range(geo.n_at):
-        for m in range(geo.n_at):
-            if n == m:
-                continue
-            coupling = 0.5 * gamma * math.sin(abs(geo.k0z[n] - geo.k0z[m]))
-            if coupling != 0.0:
-                h += coupling * (raise_ops[n] @ lower_ops[m])
-    return h
+    lower = site_lowering(geo.n_at)
+    coupling = 0.5 * gamma * np.sin(np.abs(geo.k0z[:, None] - geo.k0z[None, :]))
+    # sum_n sigma_+^(n) (sum_m coupling[n, m] sigma_-^(m))
+    return np.tensordot(lower, np.tensordot(coupling, lower, axes=1), axes=([0, 1], [0, 1]))
 
 
 def jump_travelling(geo: ArrayGeometry, s: int) -> np.ndarray:
@@ -183,11 +172,7 @@ def jump_travelling(geo: ArrayGeometry, s: int) -> np.ndarray:
     J_s = sum_n e^{-i s k0 z_n} sigma_-^(n)."""
     if s not in (+1, -1):
         raise ValueError(f"direction s must be +1 or -1, got {s}")
-    d = 2**geo.n_at
-    j = np.zeros((d, d), dtype=complex)
-    for n, op in enumerate(_sigma_sites(geo, SIGMA_MINUS)):
-        j += cmath.exp(-1j * s * geo.k0z[n]) * op
-    return j
+    return np.tensordot(np.exp(-1j * s * geo.k0z), site_lowering(geo.n_at), axes=1)
 
 
 def jump_quadrature(geo: ArrayGeometry, s: int, theta: float) -> np.ndarray:
@@ -209,12 +194,9 @@ def standing_ops(geo: ArrayGeometry) -> StandingOps:
     """Standing-wave collective operators
     S_pm^(R) = sum_n cos(k0 z_n) sigma_pm^(n),
     S_pm^(I) = sum_n sin(k0 z_n) sigma_pm^(n)."""
-    d = 2**geo.n_at
-    sp_r = np.zeros((d, d), dtype=complex)
-    sp_i = np.zeros((d, d), dtype=complex)
-    for n, op in enumerate(_sigma_sites(geo, SIGMA_PLUS)):
-        sp_r += math.cos(geo.k0z[n]) * op
-        sp_i += math.sin(geo.k0z[n]) * op
+    raising = site_lowering(geo.n_at).transpose(0, 2, 1)
+    sp_r = np.tensordot(np.cos(geo.k0z), raising, axes=1)
+    sp_i = np.tensordot(np.sin(geo.k0z), raising, axes=1)
     return StandingOps(sp_r, sp_r.conj().T, sp_i, sp_i.conj().T)
 
 
@@ -283,29 +265,16 @@ def build_model(geo: ArrayGeometry, bath: BathParams, gamma: float = 1.0) -> Mod
     """Assemble all operators of the master equation for one setup."""
     h = hamiltonian_scatt(geo, gamma)
     channels = []
-    for s in (+1, -1):
-        tag = "+" if s > 0 else "-"
+    for s, tag in ((+1, "+"), (-1, "-")):
         j = jump_travelling(geo, s)
-        channels.append(
-            TravellingChannel(f"J{tag}", j, 0.5 * gamma * (bath.n_ph + 1.0))
-        )
-        channels.append(
-            TravellingChannel(f"J{tag}_dag", j.conj().T, 0.5 * gamma * bath.n_ph)
-        )
-        channels.append(
-            TravellingChannel(
-                f"Jphi{tag}",
-                jump_quadrature(geo, s, -bath.phi),
-                0.25 * gamma * bath.m_abs,
-            )
-        )
-        channels.append(
-            TravellingChannel(
-                f"Jphi+pi{tag}",
-                jump_quadrature(geo, s, math.pi - bath.phi),
-                -0.25 * gamma * bath.m_abs,
-            )
-        )
+        channels += [
+            TravellingChannel(f"J{tag}", j, 0.5 * gamma * (bath.n_ph + 1.0)),
+            TravellingChannel(f"J{tag}_dag", j.conj().T, 0.5 * gamma * bath.n_ph),
+            TravellingChannel(f"Jphi{tag}", jump_quadrature(geo, s, -bath.phi),
+                              0.25 * gamma * bath.m_abs),
+            TravellingChannel(f"Jphi+pi{tag}", jump_quadrature(geo, s, math.pi - bath.phi),
+                              -0.25 * gamma * bath.m_abs),
+        ]
     sq = None
     sq_rate = None
     if bath.is_minimal and bath.n_ph > 0.0:

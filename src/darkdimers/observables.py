@@ -10,14 +10,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .model import ArrayGeometry, BathParams, squeezed_jumps
-from .operators import (
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
-    embed_single_site,
-    excitation_counts,
-    expectation,
-)
+from .operators import excitation_counts, expectation, site_lowering
 
 __all__ = [
     "PolarizationMoments",
@@ -49,12 +42,15 @@ class PolarizationMoments:
 def _collective_spin(n_at: int):
     """(S_j, S_j^2) for j = x, y, z, S_j = (1/2) sum_n sigma_j^(n), built
     once per register size and returned as read-only arrays."""
-    d = 2**n_at
+    lower = site_lowering(n_at).sum(axis=0).real  # sum_n sigma_-^(n), 0/1 entries
+    parts = {"x": (0.5 * (lower + lower.T), 0.0),
+             "y": (0.0, 0.5 * (lower.T - lower)),
+             "z": (np.diag(excitation_counts(n_at) - 0.5 * n_at), 0.0)}
     ops = {}
-    for label, sigma in (("x", SIGMA_X), ("y", SIGMA_Y), ("z", SIGMA_Z)):
-        s = np.zeros((d, d), dtype=complex)
-        for n in range(1, n_at + 1):
-            s += 0.5 * embed_single_site(sigma, n, n_at)
+    for label, (re, im) in parts.items():
+        # parts assigned, not multiplied by 1j, so no zero picks up a sign
+        s = np.zeros(lower.shape, dtype=complex)
+        s.real, s.imag = re, im
         s2 = s @ s
         s.flags.writeable = False
         s2.flags.writeable = False
@@ -96,7 +92,8 @@ def state_row(state: np.ndarray, n_at: int) -> dict:
 def pair_correlations(state: np.ndarray, n_at: int) -> np.ndarray:
     """Correlation matrix C[n, m] = <sigma_x^(n) sigma_x^(m)> / 4
     (0-indexed atoms).  Diagonal entries are exactly 1/4."""
-    sx = [embed_single_site(SIGMA_X, n, n_at) for n in range(1, n_at + 1)]
+    lower = site_lowering(n_at)
+    sx = lower + lower.transpose(0, 2, 1)
     c = np.empty((n_at, n_at))
     for n in range(n_at):
         c[n, n] = 0.25
@@ -120,14 +117,17 @@ def excitation_populations(state: np.ndarray) -> np.ndarray:
 
 
 def dark_condition(geo: ArrayGeometry, bath: BathParams) -> float:
-    """Smallest eigenvalue of Jx^dag Jx + Jy^dag Jy.
+    """Smallest eigenvalue of |4 mu nu| (Jx^dag Jx + Jy^dag Jy), the
+    squeezed jumps weighted by their common rate (in units of gamma).
 
     Zero (<= 1e-10 numerically) if and only if a state annihilated by
-    both squeezed jump operators exists.  Preferred over the determinant
-    of the same matrix for conditioning."""
+    both squeezed jump operators exists.  The weight cancels the
+    |4 mu nu|^(-1/2) normalization of Jx, Jy, which grows as N_ph^(-1/4)
+    and would scale the rounding error up with it at small N_ph.
+    Preferred over the determinant of the same matrix for conditioning."""
     jx, jy = squeezed_jumps(geo, bath)
     k = jx.conj().T @ jx + jy.conj().T @ jy
-    return float(np.linalg.eigvalsh(k)[0])
+    return abs(4 * bath.mu * bath.nu) * float(np.linalg.eigvalsh(k)[0])
 
 
 def fidelity(a: np.ndarray, b: np.ndarray) -> float:

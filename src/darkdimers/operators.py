@@ -14,6 +14,8 @@ dense O(d^3) calls into BLAS/LAPACK.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 __all__ = [
@@ -25,6 +27,7 @@ __all__ = [
     "IDENTITY_2",
     "kron",
     "embed_single_site",
+    "site_lowering",
     "expectation",
     "is_hermitian",
     "is_unitary",
@@ -74,6 +77,16 @@ def embed_single_site(op2: np.ndarray, site: int, n_at: int) -> np.ndarray:
     left = np.eye(2 ** (site - 1), dtype=complex)
     right = np.eye(2 ** (n_at - site), dtype=complex)
     return np.kron(np.kron(left, op2), right)
+
+
+@lru_cache(maxsize=8)
+def site_lowering(n_at: int) -> np.ndarray:
+    """The read-only (n_at, d, d) stack of sigma_-^(n), n = 1..n_at, built
+    once per register size; collective operators contract it, and its
+    transpose over the last two axes is the stack of sigma_+^(n)."""
+    stack = np.stack([embed_single_site(SIGMA_MINUS, n, n_at) for n in range(1, n_at + 1)])
+    stack.flags.writeable = False
+    return stack
 
 
 def expectation(state: np.ndarray, obs: np.ndarray) -> complex:
@@ -151,7 +164,8 @@ def product_state(single_site_states) -> np.ndarray:
 
 def excitation_counts(n_at: int) -> np.ndarray:
     """Number of excited atoms for each computational-basis index."""
-    return np.array([bin(i).count("1") for i in range(2**n_at)], dtype=int)
+    index = np.arange(2**n_at)
+    return ((index[:, None] >> np.arange(n_at)) & 1).sum(axis=1)
 
 
 def dicke_state(n_at: int, n_e: int) -> np.ndarray:

@@ -406,7 +406,7 @@ class TestStableDarkGeometry:
 
 @settings(max_examples=40, deadline=None)
 @given(n_at=st.sampled_from([2, 4, 6]), a_steps=st.integers(0, 7),
-       zc_steps=st.integers(0, 3), n_ph=st.floats(1e-3, 2.0),
+       zc_steps=st.integers(0, 3), n_ph=st.floats(0.0, 2.0, exclude_min=True),
        phi=st.floats(0.0, 2.0 * math.pi))
 def test_dark_state_annihilated_wherever_geometry_is_stable(n_at, a_steps, zc_steps,
                                                             n_ph, phi):

@@ -8,6 +8,7 @@ import os
 import numpy as np
 import pytest
 
+from darkdimers.cli import main
 from darkdimers.config import ExperimentConfig
 from darkdimers.experiments import (
     dimer_center,
@@ -181,3 +182,70 @@ class TestFig5:
         sx, sy = data["mean_x"], data["mean_y"]
         # unbiased quadratures: the two means stay equal while decaying
         assert np.max(np.abs(sx - sy)) <= 1e-6
+
+
+def read_bytes(path):
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def read_manifest(path):
+    with open(os.path.splitext(path)[0] + ".json", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+SOLVE_RECORD = {"converged", "t_converge", "stats"}
+FIG5_THERMAL = ["--n-at", "6", "--k0a", "2pi", "--k0zc", "pi/4", "--initial", "plus-pi-4",
+                "--dt", "0.002"]
+
+
+class TestPresetsAreCommands:
+    def test_fig3_melted_is_correlations(self, fig3_dir, tmp_path):
+        out = str(tmp_path / "corr.csv")
+        assert main(["correlations", "--n-at", "6", "--k0a", "pi", "--k0zc", "0",
+                     "--dt", "0.002", "--out", out]) == 0
+        assert read_bytes(out) == read_bytes(
+            os.path.join(fig3_dir, "fig3_melted_correlations.csv"))
+
+    def test_fig5_thermal_is_evolve_and_populations(self, fig5_dir, tmp_path):
+        series, pops = str(tmp_path / "series.csv"), str(tmp_path / "pops.csv")
+        assert main(["evolve", *FIG5_THERMAL, "--out", series]) == 0
+        assert main(["populations", *FIG5_THERMAL, "--law", "thermal", "--out", pops]) == 0
+        assert read_bytes(series) == read_bytes(
+            os.path.join(fig5_dir, "fig5_thermal_series.csv"))
+        assert read_bytes(pops) == read_bytes(
+            os.path.join(fig5_dir, "fig5_thermal_populations.csv"))
+        assert read_manifest(pops)["law"] == "thermal"
+
+
+class TestSolveRecord:
+    def test_command_manifests(self, tmp_path):
+        geometry = ["--n-at", "2", "--k0a", "pi/4", "--t-max", "500"]
+        series = str(tmp_path / "series.csv")
+        assert main(["evolve", *geometry, "--out", series]) == 0
+        assert main(["correlations", *geometry, "--out", str(tmp_path / "c.csv")]) == 0
+        assert main(["populations", *geometry, "--out", str(tmp_path / "p.csv")]) == 0
+        records = [read_manifest(str(tmp_path / name))
+                   for name in ("series.csv", "c.csv", "p.csv")]
+        for manifest in records:
+            assert SOLVE_RECORD <= set(manifest)
+            assert manifest["converged"] is True
+        _, data = read_csv(series)
+        assert records[0]["stats"]["visited_points"] == len(data["t"])
+        # the three commands make the same solve
+        for manifest in records[1:]:
+            assert all(manifest[k] == records[0][k] for k in SOLVE_RECORD)
+
+    @pytest.mark.parametrize("preset", ["fig3_dir", "fig4_dir", "fig5_dir"])
+    def test_preset_manifests(self, preset, request):
+        outdir = request.getfixturevalue(preset)
+        manifests = sorted(name for name in os.listdir(outdir) if name.endswith(".json"))
+        assert manifests
+        for name in manifests:
+            manifest = read_manifest(os.path.join(outdir, name))
+            assert SOLVE_RECORD <= set(manifest), name
+            stem = name.rsplit("_", 1)[0]
+            series = os.path.join(outdir, stem + "_series.csv")
+            if os.path.exists(series):
+                _, data = read_csv(series)
+                assert manifest["stats"]["visited_points"] == len(data["t"]), name

@@ -1,7 +1,10 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from darkdimers import (
@@ -16,7 +19,17 @@ from darkdimers import (
     standing_ops,
 )
 from darkdimers.darkstates import PairSpec, pair_state
-from darkdimers.operators import SIGMA_MINUS, SIGMA_PLUS, SIGMA_X, is_hermitian
+from darkdimers.observables import _collective_spin
+from darkdimers.operators import (
+    SIGMA_MINUS,
+    SIGMA_PLUS,
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
+    embed_single_site,
+    is_hermitian,
+    site_lowering,
+)
 
 # Frozen by direct arithmetic from |mu|^2 = N+1, |nu|^2 = N,
 # nu mu* = -M, eta = ln(|mu|/|nu|)/2 at N_ph = 0.88, phi = 0.
@@ -268,3 +281,64 @@ class TestBuildModel:
         model = build_model(geo2_dark, make_bath(0.5, minimal=False))
         assert model.squeezed_jumps is None
         assert model.squeezed_rate is None
+
+
+def _site_sum(coefficients, op2, n_at):
+    """sum_n coefficients[n] op2^(n), embedded site by site."""
+    out = np.zeros((2**n_at, 2**n_at), dtype=complex)
+    for n, c in enumerate(coefficients):
+        out += c * embed_single_site(op2, n + 1, n_at)
+    return out
+
+
+def _same(a, b):
+    return a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_at=st.integers(1, 6), k0a=st.floats(0.0, 2.0 * math.pi),
+       k0zc=st.floats(0.0, 2.0 * math.pi), n_ph=st.floats(0.0, 2.0, exclude_min=True),
+       phi=st.floats(0.0, 2.0 * math.pi))
+def test_collective_operators_equal_site_by_site_sums(n_at, k0a, k0zc, n_ph, phi):
+    geo, bath = make_geometry(n_at, k0a, k0zc), make_bath(n_ph, phi)
+    model = build_model(geo, bath)
+    z = geo.k0z
+    h = np.zeros((2**n_at, 2**n_at), dtype=complex)
+    for n in range(n_at):
+        for m in range(n_at):
+            if n != m:
+                h += 0.5 * math.sin(abs(z[n] - z[m])) * (
+                    embed_single_site(SIGMA_PLUS, n + 1, n_at)
+                    @ embed_single_site(SIGMA_MINUS, m + 1, n_at))
+    assert _same(model.hamiltonian, h)
+    channels = dict((c.label, c.operator) for c in model.travelling_jumps)
+    for s, tag in ((1, "+"), (-1, "-")):
+        j = _site_sum([cmath.exp(-1j * s * zn) for zn in z], SIGMA_MINUS, n_at)
+        assert _same(channels[f"J{tag}"], j)
+        assert _same(channels[f"J{tag}_dag"], j.conj().T)
+        for label, theta in ((f"Jphi{tag}", -phi), (f"Jphi+pi{tag}", math.pi - phi)):
+            quadrature = cmath.exp(1j * theta / 2) * j + cmath.exp(-1j * theta / 2) * j.conj().T
+            assert _same(channels[label], quadrature)
+    sp_r = _site_sum(np.cos(z), SIGMA_PLUS, n_at)
+    sp_i = _site_sum(np.sin(z), SIGMA_PLUS, n_at)
+    for got, want in zip(standing_ops(geo),
+                         (sp_r, sp_r.conj().T, sp_i, sp_i.conj().T)):
+        assert _same(got, want)
+    norm = math.sqrt(abs(4 * bath.mu * bath.nu))
+    jx, jy = model.squeezed_jumps
+    assert _same(jx, (bath.mu * sp_i.conj().T + bath.nu * sp_i) / norm)
+    assert _same(jy, (bath.mu * sp_r.conj().T - bath.nu * sp_r) / norm)
+    for label, sigma in (("x", SIGMA_X), ("y", SIGMA_Y), ("z", SIGMA_Z)):
+        s_j, s_j2 = _collective_spin(n_at)[label]
+        assert _same(s_j, _site_sum([0.5] * n_at, sigma, n_at))
+        assert _same(s_j2, s_j @ s_j)
+
+
+def test_site_stack_is_cached_and_read_only():
+    stack = site_lowering(3)
+    assert stack is site_lowering(3)
+    assert stack.shape == (3, 8, 8) and not stack.flags.writeable
+    with pytest.raises(ValueError):
+        stack[0, 0, 1] = 2.0
+    for n in range(3):
+        assert _same(stack[n], embed_single_site(SIGMA_MINUS, n + 1, 3))

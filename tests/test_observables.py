@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from darkdimers import make_geometry
+from darkdimers import make_bath, make_geometry
 from darkdimers.darkstates import PairSpec, dimer_chain, pair_state
 from darkdimers.experiments import series_columns
 from darkdimers.observables import (
@@ -153,6 +153,13 @@ class TestDarkCondition:
         # cos k0(z1+z2) = 0 with sin k0a != 0: no dark state
         geo = make_geometry(2, math.pi / 4, math.pi / 4)
         assert dark_condition(geo, bath088) > 1e-3
+
+    @pytest.mark.parametrize("n_ph", [5e-324, 1e-300, 1e-100, 1e-10, 1e-3])
+    @pytest.mark.parametrize("k0a", [0.0, math.pi / 4])
+    def test_dark_pair_at_tiny_n_ph(self, n_ph, k0a):
+        # the normalization of Jx, Jy grows as N_ph^(-1/4); the condition
+        # must not scale the rounding error up with it
+        assert abs(dark_condition(make_geometry(2, k0a, 0.0), make_bath(n_ph))) <= 1e-10
 
 
 class TestFidelity:
