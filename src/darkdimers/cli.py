@@ -1,16 +1,18 @@
 """Command-line interface.
 
 Subcommands: sweep, evolve, steady, correlations, darkstate,
-populations, experiment.  Exit codes: 0 success, 1 runtime or
-convergence failure (a sweep writes unstable cells as non-converged
-rows, with reasons in its manifest, and exits 0), 2 usage/config error.
+populations, experiment.  Exit codes: 0 success; 1 runtime error, or a
+non-converged solve once every file is written (a sweep, fig2 too, exits
+0 and reports such cells in its manifest); 2 usage/config error.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import sys
+from pathlib import Path
 from typing import List, Optional
 
 import numpy as np
@@ -107,9 +109,9 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_evolve(args) -> int:
     cfg = _resolve(args)
-    files = write_series_csv(cfg.out or "series.csv", cfg, solve(cfg, record=True))
-    print("\n".join(files))
-    return 0
+    result = solve(cfg, record=True)
+    print("\n".join(write_series_csv(cfg.out or "series.csv", cfg, result)))
+    return 0 if result.converged else 1
 
 
 def _cmd_steady(args) -> int:
@@ -193,7 +195,9 @@ def _cmd_experiment(args) -> int:
     outdir = cfg.out or "experiment_data"
     files = run_experiment(args.name, cfg, outdir)
     print("\n".join(files))
-    return 0
+    # each solve's manifest records whether it converged; the sweep's does not
+    solves = [json.loads(Path(f).read_text("utf-8")) for f in files if f.endswith(".json")]
+    return 1 if any(m.get("converged") is False for m in solves) else 0
 
 
 _COMMANDS = {

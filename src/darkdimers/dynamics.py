@@ -345,13 +345,18 @@ class _VectorizedGenerator:
         w_re = np.where(np.eye(d, dtype=bool), 1.0, 1.0 / _SQRT2)
         w_im = 1j * np.sign(np.arange(d) - np.arange(d)[:, None]) / _SQRT2
         self._basis = ((re.ravel(), w_re.ravel()), (im.ravel(), w_im.ravel()))
-        self._odd = (par[:, None] != par).ravel()
         sites, flat = self._symmetries(model.n_at, rho0)
         self.symmetries = [tuple(int(x) + 1 for x in row) for row in sites]
-        dims = self.full_dims
+        dims, self._basis_in = self.full_dims, self._basis
         if len(flat):
-            index, weight, dims = _signed_orbits(self._basis, flat, n0)
+            index, weight, root_size, dims = _signed_orbits(self._basis, flat, n0)
+            self._basis_in = tuple((index[k], w * (weight * root_size)[k])
+                                   for k, w in self._basis)
             self._basis = tuple((index[k], w * weight[k]) for k, w in self._basis)
+        # per block, the matrix elements that some input coordinate reads
+        live = (self._basis_in[0][1] != 0) | (self._basis_in[1][1] != 0)
+        flips = (par[:, None] != par).ravel()
+        self._live = (live & ~flips, live & flips)
         self.blocks = (slice(0, dims[0]), slice(dims[0], sum(dims)))
 
     def _symmetries(self, n_at: int, rho0: np.ndarray):
@@ -379,16 +384,18 @@ class _VectorizedGenerator:
 
     def assemble(self, b: int) -> np.ndarray:
         """Real matrix of parity block b: entry (k', k) is Tr[E_k' L(E_k)],
-        accumulated from the complex sandwich entries."""
+        accumulated from the complex sandwich entries.  L commutes with the
+        symmetry group, so column k is sqrt|orbit| Tr[E_k' L(E_root)]: only
+        each orbit's root E_root is read, weighted by |orbit| (`_basis_in`)."""
         off, n = self.blocks[b].start, self.blocks[b].stop - self.blocks[b].start
         acc = np.zeros(n * n)
         for e_out, e_in, v in _sandwich_entries(self.terms, self.dim):
-            keep = self._odd[e_in] == bool(b)
+            keep = self._live[b][e_in]
             eo, ei, v = e_out[keep], e_in[keep], v[keep]
             # v rho[r, s] lands in out[p, q]: entry (k', k) gains
             # conj(E_k'[p, q]) v E_k[r, s], real once summed
             for ko, wo in self._basis:
-                for ki, wi in self._basis:
+                for ki, wi in self._basis_in:
                     np.add.at(acc, (ko[eo] - off) * n + ki[ei] - off,
                               (wo[eo].conj() * v * wi[ei]).real)
         return acc.reshape(n, n)
@@ -405,7 +412,8 @@ class _VectorizedGenerator:
 
 def _signed_orbits(basis, flat: np.ndarray, n0: int):
     """Orbit index and weight s_k / sqrt|orbit| (0 if signs conflict) of each real
-    coordinate k under the group `flat` generates, and each block's orbit count."""
+    coordinate k under the group `flat` generates, |orbit| on each orbit's root
+    (its smallest coordinate; else 0), and each block's orbit count."""
     n = basis[0][0].size
     # U E_k U^dag = sign E_img: compare the weights at an element and its image
     img, sign = np.empty((len(flat), n), dtype=int), np.ones((len(flat), n))
@@ -426,8 +434,9 @@ def _signed_orbits(basis, flat: np.ndarray, n0: int):
     roots = (rep == cols) & ~bad
     dims = (int(roots[:n0].sum()), int(roots[n0:].sum()))
     index = np.where(bad, np.where(cols < n0, 0, dims[0]), np.cumsum(roots)[rep] - 1)
-    weight = np.where(bad, 0.0, s / np.sqrt(np.bincount(rep, minlength=n)[rep]))
-    return index, weight, dims
+    size = np.bincount(rep, minlength=n)[rep]
+    weight = np.where(bad, 0.0, s / np.sqrt(size))
+    return index, weight, np.where(roots, size, 0), dims
 
 
 def _rk4_step_matrix(m: np.ndarray, dt: float) -> np.ndarray:

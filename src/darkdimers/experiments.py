@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass, fields, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -156,6 +155,8 @@ def run_sweep(cfg: ExperimentConfig) -> List[SweepCell]:
     ]
     cells: List[Optional[SweepCell]] = [None] * len(tasks)
     if cfg.workers > 1:
+        # imported here so that a serial run does not pay for the import
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             for index, cell in pool.map(_sweep_cell, tasks, chunksize=4):
                 cells[index] = cell

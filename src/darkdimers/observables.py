@@ -75,7 +75,7 @@ def purity(rho: np.ndarray) -> float:
     if rho.ndim == 1:
         n = float(np.vdot(rho, rho).real)
         return n * n
-    return float(np.trace(rho @ rho).real)
+    return float(np.vdot(rho.T.conj(), rho).real)
 
 
 def state_row(state: np.ndarray, n_at: int) -> dict:

@@ -92,7 +92,8 @@ def site_lowering(n_at: int) -> np.ndarray:
 def expectation(state: np.ndarray, obs: np.ndarray) -> complex:
     """<obs> in a pure state (1-D array) or density matrix (2-D array).
 
-    Tr[rho obs] for density matrices, <psi|obs|psi> for state vectors.
+    Tr[rho obs] = sum_ij rho_ij obs_ji for density matrices (no matrix
+    product), <psi|obs|psi> for state vectors.
     """
     state = np.asarray(state)
     obs = np.asarray(obs)
@@ -107,7 +108,7 @@ def expectation(state: np.ndarray, obs: np.ndarray) -> complex:
             raise ValueError(
                 f"dimension mismatch: state {state.shape}, obs {obs.shape}"
             )
-        return complex(np.trace(state @ obs))
+        return complex(np.vdot(obs.T.conj(), state))
     raise ValueError("state must be a vector or a square matrix")
 
 

@@ -235,6 +235,25 @@ class TestCli:
         assert code == 1
         assert "converged: False" in capsys.readouterr().out
 
+    def test_evolve_exit_1_on_non_convergence_after_writing(self, tmp_path, capsys):
+        out = tmp_path / "series.csv"
+        assert main(["evolve", "--n-at", "2", "--t-max", "0.05", "--out", str(out)]) == 1
+        assert out.exists() and out.with_suffix(".json").exists()
+
+    def test_experiment_exit_1_on_non_convergence_after_writing(self, tmp_path, capsys):
+        assert main(["experiment", "fig3", "--t-max", "1", "--out", str(tmp_path)]) == 1
+        assert sorted(os.listdir(tmp_path)) == [
+            f"fig3_{case}_correlations.{ext}"
+            for case in ("dimer", "melted") for ext in ("csv", "json")]
+
+    def test_cli_import_starts_no_process_pool_machinery(self):
+        # a serial run never starts a pool, so it should not import one
+        code = "import sys, darkdimers.cli; print('concurrent.futures.process' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True, timeout=60)
+        assert out.stdout.strip() == "False"
+
     def test_steady_beyond_six_atoms_exits_1(self, capsys):
         assert main(["steady", "--n-at", "7"]) == 1
         err = capsys.readouterr().err
@@ -278,7 +297,7 @@ class TestCli:
 
     def test_evolve_command_series_columns(self, tmp_path):
         out = str(tmp_path / "series.csv")
-        code = main(["evolve", "--n-at", "2", "--t-max", "50", "--out", out])
+        code = main(["evolve", "--n-at", "2", "--t-max", "200", "--out", out])
         assert code == 0
         header = open(out, encoding="utf-8").readline().strip()
         assert header == "t,purity,mean_x,mean_y,mean_z,var_x,var_y,p0,p1,p2"

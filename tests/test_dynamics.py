@@ -385,6 +385,25 @@ class TestVectorizedEngine:
         assert [m.shape for m in blocks] == [(512, 512)] * 2
         assert peak < 16**5 * 16
 
+    @pytest.mark.parametrize("k0a,k0zc,start", [(2 * math.pi, math.pi / 4, "plus-pi-4"),
+                                                (math.pi / 4, 0.0, "ground")])
+    def test_symmetric_blocks_are_the_generator_at_six_atoms(self, bath088, k0a, k0zc,
+                                                             start):
+        # a symmetric block reads only its orbit roots' input elements; each
+        # column must still be L of the whole orbit coordinate
+        from darkdimers.dynamics import _rhs_from_terms, _VectorizedGenerator
+
+        model = build_model(make_geometry(6, k0a, k0zc), bath088)
+        psi = _plus_pi_4(6) if start == "plus-pi-4" else ground_state(6)
+        gen = _VectorizedGenerator(model, "squeezed", pure_to_density(psi))
+        assert gen.symmetries
+        for b, coords in enumerate(gen.blocks):
+            m = gen.assemble(b)
+            assert len(m) < gen.full_dims[b]
+            cols = np.stack([gen.to_coords(_rhs_from_terms(gen.terms, gen.from_coords(e)))
+                             for e in np.eye(gen.blocks[1].stop)[coords]], axis=1)
+            assert np.max(np.abs(m - cols[coords])) <= 1e-12 * np.max(np.abs(m))
+
     def test_coordinate_roundtrip(self, bath088):
         from darkdimers.dynamics import _VectorizedGenerator
 
