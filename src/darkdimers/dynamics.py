@@ -19,7 +19,9 @@ block, restricted to the states sharing rho0's site symmetries (each
 transposition or chain reflection that fixes rho0 and commutes with L to
 1e-12; a start with no symmetry gets no reduction).  The visited states
 are states of the plain RK4 iteration, up to rounding, just evaluated at
-coarse times.  Each block has up to 16**n_at / 4 entries, so
+coarse times.  Per block the generator and the propagator stay alive;
+the polynomial (Horner form) and each squaring, one block at a time,
+need one more buffer.  Each block has up to 16**n_at / 4 entries, so
 `steady_state` accepts up to six atoms and raises ValueError above that;
 `liouvillian_matrix` is guarded to five.  `evolve`, the plain
 step-by-step RK4 loop, has no size guard.
@@ -371,7 +373,9 @@ class _VectorizedGenerator:
         flat = (perms[:, :, None] * d + perms[:, None, :]).reshape(len(perms), d * d)
         ok = abs(rho0.ravel()[flat] - rho0.ravel()).max(1) <= 1e-12
         if ok.any():
-            x = np.random.default_rng(0).normal(size=(d, 2 * d)).view(complex)
+            # fixed quasi-random probe, frac(k^2 phi): no numpy.random import
+            k = np.arange(2 * d * d)
+            x = ((k * k * 0.5 * (1 + math.sqrt(5))) % 1.0 - 0.5).reshape(d, -1).view(complex)
             x = (x + x.conj().T).ravel()
             # one-sided terms summed first; L(X), then L(U X U^dag) per candidate
             terms = [(1.0, sum(c * a for c, a, b in self.terms if b is None), None),
@@ -440,16 +444,15 @@ def _signed_orbits(basis, flat: np.ndarray, n0: int):
 
 
 def _rk4_step_matrix(m: np.ndarray, dt: float) -> np.ndarray:
-    # I + a + a^2/2 + a^3/6 + a^4/24, summed in place so that at most
-    # four buffers of m's size are alive
-    a = dt * m
-    a2 = a @ a
-    p = np.eye(m.shape[0]) + a
-    p += a2 / 2.0
-    a = a2 @ a
-    p += a / 6.0
-    a = a2 @ a2
-    p += a / 24.0
+    # I + a + a^2/2 + a^3/6 + a^4/24 with a = dt m, in Horner form
+    # I + a (I + a/2 (I + a/3 (I + a/4))): m is only read, and besides it
+    # at most two buffers of its size (p and the next product) are alive
+    p = m * (dt / 4.0)
+    for c in (dt / 3.0, dt / 2.0, dt):
+        p.reshape(-1)[:: len(p) + 1] += 1.0
+        p = m @ p
+        p *= c
+    p.reshape(-1)[:: len(p) + 1] += 1.0
     return p
 
 
@@ -461,7 +464,7 @@ def steady_state(
     record: bool = False,
 ) -> SteadyStateResult:
     """Integrate from rho0 until ||d rho/dt||_F <= convergence_tol or
-    t_max is reached.
+    the next stride would pass t_max.
 
     Uses the vectorized RK4 propagator with repeated squaring, so the
     walk accelerates geometrically while staying on the exact fixed-step
@@ -477,7 +480,8 @@ def steady_state(
     Positivity is checked on the full state at every visited point; with
     record=True those points are returned as a TimeSeries.  `stats` names
     the accepted site permutations (1-based images), each propagated
-    block's full and reduced size, the squarings and the visited points.
+    block's full and reduced size, the squarings, the visited points, the
+    final stride and the block-propagator x vector products (matvecs).
     """
     if model.n_at > _STEADY_STATE_MAX_ATOMS:
         raise ValueError(
@@ -494,7 +498,8 @@ def steady_state(
     ms = [gen.assemble(b) for b in range(1 + bool(np.any(rs[1] != 0.0)))]
     unit = gen.to_coords(np.eye(gen.dim))[gen.blocks[0]]
     stats = {"symmetries": gen.symmetries, "squarings": 0, "visited_points": 0,
-             "blocks": [dict(full=f, reduced=len(m)) for f, m in zip(gen.full_dims, ms)]}
+             "blocks": [dict(full=f, reduced=len(m)) for f, m in zip(gen.full_dims, ms)],
+             "matvecs": 0}
 
     def visit(t):
         """Check (and record) the state; return its residual."""
@@ -505,18 +510,22 @@ def steady_state(
     t = 0.0
     residual = visit(t)
     converged = residual <= cfg.convergence_tol
-    t_end = cfg.t_max * (1.0 - 1e-12)
-    ps = None
-    while not converged and t < t_end:
+    # no stride passes t_max (beyond the rounding of the summed strides)
+    t_stop = cfg.t_max * (1.0 + 1e-12)
+    ps, tau = None, cfg.dt
+    while not converged and t + tau <= t_stop:
         if ps is None:
             ps = [_rk4_step_matrix(m, cfg.dt) for m in ms]
-            tau = cfg.dt
-        elif 2.0 * tau <= max(cfg.dt, t / 4.0):
-            ps = [p @ p for p in ps]
+        elif 2.0 * tau <= min(max(cfg.dt, t / 4.0), t_stop - t):
+            # block by block: one block's old propagator is freed before
+            # the next block's new one is allocated
+            for i in range(len(ps)):
+                ps[i] = ps[i] @ ps[i]
             tau *= 2.0
             stats["squarings"] += 1
         for _ in range(8):
             rs[: len(ps)] = [p @ r for p, r in zip(ps, rs)]
+            stats["matvecs"] += len(ps)
             t += tau
             tr = unit @ rs[0]
             rec.note_trace(tr)
@@ -524,8 +533,9 @@ def steady_state(
                 r /= tr
             residual = visit(t)
             converged = residual <= cfg.convergence_tol
-            if converged or t >= t_end:
+            if converged or t + tau > t_stop:
                 break
+    stats["stride"] = tau
 
     rho = gen.from_coords(np.concatenate(rs))
     rho /= np.trace(rho).real

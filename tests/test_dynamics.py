@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -248,6 +252,15 @@ class TestSteadyState:
         for key in ("var_x", "var_y", "mean_z"):
             assert abs(res.series.data[key][-1] - getattr(mom, key)) <= 1e-12
 
+    @pytest.mark.parametrize("t_max", [0.3, 7.3, 50.0, 79.0])
+    def test_never_steps_beyond_t_max(self, bath088, t_max):
+        # the last stride is up to t/4 long: it must end the walk before
+        # t_max, not past it (at 79 the walk used to report t_converge 81.88)
+        model = build_model(make_geometry(2, math.pi / 4, 0.0), bath088)
+        res = steady_state(ground_state(2), model, EvolveConfig(t_max=t_max), record=True)
+        assert res.series.times[-1] <= t_max
+        assert not res.converged or res.t_converge <= t_max
+
     def test_record_series(self, model2):
         res = steady_state(ground_state(2), model2, EvolveConfig(), record=True)
         assert res.series is not None
@@ -298,6 +311,19 @@ class TestSymmetryReduction:
         res = steady_state(ground_state(2), model2, EvolveConfig(), record=True)
         assert res.stats["visited_points"] == len(res.series.times)
         assert res.stats["squarings"] >= 1
+
+    def test_symmetry_probe_leaves_numpy_random_unloaded(self):
+        # the commutation probe is built without numpy.random, whose first
+        # use costs an import in every solve that tests a symmetry
+        code = ("import sys; from darkdimers.config import ExperimentConfig; "
+                "from darkdimers.experiments import solve; "
+                "res = solve(ExperimentConfig(n_at=6, k0a=2 * 3.141592653589793, "
+                "k0zc=0.7853981633974483, initial='plus-pi-4', t_max=0.05)); "
+                "print(len(res.stats['symmetries']), 'numpy.random' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True, timeout=120)
+        assert out.stdout.split() == ["16", "False"]
 
 
 class TestLiouvillian:
@@ -369,8 +395,6 @@ class TestVectorizedEngine:
     def test_assembly_stays_below_one_complex_superoperator(self, bath088):
         # the blocks are accumulated from sparse sandwich entries; the old
         # kron assembly held several dense d^2 x d^2 complex buffers
-        import tracemalloc
-
         from darkdimers.dynamics import _VectorizedGenerator
 
         model = build_model(make_geometry(5, 0.9, 0.3), bath088)
@@ -403,6 +427,40 @@ class TestVectorizedEngine:
             cols = np.stack([gen.to_coords(_rhs_from_terms(gen.terms, gen.from_coords(e)))
                              for e in np.eye(gen.blocks[1].stop)[coords]], axis=1)
             assert np.max(np.abs(m - cols[coords])) <= 1e-12 * np.max(np.abs(m))
+
+    def test_rk4_step_matrix_is_the_polynomial_in_two_buffers(self):
+        from darkdimers.dynamics import _rk4_step_matrix
+
+        rng = np.random.default_rng(4)
+        m = rng.normal(size=(300, 300)) / math.sqrt(300)
+        m_copy, dt = m.copy(), 0.05
+        tracemalloc.start()
+        try:
+            p = _rk4_step_matrix(m, dt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(m, m_copy)
+        a = dt * m
+        a2 = a @ a
+        plain = np.eye(300) + a + a2 / 2 + a2 @ a / 6 + a2 @ a2 / 24
+        assert np.max(np.abs(p - plain)) <= 1e-14 * np.max(np.abs(plain))
+        # Horner form: the result and one product buffer, never a or a^2
+        assert peak <= 2.2 * m.nbytes
+
+    def test_squaring_walk_holds_generator_propagator_and_one_buffer(self, bath088):
+        # no symmetry at N = 5: two 512^2 blocks, each with its generator
+        # and propagator; squaring block by block adds one buffer, not two
+        model = build_model(make_geometry(5, 0.9, 0.3), bath088)
+        tracemalloc.start()
+        try:
+            res = steady_state(_plus_pi_4(5), model, EvolveConfig(t_max=0.2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.stats["symmetries"] == [] and res.stats["squarings"] >= 1
+        assert [b["reduced"] for b in res.stats["blocks"]] == [512, 512]
+        assert peak <= 5.5 * 512**2 * 8
 
     def test_coordinate_roundtrip(self, bath088):
         from darkdimers.dynamics import _VectorizedGenerator

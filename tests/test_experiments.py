@@ -176,6 +176,10 @@ class TestFig5:
                                    {"full": 2048, "reduced": 40}]
         _, data = read_csv(os.path.join(fig5_dir, "fig5_thermal_series.csv"))
         assert stats["visited_points"] == len(data["t"])
+        # dt = 0.002 doubled at each squaring; both blocks step once per
+        # visited point after the start
+        assert stats["squarings"] == 9 and stats["stride"] == 0.002 * 2**9
+        assert stats["matvecs"] == 2 * (stats["visited_points"] - 1) == 146
 
     def test_thermal_polarizations_decay_together(self, fig5_dir):
         _, data = read_csv(os.path.join(fig5_dir, "fig5_thermal_series.csv"))
