@@ -19,12 +19,14 @@ block, restricted to the states sharing rho0's site symmetries (each
 transposition or chain reflection that fixes rho0 and commutes with L to
 1e-12; a start with no symmetry gets no reduction).  The visited states
 are states of the plain RK4 iteration, up to rounding, just evaluated at
-coarse times.  Per block the generator and the propagator stay alive;
-the polynomial (Horner form) and each squaring, one block at a time,
-need one more buffer.  Each block has up to 16**n_at / 4 entries, so
-`steady_state` accepts up to six atoms and raises ValueError above that;
-`liouvillian_matrix` is guarded to five.  `evolve`, the plain
-step-by-step RK4 loop, has no size guard.
+coarse times.  Setting the blocks up holds d^2-entry tables and one
+piece of at most _PIECE_ENTRIES entries at a time.  Per block the
+generator and the propagator stay alive; the polynomial (Horner form)
+and each squaring, one block at a time, need one more buffer.  Each
+block has up to 16**n_at / 4 entries, so `steady_state` accepts up to
+six atoms and raises ValueError above that; `liouvillian_matrix` is
+guarded to five.  `evolve`, the plain step-by-step RK4 loop, has no
+size guard.
 """
 
 from __future__ import annotations
@@ -56,6 +58,7 @@ _SQRT2 = math.sqrt(2.0)
 # each real parity block is up to 2048^2 (34 MB), at 7 up to 8192^2 (537 MB).
 _STEADY_STATE_MAX_ATOMS = 6
 _LIOUVILLIAN_MAX_ATOMS = 5
+_PIECE_ENTRIES = 1 << 13  # entries set up at once; a six-atom term has up to 1.5e5
 
 
 class IntegrationInstabilityError(RuntimeError):
@@ -92,8 +95,8 @@ class TimeSeries:
     data maps column names (purity, mean_x/y/z, var_x/y, p0..pN) to
     arrays aligned with `times`.  max_trace_dev and min_eigenvalue are
     the worst numerical-hygiene excursions seen along the trajectory:
-    the trace deviation at every step, measured before renormalization,
-    and the smallest eigenvalue at the checked points.
+    the trace deviation at every step (before renormalization) and the
+    smallest eigenvalue at the checked points only, no bound in between.
     """
 
     times: np.ndarray
@@ -184,12 +187,16 @@ def lindblad_rhs_squeezed(rho: np.ndarray, model: ModelOperators) -> np.ndarray:
 def _sandwich_entries(terms, d: int):
     """Per term (c, A, B), the COO form of rho -> c A rho B: flat
     row-major output elements p*d + q, input elements r*d + s and values
-    c A[p, r] B[s, q], from the nonzeros of A times those of B."""
+    c A[p, r] B[s, q], from the nonzeros of A times those of B, in order
+    and in pieces of at most _PIECE_ENTRIES (or one nonzero of A)."""
     for c, a, b in terms:
         a, b = (np.eye(d) if x is None else x for x in (a, b))
         (p, r), (s, q) = np.nonzero(a), np.nonzero(b)
-        yield ((p[:, None] * d + q).ravel(), (r[:, None] * d + s).ravel(),
-               (c * a[p, r][:, None] * b[s, q]).ravel())
+        b_sq, step = b[s, q], max(1, _PIECE_ENTRIES // max(1, s.size))
+        for i in range(0, p.size, step):
+            p1, r1 = p[i:i + step, None], r[i:i + step, None]
+            yield ((p1 * d + q).ravel(), (r1 * d + s).ravel(),
+                   (c * a[p1, r1] * b_sq).ravel())
 
 
 def liouvillian_matrix(model: ModelOperators, form: str = "general") -> np.ndarray:
@@ -322,6 +329,8 @@ class _VectorizedGenerator:
     with L (both to 1e-12, L on a random Hermitian probe) generate a group
     G; the coordinates are G's signed orbits sum s_k E_k / sqrt|orbit|,
     less those whose signs conflict: the plain ones when G is trivial.
+    Besides d^2-entry tables, set-up holds one piece at a time: a few moved
+    candidates, one generator's coordinate images, or one term's entries.
     """
 
     def __init__(self, model: ModelOperators, form: str, rho0: np.ndarray):
@@ -347,11 +356,11 @@ class _VectorizedGenerator:
         w_re = np.where(np.eye(d, dtype=bool), 1.0, 1.0 / _SQRT2)
         w_im = 1j * np.sign(np.arange(d) - np.arange(d)[:, None]) / _SQRT2
         self._basis = ((re.ravel(), w_re.ravel()), (im.ravel(), w_im.ravel()))
-        sites, flat = self._symmetries(model.n_at, rho0)
+        sites, perms = self._symmetries(model.n_at, rho0)
         self.symmetries = [tuple(int(x) + 1 for x in row) for row in sites]
         dims, self._basis_in = self.full_dims, self._basis
-        if len(flat):
-            index, weight, root_size, dims = _signed_orbits(self._basis, flat, n0)
+        if len(perms):
+            index, weight, root_size, dims = _signed_orbits(self._basis, perms, n0)
             self._basis_in = tuple((index[k], w * (weight * root_size)[k])
                                    for k, w in self._basis)
             self._basis = tuple((index[k], w * weight[k]) for k, w in self._basis)
@@ -363,28 +372,30 @@ class _VectorizedGenerator:
 
     def _symmetries(self, n_at: int, rho0: np.ndarray):
         """Candidate site permutations (0-based images, all involutions) that
-        rho0 and L share, and as `flat` where they send each matrix element."""
+        rho0 and L share, and the basis-state permutations they induce."""
         # below four atoms the reflection is a transposition or the identity
         ident = list(range(n_at))
         sites = [[{i: j, j: i}.get(s, s) for s in ident] for j in ident for i in range(j)]
         sites = np.array(sites + [ident[::-1]] * (n_at > 3), dtype=int).reshape(-1, n_at)
         d, bit = self.dim, n_at - 1 - np.arange(n_at)  # site 1: most significant bit
         perms = (((np.arange(d)[:, None] >> bit) & 1) @ (1 << bit[sites]).T).T
-        flat = (perms[:, :, None] * d + perms[:, None, :]).reshape(len(perms), d * d)
-        ok = abs(rho0.ravel()[flat] - rho0.ravel()).max(1) <= 1e-12
-        if ok.any():
-            # fixed quasi-random probe, frac(k^2 phi): no numpy.random import
-            k = np.arange(2 * d * d)
-            x = ((k * k * 0.5 * (1 + math.sqrt(5))) % 1.0 - 0.5).reshape(d, -1).view(complex)
-            x = (x + x.conj().T).ravel()
-            # one-sided terms summed first; L(X), then L(U X U^dag) per candidate
-            terms = [(1.0, sum(c * a for c, a, b in self.terms if b is None), None),
-                     (1.0, None, sum(c * b for c, a, b in self.terms if a is None))]
-            terms += [t for t in self.terms if t[1] is not None and t[2] is not None]
-            probes = np.concatenate([x[None], x[flat[ok]]]).reshape(-1, d, d)
-            lx = _rhs_from_terms(terms, probes).reshape(len(probes), -1)
-            ok[ok] = abs(lx[1:] - lx[0][flat[ok]]).max(1) <= 1e-12 * abs(lx[0]).max()
-        return sites[ok], flat[ok]
+        # fixed quasi-random probe, frac(k^2 phi): no numpy.random import
+        k = np.arange(2 * d * d)
+        x = ((k * k * 0.5 * (1 + math.sqrt(5))) % 1.0 - 0.5).reshape(d, -1).view(complex)
+        x = x + x.conj().T
+        # one-sided terms summed first
+        terms = [(1.0, sum(c * a for c, a, b in self.terms if b is None), None),
+                 (1.0, None, sum(c * b for c, a, b in self.terms if a is None))]
+        terms += [t for t in self.terms if t[1] is not None and t[2] is not None]
+        lx = _rhs_from_terms(terms, x)
+        ok, step = np.zeros(len(perms), dtype=bool), max(1, _PIECE_ENTRIES // (d * d))
+        for i in range(0, len(perms), step):
+            c = np.arange(i, min(i + step, len(perms)))
+            g = perms[c, :, None], perms[c, None, :]  # a[g] stacks a[g][:, g] per candidate
+            fix = abs(rho0[g] - rho0).max(axis=(1, 2)) <= 1e-12
+            ok[c[fix]] = (abs(_rhs_from_terms(terms, x[g][fix]) - lx[g][fix]).max(axis=(1, 2))
+                          <= 1e-12 * abs(lx).max())
+        return sites[ok], perms[ok]
 
     def assemble(self, b: int) -> np.ndarray:
         """Real matrix of parity block b: entry (k', k) is Tr[E_k' L(E_k)],
@@ -398,10 +409,11 @@ class _VectorizedGenerator:
             eo, ei, v = e_out[keep], e_in[keep], v[keep]
             # v rho[r, s] lands in out[p, q]: entry (k', k) gains
             # conj(E_k'[p, q]) v E_k[r, s], real once summed
+            cols = [(ki[ei] - off, wi[ei]) for ki, wi in self._basis_in]
             for ko, wo in self._basis:
-                for ki, wi in self._basis_in:
-                    np.add.at(acc, (ko[eo] - off) * n + ki[ei] - off,
-                              (wo[eo].conj() * v * wi[ei]).real)
+                row, wv = (ko[eo] - off) * n, wo[eo].conj() * v
+                for col, wi in cols:
+                    np.add.at(acc, row + col, (wv * wi).real)
         return acc.reshape(n, n)
 
     def to_coords(self, a: np.ndarray) -> np.ndarray:
@@ -414,27 +426,29 @@ class _VectorizedGenerator:
         return sum(w * r[k] for k, w in self._basis).reshape(self.dim, self.dim)
 
 
-def _signed_orbits(basis, flat: np.ndarray, n0: int):
+def _signed_orbits(basis, perms: np.ndarray, n0: int):
     """Orbit index and weight s_k / sqrt|orbit| (0 if signs conflict) of each real
-    coordinate k under the group `flat` generates, |orbit| on each orbit's root
-    (its smallest coordinate; else 0), and each block's orbit count."""
-    n = basis[0][0].size
-    # U E_k U^dag = sign E_img: compare the weights at an element and its image
-    img, sign = np.empty((len(flat), n), dtype=int), np.ones((len(flat), n))
-    for k, w in basis:
-        nz = w != 0
-        img[:, k[nz]] = k[flat][:, nz]
-        sign[:, k[nz]] = (w[nz] / w[flat][:, nz]).real
+    coordinate k under the group the basis-state permutations `perms` generate,
+    |orbit| on each root (its smallest coordinate; else 0), and each block's
+    orbit count."""
+    n, d = basis[0][0].size, perms.shape[1]
     # label each coordinate with the smallest one it reaches, and with its
-    # sign relative to it in an invariant state
-    rep, s, cols = np.arange(n), np.ones(n), np.arange(n)
-    while True:
-        cand = np.vstack([rep, rep[img]])
-        pick = cand.argmin(axis=0)
-        if np.array_equal(cand[pick, cols], rep):
-            break
-        rep, s = cand[pick, cols], np.vstack([s, sign * s[img]])[pick, cols]
-    bad = np.isin(rep, rep[(s != sign * s[img]).any(axis=0)])
+    # sign relative to it in an invariant state, relaxing one generator at a
+    # time until a sweep lowers no label; that sweep checks every sign
+    rep, s, cols, moved = np.arange(n), np.ones(n), np.arange(n), True
+    while moved:
+        moved, conflict = False, np.zeros(n, dtype=bool)
+        for g in perms:
+            # U E_k U^dag = sign E_img: compare the weights at an element and its image
+            flat, img, sign = (g[:, None] * d + g).ravel(), np.empty(n, dtype=int), np.ones(n)
+            for k, w in basis:
+                nz = w != 0
+                img[k[nz]], sign[k[nz]] = k[flat[nz]], (w[nz] / w[flat[nz]]).real
+            lower = rep[img] < rep
+            rep[lower], s[lower] = rep[img][lower], (sign * s[img])[lower]
+            moved |= bool(lower.any())
+            conflict |= s != sign * s[img]
+    bad = np.isin(rep, rep[conflict])
     roots = (rep == cols) & ~bad
     dims = (int(roots[:n0].sum()), int(roots[n0:].sum()))
     index = np.where(bad, np.where(cols < n0, 0, dims[0]), np.cumsum(roots)[rep] - 1)

@@ -123,9 +123,10 @@ class SweepCell:
     t_converge: float
     converged: bool
     error: Optional[str] = None  # why the cell has no steady state; not a CSV column
+    squarings: Optional[int] = None  # of the cell's solve; not a CSV column
 
 
-SWEEP_COLUMNS = tuple(f.name for f in fields(SweepCell))[:-1]
+SWEEP_COLUMNS = tuple(f.name for f in fields(SweepCell))[:-2]
 
 
 def _sweep_cell(args) -> Tuple[int, SweepCell]:
@@ -139,7 +140,8 @@ def _sweep_cell(args) -> Tuple[int, SweepCell]:
         return index, SweepCell(k0zc, k0a, nan, nan, nan, nan, nan, False, str(exc))
     row = state_row(result.state, cfg.n_at)
     return index, SweepCell(k0zc, k0a, row["var_x"], row["var_y"], row["purity"],
-                            row["mean_z"], result.t_converge, result.converged)
+                            row["mean_z"], result.t_converge, result.converged,
+                            squarings=result.stats["squarings"])
 
 
 def run_sweep(cfg: ExperimentConfig) -> List[SweepCell]:
@@ -171,8 +173,12 @@ def write_sweep_csv(path: str, cells: Sequence[SweepCell], cfg: ExperimentConfig
                     extra: Optional[Dict] = None) -> List[str]:
     failed = {"non_converged": sum(not c.converged for c in cells), "cells": [
         {"k0zc": c.k0zc, "k0a": c.k0a, "error": c.error} for c in cells if c.error]}
-    return write_table(path, SWEEP_COLUMNS, (astuple(c)[:-1] for c in cells), cfg,
-                       {**(extra or {}), "failed": failed})
+    sq = [c.squarings for c in cells if c.squarings is not None]
+    squarings = (dict(zip(("p50", "p95", "max"), np.percentile(sq, [50, 95, 100]).tolist()))
+                 if sq else None)
+    return write_table(path, SWEEP_COLUMNS, (astuple(c)[:-2] for c in cells), cfg,
+                       {**(extra or {}), "failed": failed, "squarings": squarings,
+                        "converged_cells": sum(c.converged for c in cells)})
 
 
 # ---------------------------------------------------------------------------

@@ -157,6 +157,23 @@ class TestSweepPlumbing:
         blobs = [open(p, "rb").read() for p in paths]
         assert blobs[0] == blobs[1] == blobs[2]
 
+    def test_manifest_aggregates_are_worker_invariant(self, small_cfg, tmp_path):
+        # converged cells and the quantiles of the cells' squarings, taken
+        # over the merged grid, whatever the worker count
+        aggregates = []
+        for workers in (1, 2):
+            cfg = replace(small_cfg, workers=workers)
+            cells = run_sweep(cfg)
+            files = write_sweep_csv(str(tmp_path / f"sweep_{workers}.csv"), cells, cfg)
+            manifest = json.load(open(files[1], encoding="utf-8"))
+            aggregates.append({k: manifest[k] for k in ("converged_cells", "squarings")})
+        assert aggregates[0] == aggregates[1]
+        assert aggregates[0]["converged_cells"] == sum(c.converged for c in cells) > 0
+        squarings = sorted(c.squarings for c in cells)
+        assert aggregates[0]["squarings"] == {
+            "p50": squarings[4], "p95": pytest.approx(np.percentile(squarings, 95)),
+            "max": squarings[-1]}
+
     def test_unstable_cell_is_a_nan_row(self, tmp_path):
         # collective geometry at a coarse step: the cell loses positivity,
         # and the sweep still finishes with a non-converged NaN row whose
@@ -167,8 +184,11 @@ class TestSweepPlumbing:
         for value in (cell.var_x, cell.var_y, cell.purity, cell.mean_z, cell.t_converge):
             assert math.isnan(value)
         files = write_sweep_csv(str(tmp_path / "sweep.csv"), [cell], cfg)
-        failed = json.load(open(files[1], encoding="utf-8"))["failed"]
+        manifest = json.load(open(files[1], encoding="utf-8"))
+        failed = manifest["failed"]
         assert failed["non_converged"] == 1
+        # no solve finished, so there are no squarings to aggregate
+        assert manifest["converged_cells"] == 0 and manifest["squarings"] is None
         (entry,) = failed["cells"]
         assert (entry["k0zc"], entry["k0a"]) == (0.0, 2 * math.pi)
         assert "smallest eigenvalue" in entry["error"] and "dt" in entry["error"]

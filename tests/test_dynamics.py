@@ -428,6 +428,55 @@ class TestVectorizedEngine:
                              for e in np.eye(gen.blocks[1].stop)[coords]], axis=1)
             assert np.max(np.abs(m - cols[coords])) <= 1e-12 * np.max(np.abs(m))
 
+    @pytest.mark.parametrize("k0a,k0zc,start,over_blocks", [
+        (2 * math.pi, math.pi / 4, "plus-pi-4", False),  # thermal: 44 + 40 coordinates
+        (math.pi / 4, 0.0, "ground", True)])  # fig3 dimer: 1056 + 1024
+    def test_setup_holds_tables_and_one_piece(self, bath088, k0a, k0zc, start, over_blocks):
+        # besides the blocks, construction and both assemblies hold d^2-entry
+        # tables and one piece of entries or moved candidates; whole terms
+        # (1.5e5 entries each) and all 16 candidates' element images at once
+        # took 6.5 MiB here
+        from darkdimers.dynamics import _VectorizedGenerator
+
+        model = build_model(make_geometry(6, k0a, k0zc), bath088)
+        psi = _plus_pi_4(6) if start == "plus-pi-4" else ground_state(6)
+        rho0 = pure_to_density(psi)
+        tracemalloc.start()
+        try:
+            gen = _VectorizedGenerator(model, "squeezed", rho0)
+            blocks = [gen.assemble(b) for b in (0, 1)]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert gen.symmetries
+        assert peak <= 2.5 * 2**20 + over_blocks * sum(m.nbytes for m in blocks)
+
+    @pytest.mark.parametrize("n_at,k0a,k0zc", [(6, 2 * math.pi, math.pi / 4), (4, 0.9, 0.3)])
+    def test_blocks_equal_whole_term_reference_assembly(self, bath088, n_at, k0a, k0zc):
+        # the entries of a term arrive in pieces but in order, so each block
+        # entry sums its contributions exactly as one np.add.at per whole term
+        from darkdimers.dynamics import _VectorizedGenerator
+
+        model = build_model(make_geometry(n_at, k0a, k0zc), bath088)
+        gen = _VectorizedGenerator(model, "squeezed", pure_to_density(_plus_pi_4(n_at)))
+        assert bool(gen.symmetries) == (n_at == 6)
+        d = gen.dim
+        for b, coords in enumerate(gen.blocks):
+            off, n = coords.start, coords.stop - coords.start
+            ref = np.zeros(n * n)
+            for c, a, bb in gen.terms:
+                a, bb = (np.eye(d) if x is None else x for x in (a, bb))
+                (p, r), (s, q) = np.nonzero(a), np.nonzero(bb)
+                e_out, e_in = (p[:, None] * d + q).ravel(), (r[:, None] * d + s).ravel()
+                v = (c * a[p, r][:, None] * bb[s, q]).ravel()
+                keep = gen._live[b][e_in]
+                eo, ei, v = e_out[keep], e_in[keep], v[keep]
+                for ko, wo in gen._basis:
+                    for ki, wi in gen._basis_in:
+                        np.add.at(ref, (ko[eo] - off) * n + ki[ei] - off,
+                                  (wo[eo].conj() * v * wi[ei]).real)
+            assert np.array_equal(gen.assemble(b), ref.reshape(n, n))
+
     def test_rk4_step_matrix_is_the_polynomial_in_two_buffers(self):
         from darkdimers.dynamics import _rk4_step_matrix
 
