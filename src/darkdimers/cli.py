@@ -95,7 +95,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def _resolve(args) -> "ExperimentConfig":
     file_values = load_config_file(args.config) if args.config else None
     flag_values = {name: getattr(args, name) for name in CONFIG_KEYS}
-    return resolve_config(file_values, flag_values)
+    cfg = resolve_config(file_values, flag_values)
+    if cfg.out and args.command != "darkstate":  # the output's directory, before any solve
+        Path(cfg.out).parent.mkdir(parents=True, exist_ok=True)
+    return cfg
 
 
 def _cmd_sweep(args) -> int:

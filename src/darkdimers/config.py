@@ -103,7 +103,7 @@ class ExperimentConfig:
     initial: str = _key("ground", str, "ground | plus-pi-4 | state file")
     grid_zc: str = _key("0:pi:65", str, "sweep grid for k0zc: 'lo:hi:n' or comma list")
     grid_a: str = _key("0:pi:65", str, "sweep grid for k0a: 'lo:hi:n' or comma list")
-    workers: int = _key(1, int, "parallel worker processes")
+    workers: int = _key(1, int, "parallel worker processes, at most the CPU count")
     out: Optional[str] = _key(None, str, "output file (or directory for experiments)")
 
     def to_dict(self) -> Dict:
@@ -179,8 +179,9 @@ def _validate(cfg: ExperimentConfig):
         raise ConfigError(f"tol must be > 0, got {cfg.tol}")
     if cfg.record_stride < 1:
         raise ConfigError(f"record_stride must be >= 1, got {cfg.record_stride}")
-    if cfg.workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {cfg.workers}")
+    cpus = os.cpu_count() or 1
+    if not 1 <= cfg.workers <= cpus:
+        raise ConfigError(f"workers must be in 1..{cpus} (the CPU count), got {cfg.workers}")
     if cfg.initial not in ("ground", "plus-pi-4") and not os.path.exists(cfg.initial):
         raise ConfigError(
             f"initial must be 'ground', 'plus-pi-4', or an existing state "

@@ -20,9 +20,10 @@ transposition or chain reflection that fixes rho0 and commutes with L to
 1e-12; a start with no symmetry gets no reduction).  The visited states
 are states of the plain RK4 iteration, up to rounding, just evaluated at
 coarse times.  Setting the blocks up holds d^2-entry tables and one
-piece of at most _PIECE_ENTRIES entries at a time.  Per block the
-generator and the propagator stay alive; the polynomial (Horner form)
-and each squaring, one block at a time, need one more buffer.  Each
+piece of at most _PIECE_ENTRIES entries at a time.  The walk holds two
+buffers per block: the propagator, formed in the generator's (Horner form,
+by product panels), and the generator, refilled from its nonzeros into the
+buffer each squaring frees, for the residuals ||L r||.  Each
 block has up to 16**n_at / 4 entries, so `steady_state` accepts up to
 six atoms and raises ValueError above that; `liouvillian_matrix` is
 guarded to five.  `evolve`, the plain step-by-step RK4 loop, has no
@@ -59,6 +60,7 @@ _SQRT2 = math.sqrt(2.0)
 _STEADY_STATE_MAX_ATOMS = 6
 _LIOUVILLIAN_MAX_ATOMS = 5
 _PIECE_ENTRIES = 1 << 13  # entries set up at once; a six-atom term has up to 1.5e5
+_PANEL = 128  # columns (rows) of one product panel while the RK4 polynomial forms
 
 
 class IntegrationInstabilityError(RuntimeError):
@@ -96,7 +98,7 @@ class TimeSeries:
     arrays aligned with `times`.  max_trace_dev and min_eigenvalue are
     the worst numerical-hygiene excursions seen along the trajectory:
     the trace deviation at every step (before renormalization) and the
-    smallest eigenvalue at the checked points only, no bound in between.
+    smallest eigenvalue at the recorded points only, no bound in between.
     """
 
     times: np.ndarray
@@ -223,8 +225,9 @@ def liouvillian_matrix(model: ModelOperators, form: str = "general") -> np.ndarr
 
 class _Recorder:
     """What a trajectory reports at its visited points: the positivity
-    check, the numerical-hygiene extremes and, with `record`, the
-    observable columns of a TimeSeries."""
+    check (unrecorded, a Cholesky factorization of rho + 1e-6 I, with the
+    eigenvalues and min_eigenvalue only if it fails), the numerical-hygiene
+    extremes and, with `record`, the observable columns of a TimeSeries."""
 
     def __init__(self, n_at: int, record: bool):
         self.n_at = n_at
@@ -239,6 +242,12 @@ class _Recorder:
         self.max_trace_dev = max(self.max_trace_dev, abs(tr - 1.0))
 
     def visit(self, t: float, rho: np.ndarray) -> None:
+        if not self.record:
+            try:  # positive definite exactly when no eigenvalue is below -1e-6
+                np.linalg.cholesky(rho + 1e-6 * np.eye(len(rho)))
+                return
+            except np.linalg.LinAlgError:
+                pass
         lam = float(np.linalg.eigvalsh(rho)[0])
         self.min_eigenvalue = min(self.min_eigenvalue, lam)
         if lam < -1e-6:
@@ -457,17 +466,20 @@ def _signed_orbits(basis, perms: np.ndarray, n0: int):
     return index, weight, np.where(roots, size, 0), dims
 
 
-def _rk4_step_matrix(m: np.ndarray, dt: float) -> np.ndarray:
+def _rk4_step_matrix(m: np.ndarray, dt: float, w: int = _PANEL) -> np.ndarray:
     # I + a + a^2/2 + a^3/6 + a^4/24 with a = dt m, in Horner form
-    # I + a (I + a/2 (I + a/3 (I + a/4))): m is only read, and besides it
-    # at most two buffers of its size (p and the next product) are alive
-    p = m * (dt / 4.0)
-    for c in (dt / 3.0, dt / 2.0, dt):
-        p.reshape(-1)[:: len(p) + 1] += 1.0
-        p = m @ p
-        p *= c
-    p.reshape(-1)[:: len(p) + 1] += 1.0
-    return p
+    # I + a (I + a/2 (I + a/3 (I + a/4))) in m's own buffer and one more, p:
+    # two products go back into p by w-column panels, the last into m by rows
+    n, p = len(m), m * (dt / 4.0)
+    for c in (dt / 3.0, dt / 2.0):
+        p.reshape(-1)[:: n + 1] += 1.0
+        for j in range(0, n, w):
+            np.multiply(m @ p[:, j:j + w], c, out=p[:, j:j + w])
+    p.reshape(-1)[:: n + 1] += 1.0
+    for i in range(0, n, w):
+        np.multiply(m[i:i + w] @ p, dt, out=m[i:i + w])
+    m.reshape(-1)[:: n + 1] += 1.0
+    return m
 
 
 def steady_state(
@@ -526,16 +538,24 @@ def steady_state(
     converged = residual <= cfg.convergence_tol
     # no stride passes t_max (beyond the rounding of the summed strides)
     t_stop = cfg.t_max * (1.0 + 1e-12)
+    nzs = [(k, m.ravel()[k]) for m in ms for k in [np.flatnonzero(m).astype(np.int32)]]
     ps, tau = None, cfg.dt
     while not converged and t + tau <= t_stop:
         if ps is None:
-            ps = [_rk4_step_matrix(m, cfg.dt) for m in ms]
+            # each generator's buffer becomes its propagator; with two blocks the
+            # second new buffer, not yet made, leaves room for whole products
+            w = _PANEL if len(ms) == 1 else len(ms[0])
+            ps, ms = [_rk4_step_matrix(m, cfg.dt, w) for m in ms], [np.zeros_like(m) for m in ms]
+            for m, (k, v) in zip(ms, nzs):
+                m.reshape(-1)[k] = v
         elif 2.0 * tau <= min(max(cfg.dt, t / 4.0), t_stop - t):
-            # block by block: one block's old propagator is freed before
-            # the next block's new one is allocated
-            for i in range(len(ps)):
-                ps[i] = ps[i] @ ps[i]
-            tau *= 2.0
+            # square into the generator's buffer; the freed one takes back its
+            # nonzeros (4-10% of a block of five or six atoms)
+            for p, m, (k, v) in zip(ps, ms, nzs):
+                np.matmul(p, p, out=m)
+                p.fill(0.0)
+                p.reshape(-1)[k] = v
+            ps, ms, tau = ms, ps, 2.0 * tau
             stats["squarings"] += 1
         for _ in range(8):
             rs[: len(ps)] = [p @ r for p, r in zip(ps, rs)]

@@ -147,8 +147,8 @@ def _sweep_cell(args) -> Tuple[int, SweepCell]:
 def run_sweep(cfg: ExperimentConfig) -> List[SweepCell]:
     """Steady-state observables on the (cfg.grid_zc, cfg.grid_a) grid,
     rows in deterministic zc-major order.  Cells are independent and are
-    distributed over a process pool when cfg.workers > 1; the merge order
-    (and therefore the output) does not depend on the worker count."""
+    distributed over min(cfg.workers, cells) processes when that exceeds 1;
+    the merge order (and so the output) does not depend on the worker count."""
     zc_values, a_values = parse_grid(cfg.grid_zc), parse_grid(cfg.grid_a)
     tasks = [
         (i * a_values.size + j, cfg, float(zc), float(a))
@@ -156,10 +156,11 @@ def run_sweep(cfg: ExperimentConfig) -> List[SweepCell]:
         for j, a in enumerate(a_values)
     ]
     cells: List[Optional[SweepCell]] = [None] * len(tasks)
-    if cfg.workers > 1:
+    workers = min(cfg.workers, len(tasks))
+    if workers > 1:
         # imported here so that a serial run does not pay for the import
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             for index, cell in pool.map(_sweep_cell, tasks, chunksize=4):
                 cells[index] = cell
     else:

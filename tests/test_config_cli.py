@@ -84,6 +84,12 @@ class TestResolveConfig:
         with pytest.raises(ConfigError, match=fragment):
             resolve_config(flag_values={field: value})
 
+    def test_workers_bounded_by_cpu_count(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert resolve_config(flag_values={"workers": "2"}).workers == 2
+        with pytest.raises(ConfigError, match=r"workers must be in 1\.\.2 \(the CPU count\)"):
+            resolve_config(flag_values={"workers": "3"})
+
     @pytest.mark.parametrize("name", [f.name for f in fields(ExperimentConfig)])
     def test_every_field_is_a_file_key(self, tmp_path, name):
         path = tmp_path / "run.cfg"
@@ -173,6 +179,33 @@ class TestSweepPlumbing:
         assert aggregates[0]["squarings"] == {
             "p50": squarings[4], "p95": pytest.approx(np.percentile(squarings, 95)),
             "max": squarings[-1]}
+
+    @pytest.mark.parametrize("workers,grid_a,pool", [(2, "pi/4,pi/2", 2), (64, "pi/4,pi/2", 2),
+                                                     (2, "pi/4", None)])
+    def test_pool_is_sized_by_cells(self, monkeypatch, workers, grid_a, pool):
+        # a stand-in pool records the size asked for and starts no process
+        import concurrent.futures
+
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        cfg = ExperimentConfig(n_at=2, t_max=150.0, grid_zc="0", grid_a=grid_a,
+                               workers=workers)
+        assert all(c.converged for c in run_sweep(cfg))
+        assert sizes == ([] if pool is None else [pool])
 
     def test_unstable_cell_is_a_nan_row(self, tmp_path):
         # collective geometry at a coarse step: the cell loses positivity,
@@ -299,6 +332,16 @@ class TestCli:
         manifest = json.loads(out.with_suffix(".json").read_text(encoding="utf-8"))
         assert manifest["file"] == "steady.csv"
         assert manifest["columns"] == header.split(",")
+
+    @pytest.mark.parametrize("command", ["evolve", "steady", "correlations",
+                                         "populations", "sweep"])
+    def test_out_directory_is_created(self, tmp_path, capsys, command):
+        out = tmp_path / "new" / "nested" / f"{command}.csv"
+        grid = ["--grid-zc", "0", "--grid-a", "pi/4"] if command == "sweep" else []
+        code = main([command, "--n-at", "2", "--k0a", "pi/4", "--t-max", "500",
+                     "--out", str(out), *grid])
+        assert code == 0
+        assert out.exists() and out.with_suffix(".json").exists()
 
     def test_steady_summary(self, capsys):
         code = main(["steady", "--n-at", "2", "--k0a", "pi/4", "--t-max", "500"])

@@ -221,10 +221,27 @@ class TestSteadyState:
         assert self._propagator_vs_plain_loop(psi, bath088) <= 1e-12
 
     def test_instability_raises(self, bath088):
+        # an unrecorded solve gates on a Cholesky factorization; its failure
+        # falls back to the eigenvalues, which name the same t and lambda
         geo = make_geometry(4, 2 * math.pi, 0.0)
         model = build_model(geo, bath088)
-        with pytest.raises(IntegrationInstabilityError):
+        with pytest.raises(IntegrationInstabilityError) as exc:
             steady_state(ground_state(4), model, EvolveConfig(dt=0.099, t_max=50.0))
+        assert str(exc.value) == ("smallest eigenvalue -2.019e-01 at t = 0.099; "
+                                  "the integration is unstable, use a smaller dt")
+
+    @pytest.mark.parametrize("record", [False, True])
+    def test_positivity_gate_threshold(self, record):
+        from darkdimers.dynamics import _Recorder
+
+        rec = _Recorder(1, record)
+        rec.visit(0.5, np.diag([1.0 + 5e-7, -5e-7]).astype(complex))
+        with pytest.raises(IntegrationInstabilityError,
+                           match=r"smallest eigenvalue -2\.000e-06 at t = 1\b"):
+            rec.visit(1.0, np.diag([1.0 + 2e-6, -2e-6]).astype(complex))
+        # the eigenvalues are taken at every recorded point, else only when
+        # the Cholesky gate fails
+        assert rec.min_eigenvalue == -2e-6
 
     def test_dimer_steady_state_independent_of_initial_state(self, bath088):
         geo = make_geometry(4, math.pi / 4, math.pi / 4)
@@ -480,26 +497,32 @@ class TestVectorizedEngine:
     def test_rk4_step_matrix_is_the_polynomial_in_two_buffers(self):
         from darkdimers.dynamics import _rk4_step_matrix
 
+        n, dt = 1024, 0.05
         rng = np.random.default_rng(4)
-        m = rng.normal(size=(300, 300)) / math.sqrt(300)
-        m_copy, dt = m.copy(), 0.05
+        m = rng.normal(size=(n, n)) / math.sqrt(n)
+        a, m_copy = dt * m, m.copy()
         tracemalloc.start()
         try:
             p = _rk4_step_matrix(m, dt)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert np.array_equal(m, m_copy)
-        a = dt * m
+        # Horner form in m's own buffer: besides it only the bracket and one
+        # panel of the next product are alive, never a, a^2 or a whole product
+        assert np.shares_memory(p, m)
         a2 = a @ a
-        plain = np.eye(300) + a + a2 / 2 + a2 @ a / 6 + a2 @ a2 / 24
+        plain = np.eye(n) + a + a2 / 2 + a2 @ a / 6 + a2 @ a2 / 24
         assert np.max(np.abs(p - plain)) <= 1e-14 * np.max(np.abs(plain))
-        # Horner form: the result and one product buffer, never a or a^2
-        assert peak <= 2.2 * m.nbytes
+        assert peak <= 1.2 * p.nbytes
+        # whole products, as a two-block walk forms them, give the same matrix
+        whole = _rk4_step_matrix(m_copy, dt, n)
+        assert np.max(np.abs(whole - p)) <= 1e-14 * np.max(np.abs(plain))
 
     def test_squaring_walk_holds_generator_propagator_and_one_buffer(self, bath088):
-        # no symmetry at N = 5: two 512^2 blocks, each with its generator
-        # and propagator; squaring block by block adds one buffer, not two
+        # no symmetry at N = 5: two 512^2 blocks, each with its propagator and
+        # one work buffer that holds the generator between squarings, plus
+        # the generators' nonzeros (10% of each block); a squaring allocates
+        # nothing (generator, propagator and product took 5.07 blocks)
         model = build_model(make_geometry(5, 0.9, 0.3), bath088)
         tracemalloc.start()
         try:
@@ -509,7 +532,22 @@ class TestVectorizedEngine:
             tracemalloc.stop()
         assert res.stats["symmetries"] == [] and res.stats["squarings"] >= 1
         assert [b["reduced"] for b in res.stats["blocks"]] == [512, 512]
-        assert peak <= 5.5 * 512**2 * 8
+        assert peak <= 4.5 * 512**2 * 8
+
+    def test_fig3_dimer_walk_holds_two_buffers(self, bath088):
+        # the fig3 dimer walks one symmetric 1056-coordinate block: set-up,
+        # the propagator, one work buffer and the generator's nonzeros (7%);
+        # generator, propagator and product took 3.08 block sizes
+        model = build_model(make_geometry(6, math.pi / 4, 0.0), bath088)
+        tracemalloc.start()
+        try:
+            res = steady_state(ground_state(6), model, EvolveConfig())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.converged and res.stats["squarings"] >= 1
+        assert [b["reduced"] for b in res.stats["blocks"]] == [1056]
+        assert peak <= 2.6 * 1056**2 * 8
 
     def test_coordinate_roundtrip(self, bath088):
         from darkdimers.dynamics import _VectorizedGenerator
