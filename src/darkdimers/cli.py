@@ -9,7 +9,6 @@ non-converged solve once every file is written (a sweep, fig2 too, exits
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from pathlib import Path
@@ -34,87 +33,45 @@ from .experiments import (
     run_sweep,
     setup_from_config,
     solve,
+    solve_case,
     solve_record,
-    write_correlations_csv,
     write_populations_csv,
-    write_series_csv,
     write_sweep_csv,
     write_table,
 )
 from .observables import dark_condition, excitation_populations, state_row
 
 
-def _add_common(parser: argparse.ArgumentParser):
-    parser.add_argument("--config", metavar="FILE", help="key/value config file")
-    for name, key in CONFIG_KEYS.items():
-        parser.add_argument("--" + name.replace("_", "-"), dest=name, metavar="V",
-                            help=key.metadata["help"])
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="darkdimers",
-        description="Steady states of an atomic array in a squeezed vacuum: "
-        "master-equation dynamics, dark-state constructors, sweeps.",
-    )
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    sweep = sub.add_parser("sweep", help="steady-state grid over (k0zc, k0a)")
-    _add_common(sweep)
-
-    evolve = sub.add_parser("evolve", help="time series of one evolution")
-    _add_common(evolve)
-
-    steady = sub.add_parser("steady", help="steady state of one setup")
-    _add_common(steady)
-
-    corr = sub.add_parser("correlations", help="steady-state sigma_x correlations")
-    _add_common(corr)
-
-    dark = sub.add_parser(
-        "darkstate", help="construct the analytic dark state and print residuals"
-    )
-    _add_common(dark)
-    dark.add_argument("--l", dest="sector", type=int, default=None,
-                      help="melted sector (number of squeezed pairs); "
-                      "default n_at/2")
-
-    pops = sub.add_parser("populations", help="excitation-number distribution")
-    _add_common(pops)
-    pops.add_argument("--law", choices=("thermal", "squeezed", "dimer", "none"),
-                      default="none", help="closed-form law to print alongside")
-
-    exp = sub.add_parser("experiment", help="run a named experiment preset")
-    exp.add_argument("name", choices=EXPERIMENT_NAMES)
-    _add_common(exp)
-
-    return parser
-
-
 def _resolve(args) -> "ExperimentConfig":
     file_values = load_config_file(args.config) if args.config else None
     flag_values = {name: getattr(args, name) for name in CONFIG_KEYS}
     cfg = resolve_config(file_values, flag_values)
-    if cfg.out and args.command != "darkstate":  # the output's directory, before any solve
-        Path(cfg.out).parent.mkdir(parents=True, exist_ok=True)
+    if cfg.out and args.command != "darkstate":  # check the output before any solve
+        out, want_dir = Path(cfg.out), args.command == "experiment"
+        if out.exists() and out.is_dir() != want_dir:
+            kind = "a directory" if want_dir else "a file"
+            raise ConfigError(f"out {cfg.out} exists and is not {kind}")
+        try:
+            out.parent.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:  # a file where a directory should be, or no permission
+            raise ConfigError(f"cannot create the directory of out {cfg.out}: {exc}") from None
     return cfg
 
 
 def _cmd_sweep(args) -> int:
     cfg = _resolve(args)
-    cells = run_sweep(cfg)
-    out = cfg.out or "sweep.csv"
-    files = write_sweep_csv(out, cells, cfg)
-    print("\n".join(files))
+    print("\n".join(write_sweep_csv(cfg.out or "sweep.csv", run_sweep(cfg), cfg)))
     return 0
 
 
-def _cmd_evolve(args) -> int:
+def _cmd_report(args) -> int:
+    """evolve and correlations: one solve and its report, written as the
+    presets write it."""
     cfg = _resolve(args)
-    result = solve(cfg, record=True)
-    print("\n".join(write_series_csv(cfg.out or "series.csv", cfg, result)))
-    return 0 if result.converged else 1
+    report = "series" if args.command == "evolve" else args.command
+    files, converged = solve_case(cfg, {report: (cfg.out or f"{report}.csv", {})})
+    print("\n".join(files))
+    return 0 if converged else 1
 
 
 def _cmd_steady(args) -> int:
@@ -133,14 +90,6 @@ def _cmd_steady(args) -> int:
         header = list(row) + ["t_converge", "converged"]
         values = list(row.values()) + [result.t_converge, result.converged]
         write_table(cfg.out, header, [values], cfg, solve_record(result))
-    return 0 if result.converged else 1
-
-
-def _cmd_correlations(args) -> int:
-    cfg = _resolve(args)
-    result = solve(cfg)
-    files = write_correlations_csv(cfg.out or "correlations.csv", cfg, result)
-    print("\n".join(files))
     return 0 if result.converged else 1
 
 
@@ -195,30 +144,53 @@ def _cmd_populations(args) -> int:
 
 def _cmd_experiment(args) -> int:
     cfg = _resolve(args)
-    outdir = cfg.out or "experiment_data"
-    files = run_experiment(args.name, cfg, outdir)
+    files, converged = run_experiment(args.name, cfg, cfg.out or "experiment_data")
     print("\n".join(files))
-    # each solve's manifest records whether it converged; the sweep's does not
-    solves = [json.loads(Path(f).read_text("utf-8")) for f in files if f.endswith(".json")]
-    return 1 if any(m.get("converged") is False for m in solves) else 0
+    return 0 if converged else 1
 
 
+# name -> (help, handler, the command's own arguments as (name, keywords of
+# `add_argument`)); they come after --config and the config flags
 _COMMANDS = {
-    "sweep": _cmd_sweep,
-    "evolve": _cmd_evolve,
-    "steady": _cmd_steady,
-    "correlations": _cmd_correlations,
-    "darkstate": _cmd_darkstate,
-    "populations": _cmd_populations,
-    "experiment": _cmd_experiment,
+    "sweep": ("steady-state grid over (k0zc, k0a)", _cmd_sweep, ()),
+    "evolve": ("time series of one evolution", _cmd_report, ()),
+    "steady": ("steady state of one setup", _cmd_steady, ()),
+    "correlations": ("steady-state sigma_x correlations", _cmd_report, ()),
+    "darkstate": ("construct the analytic dark state and print residuals", _cmd_darkstate, [
+        ("--l", dict(dest="sector", type=int, default=None,
+                     help="melted sector (number of squeezed pairs); default n_at/2"))]),
+    "populations": ("excitation-number distribution", _cmd_populations, [
+        ("--law", dict(choices=("thermal", "squeezed", "dimer", "none"), default="none",
+                       help="closed-form law to print alongside"))]),
+    "experiment": ("run a named experiment preset", _cmd_experiment,
+                   [("name", dict(choices=EXPERIMENT_NAMES))]),
 }
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="darkdimers",
+        description="Steady states of an atomic array in a squeezed vacuum: "
+        "master-equation dynamics, dark-state constructors, sweeps.",
+    )
+    parser.add_argument("--version", action="version", version=__version__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, _, own) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        command.add_argument("--config", metavar="FILE", help="key/value config file")
+        for key, spec in CONFIG_KEYS.items():
+            command.add_argument("--" + key.replace("_", "-"), dest=key, metavar="V",
+                                 help=spec.metadata["help"])
+        for arg, kwargs in own:
+            command.add_argument(arg, **kwargs)
+    return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][1](args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

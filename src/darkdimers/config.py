@@ -33,29 +33,29 @@ class ConfigError(ValueError):
 
 
 def parse_angle(text) -> float:
-    """Parse a float or a pi expression like 'pi/4', '2pi', '-pi'."""
-    if isinstance(text, (int, float)):
-        return float(text)
+    """Parse a float or a pi expression like 'pi/4', '2pi', '-pi'; the
+    angle must be finite."""
     s = str(text).strip().lower().replace(" ", "")
-    if "pi" not in s:
-        try:
-            return float(s)
-        except ValueError:
-            raise ConfigError(f"cannot parse angle {text!r}") from None
-    head, _, tail = s.partition("pi")
+    head, pi, tail = s.partition("pi")
     try:
-        if head in ("", "+"):
-            value = math.pi
-        elif head == "-":
-            value = -math.pi
+        if isinstance(text, (int, float)):
+            value = float(text)
+        elif not pi:
+            value = float(s)
+        elif head in ("", "+", "-"):
+            value = -math.pi if head == "-" else math.pi
         else:
             value = float(head) * math.pi
-        if tail.startswith("/"):
+        if pi and tail.startswith("/"):
             value /= float(tail[1:])
-        elif tail:
+        elif pi and tail:
             raise ValueError
     except ValueError:
         raise ConfigError(f"cannot parse angle {text!r}") from None
+    except ZeroDivisionError:
+        raise ConfigError(f"angle {text!r} divides by zero") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"angle {text!r} is not finite")
     return value
 
 
@@ -77,6 +77,20 @@ def parse_grid(text) -> np.ndarray:
     return np.array([parse_angle(tok) for tok in s.split(",") if tok.strip()])
 
 
+def _real(text) -> float:
+    """A finite float."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigError(f"{text!r} is not a finite number")
+    return value
+
+
+def _grid(text) -> str:
+    """A sweep grid's text, once `parse_grid` accepts it."""
+    parse_grid(text)
+    return str(text)
+
+
 def _key(default, parse, help_text):
     """A config field: its default, the parser of its text form (file
     value or flag), and the help text of its flag."""
@@ -90,19 +104,19 @@ class ExperimentConfig:
     field order is the order of the flags in `--help`."""
 
     n_at: int = _key(4, int, "number of atoms")
-    n_ph: float = _key(0.88, float, "photons per mode N_ph")
+    n_ph: float = _key(0.88, _real, "photons per mode N_ph")
     phi: float = _key(0.0, parse_angle,
                       "squeezing reference phase (accepts pi expressions)")
     k0a: float = _key(math.pi / 4, parse_angle, "dimensionless lattice constant k0*a")
     k0zc: float = _key(0.0, parse_angle, "dimensionless array center k0*z_c")
-    gamma: float = _key(1.0, float, "waveguide decay rate")
-    dt: float = _key(0.005, float, "integrator step (units 1/gamma)")
-    t_max: float = _key(2.0e4, float, "integration horizon")
-    tol: float = _key(1e-9, float, "steady-state residual tolerance on ||drho/dt||_F")
+    gamma: float = _key(1.0, _real, "waveguide decay rate")
+    dt: float = _key(0.005, _real, "integrator step (units 1/gamma)")
+    t_max: float = _key(2.0e4, _real, "integration horizon")
+    tol: float = _key(1e-9, _real, "steady-state residual tolerance on ||drho/dt||_F")
     record_stride: int = _key(200, int, "steps between recorded points")
     initial: str = _key("ground", str, "ground | plus-pi-4 | state file")
-    grid_zc: str = _key("0:pi:65", str, "sweep grid for k0zc: 'lo:hi:n' or comma list")
-    grid_a: str = _key("0:pi:65", str, "sweep grid for k0a: 'lo:hi:n' or comma list")
+    grid_zc: str = _key("0:pi:65", _grid, "sweep grid for k0zc: 'lo:hi:n' or comma list")
+    grid_a: str = _key("0:pi:65", _grid, "sweep grid for k0a: 'lo:hi:n' or comma list")
     workers: int = _key(1, int, "parallel worker processes, at most the CPU count")
     out: Optional[str] = _key(None, str, "output file (or directory for experiments)")
 
@@ -156,8 +170,8 @@ def resolve_config(
     for key, value in merged.items():
         try:
             setattr(cfg, key, CONFIG_KEYS[key].metadata["parse"](value))
-        except ConfigError:
-            raise
+        except ConfigError as exc:
+            raise ConfigError(f"bad value for {key}: {exc}") from None
         except (TypeError, ValueError):
             raise ConfigError(f"bad value for {key}: {value!r}") from None
     _validate(cfg)
@@ -187,8 +201,6 @@ def _validate(cfg: ExperimentConfig):
             f"initial must be 'ground', 'plus-pi-4', or an existing state "
             f"file; got {cfg.initial!r}"
         )
-    parse_grid(cfg.grid_zc)
-    parse_grid(cfg.grid_a)
 
 
 def initial_state_vector(cfg: ExperimentConfig) -> np.ndarray:
@@ -215,6 +227,8 @@ def initial_state_vector(cfg: ExperimentConfig) -> np.ndarray:
             f"expected {dim} for n_at = {cfg.n_at}"
         )
     psi = np.array(amps, dtype=complex)
+    if not np.all(np.isfinite(psi)):
+        raise ConfigError(f"state file {cfg.initial} holds a non-finite amplitude")
     norm = np.linalg.norm(psi)
     if norm < 1e-12:
         raise ConfigError(f"state file {cfg.initial} holds a zero vector")

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ArrayGeometry, BathParams, ModelOperators
+from .model import ArrayGeometry, BathParams, ModelOperators, make_geometry
 from .operators import dicke_state
 
 __all__ = [
@@ -319,7 +319,6 @@ def stable_dark_geometry(n_at: int, k0a: float, k0zc: float, tol: float = 1e-9) 
     """
     if n_at % 2:
         return False
-    n = np.arange(1, n_at + 1, dtype=float)
-    k0z = k0zc + (n - (n_at + 1) / 2.0) * k0a
+    k0z = make_geometry(n_at, k0a, k0zc).k0z
     sums = k0z[0::2] + k0z[1::2]
     return bool(np.all(np.abs(np.sin(sums)) <= tol))

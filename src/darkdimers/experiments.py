@@ -2,9 +2,10 @@
 and deterministic CSV/JSON output.
 
 `solve(cfg)` is the one path from a configuration to a steady state.
-Each report (series, correlations, populations) has one writer, used by
-the CLI command of the same name and by the presets: fig3-fig5 are
-tables of solves at fixed geometries (`PRESETS`), fig2 is the sweep.
+Each report (series, correlations, populations) has one writer;
+`solve_case` runs a solve through its reports' writers for the evolve
+and correlations commands and for the presets: fig3-fig5 are tables of
+solves at fixed geometries (`PRESETS`), fig2 is the sweep.
 Every CSV gets a JSON sidecar (same stem, .json) recording the fully
 resolved configuration and the library version, plus the solve record
 (`converged`, `t_converge`, `stats`) for reports of a solve.  Floats are
@@ -43,6 +44,7 @@ __all__ = [
     "solve_record",
     "SweepCell",
     "run_sweep",
+    "solve_case",
     "run_experiment",
     "write_table",
     "write_sweep_csv",
@@ -129,45 +131,35 @@ class SweepCell:
 SWEEP_COLUMNS = tuple(f.name for f in fields(SweepCell))[:-2]
 
 
-def _sweep_cell(args) -> Tuple[int, SweepCell]:
-    index, cfg, k0zc, k0a = args
+def _sweep_cell(args) -> SweepCell:
+    cfg, k0zc, k0a = args
     try:
         result = solve(replace(cfg, k0zc=k0zc, k0a=k0a))
     except IntegrationInstabilityError as exc:
         # An unstable cell must not abort the sweep; it is reported as
         # non-converged with empty observables and its reason.
         nan = float("nan")
-        return index, SweepCell(k0zc, k0a, nan, nan, nan, nan, nan, False, str(exc))
+        return SweepCell(k0zc, k0a, nan, nan, nan, nan, nan, False, str(exc))
     row = state_row(result.state, cfg.n_at)
-    return index, SweepCell(k0zc, k0a, row["var_x"], row["var_y"], row["purity"],
-                            row["mean_z"], result.t_converge, result.converged,
-                            squarings=result.stats["squarings"])
+    return SweepCell(k0zc, k0a, row["var_x"], row["var_y"], row["purity"], row["mean_z"],
+                     result.t_converge, result.converged, squarings=result.stats["squarings"])
 
 
 def run_sweep(cfg: ExperimentConfig) -> List[SweepCell]:
     """Steady-state observables on the (cfg.grid_zc, cfg.grid_a) grid,
     rows in deterministic zc-major order.  Cells are independent and are
     distributed over min(cfg.workers, cells) processes when that exceeds 1;
-    the merge order (and so the output) does not depend on the worker count."""
-    zc_values, a_values = parse_grid(cfg.grid_zc), parse_grid(cfg.grid_a)
-    tasks = [
-        (i * a_values.size + j, cfg, float(zc), float(a))
-        for i, zc in enumerate(zc_values)
-        for j, a in enumerate(a_values)
-    ]
-    cells: List[Optional[SweepCell]] = [None] * len(tasks)
+    `map` keeps the task order, so the output does not depend on the
+    worker count."""
+    tasks = [(cfg, float(zc), float(a))
+             for zc in parse_grid(cfg.grid_zc) for a in parse_grid(cfg.grid_a)]
     workers = min(cfg.workers, len(tasks))
     if workers > 1:
         # imported here so that a serial run does not pay for the import
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for index, cell in pool.map(_sweep_cell, tasks, chunksize=4):
-                cells[index] = cell
-    else:
-        for task in tasks:
-            index, cell = _sweep_cell(task)
-            cells[index] = cell
-    return cells  # type: ignore[return-value]
+            return list(pool.map(_sweep_cell, tasks, chunksize=4))
+    return [_sweep_cell(task) for task in tasks]
 
 
 def write_sweep_csv(path: str, cells: Sequence[SweepCell], cfg: ExperimentConfig,
@@ -278,9 +270,21 @@ PRESETS = {
 EXPERIMENT_NAMES = ("fig2", *PRESETS)
 
 
-def run_experiment(name: str, cfg: ExperimentConfig, outdir: str) -> List[str]:
+def solve_case(case: ExperimentConfig, reports: Dict[str, Tuple[str, Dict]]
+               ) -> Tuple[List[str], bool]:
+    """Solve `case` once and write each of its `reports` ({report: (path,
+    manifest tags)}) with that report's writer; returns the written paths
+    and whether the solve converged."""
+    result = solve(case, record="series" in reports)
+    files = [f for report, (path, tags) in reports.items()
+             for f in _WRITERS[report](path, case, result, tags)]
+    return files, bool(result.converged)
+
+
+def run_experiment(name: str, cfg: ExperimentConfig, outdir: str) -> Tuple[List[str], bool]:
     """Produce the data files of one named experiment preset under
-    `outdir`; returns the written paths."""
+    `outdir`; returns the written paths and whether every solve converged
+    (the fig2 sweep reports its non-converged cells in its manifest)."""
     if name not in EXPERIMENT_NAMES:
         raise ValueError(
             f"unknown experiment {name!r}; expected one of {EXPERIMENT_NAMES}"
@@ -289,13 +293,11 @@ def run_experiment(name: str, cfg: ExperimentConfig, outdir: str) -> List[str]:
     if name == "fig2":
         # Steady-state map over array center and separation.
         sweep_cfg = replace(cfg, initial="ground")
-        return write_sweep_csv(os.path.join(outdir, "fig2_sweep.csv"),
-                               run_sweep(sweep_cfg), sweep_cfg, {"experiment": "fig2"})
-    files: List[str] = []
-    for stem, overrides, reports, tags in PRESETS[name]:
-        case = replace(cfg, **overrides)
-        result = solve(case, record="series" in reports)
-        for report, report_tags in reports.items():
-            files += _WRITERS[report](os.path.join(outdir, f"{stem}_{report}.csv"), case,
-                                      result, {"experiment": name, **tags, **report_tags})
-    return files
+        return write_sweep_csv(os.path.join(outdir, "fig2_sweep.csv"), run_sweep(sweep_cfg),
+                               sweep_cfg, {"experiment": name}), True
+    solved = [solve_case(replace(cfg, **overrides), {
+        report: (os.path.join(outdir, f"{stem}_{report}.csv"),
+                 {"experiment": name, **tags, **report_tags})
+        for report, report_tags in reports.items()})
+        for stem, overrides, reports, tags in PRESETS[name]]
+    return [f for files, _ in solved for f in files], all(ok for _, ok in solved)

@@ -127,6 +127,15 @@ class TestInitialState:
         with pytest.raises(ConfigError, match="amplitudes"):
             initial_state_vector(ExperimentConfig(n_at=2, initial=str(path)))
 
+    def test_state_file_non_finite(self, tmp_path, capsys):
+        # a NaN amplitude is a config error, not a NaN row
+        path = tmp_path / "state.txt"
+        path.write_text("1\nnan\n0\n0\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match="non-finite"):
+            initial_state_vector(ExperimentConfig(n_at=2, initial=str(path)))
+        assert main(["steady", "--n-at", "2", "--initial", str(path)]) == 2
+        assert "non-finite" in capsys.readouterr().err
+
 
 def _fast_flags(tmp_path, out_name):
     return [
@@ -256,6 +265,14 @@ class TestSweepPlumbing:
         assert manifest["columns"][0] == "k0zc"
 
 
+# every float field and sweep grid, each with values that are no finite
+# number; those read by parse_angle also with a zero divisor
+_ANGLES = ("phi", "k0a", "k0zc", "grid_zc", "grid_a")
+_FLOATS = [f.name for f in fields(ExperimentConfig) if f.type in (float, "float")]
+_NON_FINITE = [(name, value) for name in _FLOATS + ["grid_zc", "grid_a"]
+               for value in ("nan", "inf", "1e400") + (("pi/0",) if name in _ANGLES else ())]
+
+
 class TestCli:
     def test_flags_are_the_config_fields(self):
         # every subcommand takes --config plus one flag per config field,
@@ -342,6 +359,38 @@ class TestCli:
                      "--out", str(out), *grid])
         assert code == 0
         assert out.exists() and out.with_suffix(".json").exists()
+
+    @pytest.mark.parametrize("field,value", _NON_FINITE)
+    def test_non_finite_value_exits_2(self, capsys, field, value):
+        code = main(["steady", "--n-at", "2", "--" + field.replace("_", "-"), value])
+        err = capsys.readouterr().err
+        assert code == 2 and field in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["evolve", "steady", "correlations",
+                                         "populations", "sweep", "experiment"])
+    def test_out_of_the_wrong_kind_exits_2_writing_nothing(self, tmp_path, capsys, command):
+        # experiment writes into a directory, every other command one file
+        out = tmp_path / "taken"
+        if command == "experiment":
+            out.write_text("kept\n", encoding="utf-8")
+            args = ["experiment", "fig3"]
+        else:
+            out.mkdir()
+            grid = ["--grid-zc", "0", "--grid-a", "pi/4"] if command == "sweep" else []
+            args = [command, "--n-at", "2", "--k0a", "pi/4", "--t-max", "500", *grid]
+        assert main([*args, "--out", str(out)]) == 2
+        assert f"out {out} exists" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["taken"]
+        if command == "experiment":
+            assert out.read_text(encoding="utf-8") == "kept\n"
+        else:
+            assert os.listdir(out) == []
+
+    def test_out_under_a_file_exits_2(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("kept\n", encoding="utf-8")
+        out = tmp_path / "file" / "steady.csv"
+        assert main(["steady", "--n-at", "2", "--t-max", "0.05", "--out", str(out)]) == 2
+        assert "cannot create the directory of out" in capsys.readouterr().err
 
     def test_steady_summary(self, capsys):
         code = main(["steady", "--n-at", "2", "--k0a", "pi/4", "--t-max", "500"])

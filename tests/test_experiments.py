@@ -54,7 +54,8 @@ def test_unknown_experiment_rejected(tmp_path):
 
 def test_fig2_files_and_schema(tmp_path):
     cfg = ExperimentConfig(n_at=2, t_max=150.0, grid_zc="0:pi/2:3", grid_a="pi/4,pi/2")
-    files = run_experiment("fig2", cfg, str(tmp_path))
+    files, converged = run_experiment("fig2", cfg, str(tmp_path))
+    assert converged is True  # a sweep reports its cells in its manifest
     csv_path = os.path.join(str(tmp_path), "fig2_sweep.csv")
     assert csv_path in files
     header, data = read_csv(csv_path)
