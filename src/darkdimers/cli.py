@@ -25,7 +25,7 @@ from .darkstates import (
     stability_residual,
     stable_dark_geometry,
 )
-from .dynamics import IntegrationInstabilityError
+from .dynamics import _BLAS_THREADS, IntegrationInstabilityError
 from .experiments import (
     EXPERIMENT_NAMES,
     population_rows,
@@ -189,14 +189,17 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    try:
-        return _COMMANDS[args.command][1](args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (IntegrationInstabilityError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    # state-sized work gains nothing from a second OpenBLAS thread, which then
+    # spins idle; steady_state threads its dense block products itself
+    with _BLAS_THREADS.at(1):
+        try:
+            return _COMMANDS[args.command][1](args)
+        except ConfigError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except (IntegrationInstabilityError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

@@ -74,7 +74,10 @@ def parse_grid(text) -> np.ndarray:
         if n < 1:
             raise ConfigError(f"grid needs at least 1 point, got {n}")
         return np.linspace(lo, hi, n)
-    return np.array([parse_angle(tok) for tok in s.split(",") if tok.strip()])
+    values = [parse_angle(tok) for tok in s.split(",") if tok.strip()]
+    if not values:
+        raise ConfigError(f"grid {text!r} lists no angle")
+    return np.array(values)
 
 
 def _real(text) -> float:
@@ -147,7 +150,7 @@ def load_config_file(path: str) -> Dict[str, str]:
                 if key not in CONFIG_KEYS:
                     raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
                 values[key] = value.strip()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return values
 

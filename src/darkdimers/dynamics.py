@@ -32,7 +32,10 @@ size guard.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import math
+import os
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
@@ -466,6 +469,74 @@ def _signed_orbits(basis, perms: np.ndarray, n0: int):
     return index, weight, np.where(roots, size, 0), dims
 
 
+class _BlasThreads:
+    """The thread count of the OpenBLAS that numpy loaded, read and set by
+    ctypes through the getter and setter its bundled library exports.  The
+    lookup runs on first use, never at import; with no setter found, the
+    count is None and is never set.  After each threaded call an idle
+    OpenBLAS worker spins for about 0.1 s, and state-sized work (a 64 x 64
+    product, eigvalsh or Cholesky) runs no faster on two threads, so
+    `steady_state` threads only its dense block products, at `block`:
+    OpenBLAS's count when first asked."""
+
+    _DIRS = ("numpy.libs", os.path.join("numpy", ".dylibs"))
+    _NAMES = ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
+              "openblas_{}_num_threads")
+
+    def __init__(self):
+        self._api = None  # (getter, setter) once looked up; () if none was found
+        self.block = None
+
+    def _lookup(self):
+        import glob  # here, so that importing darkdimers does not pay for it
+
+        site = os.path.dirname(os.path.dirname(np.__file__))
+        for d in self._DIRS:
+            for path in sorted(glob.glob(os.path.join(site, d, "*openblas*"))):
+                try:  # only the copy already loaded, never a second one
+                    lib = ctypes.CDLL(path, mode=getattr(os, "RTLD_NOLOAD", 0))
+                except OSError:
+                    continue
+                for name in self._NAMES:
+                    get, put = (getattr(lib, name.format(x), None) for x in ("get", "set"))
+                    if get is not None and put is not None:
+                        get.argtypes, get.restype = [], ctypes.c_int
+                        put.argtypes, put.restype = [ctypes.c_int], None
+                        return get, put
+        return ()
+
+    def count(self) -> Optional[int]:
+        """OpenBLAS's thread count now, or None without a setter."""
+        if self._api is None:
+            self._api = self._lookup()
+            self.block = self._api[0]() if self._api else None
+        return self._api[0]() if self._api else None
+
+    @contextlib.contextmanager
+    def at(self, n: Optional[int]):
+        """Run the body at n threads, then restore the count found on entry."""
+        before = self.count()
+        if before is None or n == before:
+            yield
+            return
+        self._api[1](n)
+        try:
+            yield
+        finally:
+            self._api[1](before)
+
+
+_BLAS_THREADS = _BlasThreads()
+
+
+def _one_blas_thread() -> None:
+    """Initializer of a sweep worker, whose siblings fill the other cores:
+    every product, the dense block products too, runs on one thread."""
+    if _BLAS_THREADS.count() is not None:
+        _BLAS_THREADS.block = 1
+        _BLAS_THREADS._api[1](1)
+
+
 def _rk4_step_matrix(m: np.ndarray, dt: float, w: int = _PANEL) -> np.ndarray:
     # I + a + a^2/2 + a^3/6 + a^4/24 with a = dt m, in Horner form
     # I + a (I + a/2 (I + a/3 (I + a/4))) in m's own buffer and one more, p:
@@ -508,12 +579,16 @@ def steady_state(
     the accepted site permutations (1-based images), each propagated
     block's full and reduced size, the squarings, the visited points, the
     final stride and the block-propagator x vector products (matvecs).
+    The dense block products run at OpenBLAS's thread count when darkdimers
+    first asked, the state-sized work at the count found on entry, and that
+    count is in place again on return.
     """
     if model.n_at > _STEADY_STATE_MAX_ATOMS:
         raise ValueError(
             f"steady_state is limited to n_at <= {_STEADY_STATE_MAX_ATOMS} (its "
             f"dense parity blocks have 16**n_at / 4 entries); got n_at = {model.n_at}"
         )
+    entry_threads = _BLAS_THREADS.count()
     rho0 = _as_density(rho0)
     gen = _VectorizedGenerator(model, _resolve_form(model, form), rho0)
     rec = _Recorder(model.n_at, record)
@@ -530,45 +605,50 @@ def steady_state(
     def visit(t):
         """Check (and record) the state; return its residual."""
         stats["visited_points"] += 1
-        rec.visit(t, gen.from_coords(np.concatenate(rs)))
+        with _BLAS_THREADS.at(entry_threads):
+            rec.visit(t, gen.from_coords(np.concatenate(rs)))
         return float(np.linalg.norm(np.concatenate([m @ r for m, r in zip(ms, rs)])))
 
-    t = 0.0
-    residual = visit(t)
-    converged = residual <= cfg.convergence_tol
-    # no stride passes t_max (beyond the rounding of the summed strides)
-    t_stop = cfg.t_max * (1.0 + 1e-12)
-    nzs = [(k, m.ravel()[k]) for m in ms for k in [np.flatnonzero(m).astype(np.int32)]]
-    ps, tau = None, cfg.dt
-    while not converged and t + tau <= t_stop:
-        if ps is None:
-            # each generator's buffer becomes its propagator; with two blocks the
-            # second new buffer, not yet made, leaves room for whole products
-            w = _PANEL if len(ms) == 1 else len(ms[0])
-            ps, ms = [_rk4_step_matrix(m, cfg.dt, w) for m in ms], [np.zeros_like(m) for m in ms]
-            for m, (k, v) in zip(ms, nzs):
-                m.reshape(-1)[k] = v
-        elif 2.0 * tau <= min(max(cfg.dt, t / 4.0), t_stop - t):
-            # square into the generator's buffer; the freed one takes back its
-            # nonzeros (4-10% of a block of five or six atoms)
-            for p, m, (k, v) in zip(ps, ms, nzs):
-                np.matmul(p, p, out=m)
-                p.fill(0.0)
-                p.reshape(-1)[k] = v
-            ps, ms, tau = ms, ps, 2.0 * tau
-            stats["squarings"] += 1
-        for _ in range(8):
-            rs[: len(ps)] = [p @ r for p, r in zip(ps, rs)]
-            stats["matvecs"] += len(ps)
-            t += tau
-            tr = unit @ rs[0]
-            rec.note_trace(tr)
-            for r in rs:
-                r /= tr
-            residual = visit(t)
-            converged = residual <= cfg.convergence_tol
-            if converged or t + tau > t_stop:
-                break
+    # the dense block products (propagator, squarings, matvecs, residuals) run
+    # at the block count, the state-sized work at the count found on entry
+    with _BLAS_THREADS.at(_BLAS_THREADS.block):
+        t = 0.0
+        residual = visit(t)
+        converged = residual <= cfg.convergence_tol
+        # no stride passes t_max (beyond the rounding of the summed strides)
+        t_stop = cfg.t_max * (1.0 + 1e-12)
+        nzs = [(k, m.ravel()[k]) for m in ms for k in [np.flatnonzero(m).astype(np.int32)]]
+        ps, tau = None, cfg.dt
+        while not converged and t + tau <= t_stop:
+            if ps is None:
+                # each generator's buffer becomes its propagator; with two blocks the
+                # second new buffer, not yet made, leaves room for whole products
+                w = _PANEL if len(ms) == 1 else len(ms[0])
+                ps = [_rk4_step_matrix(m, cfg.dt, w) for m in ms]
+                ms = [np.zeros_like(m) for m in ms]
+                for m, (k, v) in zip(ms, nzs):
+                    m.reshape(-1)[k] = v
+            elif 2.0 * tau <= min(max(cfg.dt, t / 4.0), t_stop - t):
+                # square into the generator's buffer; the freed one takes back its
+                # nonzeros (4-10% of a block of five or six atoms)
+                for p, m, (k, v) in zip(ps, ms, nzs):
+                    np.matmul(p, p, out=m)
+                    p.fill(0.0)
+                    p.reshape(-1)[k] = v
+                ps, ms, tau = ms, ps, 2.0 * tau
+                stats["squarings"] += 1
+            for _ in range(8):
+                rs[: len(ps)] = [p @ r for p, r in zip(ps, rs)]
+                stats["matvecs"] += len(ps)
+                t += tau
+                tr = unit @ rs[0]
+                rec.note_trace(tr)
+                for r in rs:
+                    r /= tr
+                residual = visit(t)
+                converged = residual <= cfg.convergence_tol
+                if converged or t + tau > t_stop:
+                    break
     stats["stride"] = tau
 
     rho = gen.from_coords(np.concatenate(rs))

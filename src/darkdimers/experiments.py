@@ -27,7 +27,7 @@ from . import __version__
 from .config import ExperimentConfig, initial_state_vector, parse_grid
 from .darkstates import predicted_populations
 from .dynamics import (EvolveConfig, IntegrationInstabilityError, SteadyStateResult,
-                       steady_state)
+                       _one_blas_thread, steady_state)
 from .model import (
     ArrayGeometry,
     BathParams,
@@ -148,16 +148,16 @@ def _sweep_cell(args) -> SweepCell:
 def run_sweep(cfg: ExperimentConfig) -> List[SweepCell]:
     """Steady-state observables on the (cfg.grid_zc, cfg.grid_a) grid,
     rows in deterministic zc-major order.  Cells are independent and are
-    distributed over min(cfg.workers, cells) processes when that exceeds 1;
-    `map` keeps the task order, so the output does not depend on the
-    worker count."""
+    distributed over min(cfg.workers, cells) processes when that exceeds 1,
+    each on one OpenBLAS thread; `map` keeps the task order, so the output
+    does not depend on the worker count."""
     tasks = [(cfg, float(zc), float(a))
              for zc in parse_grid(cfg.grid_zc) for a in parse_grid(cfg.grid_a)]
     workers = min(cfg.workers, len(tasks))
     if workers > 1:
         # imported here so that a serial run does not pay for the import
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as pool:
             return list(pool.map(_sweep_cell, tasks, chunksize=4))
     return [_sweep_cell(task) for task in tasks]
 

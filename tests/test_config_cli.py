@@ -21,8 +21,12 @@ from darkdimers.config import (
     parse_grid,
     resolve_config,
 )
+from darkdimers.dynamics import _BLAS_THREADS, _one_blas_thread
 from darkdimers.experiments import dimer_center, run_sweep, write_sweep_csv
 from darkdimers.observables import polarization_moments
+
+needs_blas_setter = pytest.mark.skipif(_BLAS_THREADS.count() is None,
+                                       reason="no OpenBLAS thread setter found")
 
 
 class TestParseAngle:
@@ -53,6 +57,13 @@ class TestParseGrid:
         with pytest.raises(ConfigError):
             parse_grid("0:pi:0")
 
+    @pytest.mark.parametrize("text", [",", " , "])
+    def test_empty_comma_list(self, text, capsys):
+        with pytest.raises(ConfigError, match="bad value for grid_a: grid .* lists no angle"):
+            resolve_config(flag_values={"grid_a": text})
+        assert main(["sweep", "--n-at", "2", "--grid-a", text]) == 2
+        assert "grid_a" in capsys.readouterr().err
+
 
 class TestResolveConfig:
     def test_defaults(self):
@@ -74,11 +85,24 @@ class TestResolveConfig:
         with pytest.raises(ConfigError, match="n_atoms"):
             load_config_file(str(path))
 
+    @pytest.mark.parametrize("content,fragment", [
+        (b"n-at 4\n", "run.cfg:1: expected 'key = value', got 'n-at 4'"),
+        (None, "cannot read config file"),  # missing
+        (b"n-at = \xff\n", "cannot read config file"),  # not UTF-8
+    ])
+    def test_unreadable_config_file(self, tmp_path, content, fragment):
+        path = tmp_path / "run.cfg"
+        if content is not None:
+            path.write_bytes(content)
+        with pytest.raises(ConfigError, match=fragment):
+            load_config_file(str(path))
+
     @pytest.mark.parametrize(
         "field,value,fragment",
         [("n_ph", "-1", "n_ph"), ("n_at", "0", "n_at"), ("dt", "0.5", "dt"),
          ("workers", "0", "workers"), ("tol", "0", "tol"),
-         ("initial", "no-such-file", "initial")],
+         ("initial", "no-such-file", "initial"), ("gamma", "0", "gamma"),
+         ("t_max", "-1", "t_max"), ("record_stride", "0", "record_stride")],
     )
     def test_range_errors_name_the_field(self, field, value, fragment):
         with pytest.raises(ConfigError, match=fragment):
@@ -135,6 +159,20 @@ class TestInitialState:
             initial_state_vector(ExperimentConfig(n_at=2, initial=str(path)))
         assert main(["steady", "--n-at", "2", "--initial", str(path)]) == 2
         assert "non-finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content,fragment", [
+        (None, "cannot read state file"),  # a directory
+        ("1\none\n0\n0\n", "cannot read state file"),
+        ("0\n0j\n0\n0\n", "zero vector"),
+    ])
+    def test_state_file_rejected(self, tmp_path, content, fragment):
+        path = tmp_path
+        if content is not None:
+            path = tmp_path / "state.txt"
+            path.write_text(content, encoding="utf-8")
+        with pytest.raises(ConfigError, match=fragment):
+            initial_state_vector(resolve_config(flag_values={"n_at": "2",
+                                                             "initial": str(path)}))
 
 
 def _fast_flags(tmp_path, out_name):
@@ -195,11 +233,12 @@ class TestSweepPlumbing:
         # a stand-in pool records the size asked for and starts no process
         import concurrent.futures
 
-        sizes = []
+        sizes, initializers = [], []
 
         class RecordingPool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, initializer=None):
                 sizes.append(max_workers)
+                initializers.append(initializer)
 
             def __enter__(self):
                 return self
@@ -215,6 +254,17 @@ class TestSweepPlumbing:
                                workers=workers)
         assert all(c.converged for c in run_sweep(cfg))
         assert sizes == ([] if pool is None else [pool])
+        # each worker sets itself to one OpenBLAS thread
+        assert initializers == ([] if pool is None else [_one_blas_thread])
+
+    @needs_blas_setter
+    def test_worker_initializer_leaves_one_thread(self):
+        code = ("from darkdimers.dynamics import _BLAS_THREADS, _one_blas_thread; "
+                "_one_blas_thread(); print(_BLAS_THREADS.count(), _BLAS_THREADS.block)")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="2", PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True, timeout=120)
+        assert out.stdout.split() == ["1", "1"]
 
     def test_unstable_cell_is_a_nan_row(self, tmp_path):
         # collective geometry at a coarse step: the cell loses positivity,
@@ -397,6 +447,29 @@ class TestCli:
         assert code == 0
         out = capsys.readouterr().out
         assert "purity:" in out and "converged: True" in out
+
+    @needs_blas_setter
+    def test_command_runs_at_one_thread_and_restores_the_count(self, monkeypatch, capsys):
+        from darkdimers import cli
+
+        seen, solve = [], cli.solve
+
+        def counting_solve(cfg):
+            seen.append(_BLAS_THREADS.count())
+            return solve(cfg)
+
+        def failing_solve(cfg):
+            raise RuntimeError("no exit code maps this")
+
+        with _BLAS_THREADS.at(2):
+            monkeypatch.setattr(cli, "solve", counting_solve)
+            assert main(["steady", "--n-at", "2", "--t-max", "500"]) == 0
+            assert _BLAS_THREADS.count() == 2
+            monkeypatch.setattr(cli, "solve", failing_solve)
+            with pytest.raises(RuntimeError):
+                main(["steady", "--n-at", "2"])
+            assert _BLAS_THREADS.count() == 2
+        assert seen == [1]
 
     def test_sweep_command_writes_files(self, tmp_path, capsys):
         out = str(tmp_path / "sweep.csv")

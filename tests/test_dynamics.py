@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from darkdimers import (
     make_geometry,
     steady_state,
 )
+from darkdimers import dynamics
 from darkdimers.darkstates import PairSpec, dimer_chain, pair_state
 from darkdimers.observables import fidelity, polarization_moments
 from darkdimers.operators import (
@@ -283,6 +285,38 @@ class TestSteadyState:
         assert res.series is not None
         assert np.all(np.diff(res.series.times) > 0)
         assert res.series.data["purity"][-1] == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.skipif(dynamics._BLAS_THREADS.count() is None,
+                        reason="no OpenBLAS thread setter found")
+    @pytest.mark.parametrize("dt,raises", [(0.005, False), (0.099, True)])
+    def test_block_products_at_block_count_rest_at_entry_count(self, monkeypatch, bath088,
+                                                               dt, raises):
+        # entered at one thread with a block count of two: the RK4 polynomial
+        # runs at two, the positivity checks at one, and one thread is left
+        # on return, or on the instability that dt = 0.099 raises
+        threads = dynamics._BLAS_THREADS
+        products = _thread_counts_of_calls(monkeypatch, dynamics, "_rk4_step_matrix")
+        checks = _thread_counts_of_calls(monkeypatch, dynamics._Recorder, "visit")
+        monkeypatch.setattr(threads, "block", 2)
+        model = build_model(make_geometry(4, 2 * math.pi, 0.0), bath088)
+        with threads.at(1):
+            with pytest.raises(IntegrationInstabilityError) if raises else nullcontext():
+                steady_state(ground_state(4), model, EvolveConfig(dt=dt, t_max=5.0))
+            assert threads.count() == 1
+        assert products == [2]
+        assert set(checks) == {1} and len(checks) > 1
+
+
+def _thread_counts_of_calls(monkeypatch, owner, name):
+    """Wrap owner.name to log OpenBLAS's thread count at each call; return the log."""
+    log, real = [], getattr(owner, name)
+
+    def counting(*args):
+        log.append(dynamics._BLAS_THREADS.count())
+        return real(*args)
+
+    monkeypatch.setattr(owner, name, counting)
+    return log
 
 
 def _plus_pi_4(n_at):
