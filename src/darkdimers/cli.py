@@ -4,15 +4,23 @@ Subcommands: sweep, evolve, steady, correlations, darkstate,
 populations, experiment.  Exit codes: 0 success; 1 runtime error, or a
 non-converged solve once every file is written (a sweep, fig2 too, exits
 0 and reports such cells in its manifest); 2 usage/config error.
+
+Importing this module sets OPENBLAS_THREAD_TIMEOUT to 4 (2^4 cycles,
+OpenBLAS's shortest spin) unless the user set it, before numpy loads:
+an idle OpenBLAS worker then sleeps at once instead of spinning for about
+0.1 s after each threaded call, and sweep workers inherit the setting.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from pathlib import Path
 from typing import List, Optional
+
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")  # read once, when numpy loads
 
 import numpy as np
 
@@ -48,6 +56,8 @@ def _resolve(args) -> "ExperimentConfig":
     cfg = resolve_config(file_values, flag_values)
     if cfg.out and args.command != "darkstate":  # check the output before any solve
         out, want_dir = Path(cfg.out), args.command == "experiment"
+        if not want_dir and out.suffix.lower() == ".json":  # its manifest would overwrite it
+            raise ConfigError(f"out {cfg.out} ends in .json, the suffix of its manifest")
         if out.exists() and out.is_dir() != want_dir:
             kind = "a directory" if want_dir else "a file"
             raise ConfigError(f"out {cfg.out} exists and is not {kind}")

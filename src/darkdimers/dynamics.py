@@ -473,11 +473,12 @@ class _BlasThreads:
     """The thread count of the OpenBLAS that numpy loaded, read and set by
     ctypes through the getter and setter its bundled library exports.  The
     lookup runs on first use, never at import; with no setter found, the
-    count is None and is never set.  After each threaded call an idle
-    OpenBLAS worker spins for about 0.1 s, and state-sized work (a 64 x 64
-    product, eigvalsh or Cholesky) runs no faster on two threads, so
-    `steady_state` threads only its dense block products, at `block`:
-    OpenBLAS's count when first asked."""
+    count is None and is never set.  State-sized work (a 64 x 64 product,
+    eigvalsh or Cholesky) runs no faster on two threads, and each threaded
+    call either leaves the idle OpenBLAS worker spinning for about 0.1 s
+    (OpenBLAS's default) or, under the CLI's OPENBLAS_THREAD_TIMEOUT=4, pays
+    to wake it, so `steady_state` threads only its dense block products, at
+    `block`: OpenBLAS's count when first asked."""
 
     _DIRS = ("numpy.libs", os.path.join("numpy", ".dylibs"))
     _NAMES = ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",

@@ -25,6 +25,17 @@ from darkdimers.dynamics import _BLAS_THREADS, _one_blas_thread
 from darkdimers.experiments import dimer_center, run_sweep, write_sweep_csv
 from darkdimers.observables import polarization_moments
 
+
+def _fresh(code: str, **env) -> str:
+    """stdout of `python -c code` in a fresh interpreter, with env's entries
+    set (a None value removes the variable)."""
+    full = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), **env}
+    full = {key: value for key, value in full.items() if value is not None}
+    out = subprocess.run([sys.executable, "-c", code], env=full, check=True,
+                         capture_output=True, text=True, timeout=60)
+    return out.stdout.strip()
+
+
 needs_blas_setter = pytest.mark.skipif(_BLAS_THREADS.count() is None,
                                        reason="no OpenBLAS thread setter found")
 
@@ -369,10 +380,31 @@ class TestCli:
     def test_cli_import_starts_no_process_pool_machinery(self):
         # a serial run never starts a pool, so it should not import one
         code = "import sys, darkdimers.cli; print('concurrent.futures.process' in sys.modules)"
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                             capture_output=True, text=True, timeout=60)
-        assert out.stdout.strip() == "False"
+        assert _fresh(code) == "False"
+
+    # pytest has loaded numpy already, so the import checks run in a fresh interpreter
+    def test_package_import_loads_no_numpy(self):
+        assert _fresh("import sys, darkdimers; print('numpy' in sys.modules)") == "False"
+
+    def test_every_public_name_resolves_and_is_listed(self):
+        code = ("import darkdimers as d; names = [n for n in d.__all__ if n != '__version__']; "
+                "assert len(names) > 30 and set(d.__all__) <= set(dir(d)); "
+                "print(all(getattr(d, n).__module__.startswith('darkdimers.') for n in names))")
+        assert _fresh(code) == "True"
+
+    @pytest.mark.parametrize("user,expected", [(None, "4"), ("28", "28")])
+    def test_cli_import_sets_the_openblas_spin_timeout(self, user, expected):
+        # OpenBLAS reads the variable when numpy loads it: print it at that import
+        code = (
+            "import os, sys\n"
+            "class Spy:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name == 'numpy':\n"
+            "            print(os.environ.get('OPENBLAS_THREAD_TIMEOUT'))\n"
+            "sys.meta_path.insert(0, Spy())\n"
+            "import darkdimers.cli\n"
+            "print(os.environ['OPENBLAS_THREAD_TIMEOUT'])\n")
+        assert _fresh(code, OPENBLAS_THREAD_TIMEOUT=user).split() == [expected, expected]
 
     def test_steady_beyond_six_atoms_exits_1(self, capsys):
         assert main(["steady", "--n-at", "7"]) == 1
@@ -441,6 +473,17 @@ class TestCli:
         out = tmp_path / "file" / "steady.csv"
         assert main(["steady", "--n-at", "2", "--t-max", "0.05", "--out", str(out)]) == 2
         assert "cannot create the directory of out" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("suffix", [".json", ".JSON"])
+    @pytest.mark.parametrize("command", ["steady", "evolve", "sweep"])
+    def test_json_out_exits_2_writing_nothing(self, tmp_path, capsys, command, suffix):
+        # the manifest goes to the out path with suffix .json, which would overwrite it
+        out = tmp_path / "new" / f"x{suffix}"
+        grid = ["--grid-zc", "0", "--grid-a", "pi/4"] if command == "sweep" else []
+        code = main([command, "--n-at", "2", "--t-max", "150", "--out", str(out), *grid])
+        assert code == 2
+        assert f"out {out} ends in .json" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
 
     def test_steady_summary(self, capsys):
         code = main(["steady", "--n-at", "2", "--k0a", "pi/4", "--t-max", "500"])
