@@ -15,6 +15,7 @@ from darkdimers.experiments import (
     run_experiment,
     series_columns,
 )
+from reference_outputs import PRESET_CFG, REFERENCE_DIR, mismatches, write_sweep
 
 
 def read_csv(path):
@@ -71,21 +72,21 @@ def test_fig2_files_and_schema(tmp_path):
 @pytest.fixture(scope="module")
 def fig3_dir(tmp_path_factory):
     path = tmp_path_factory.mktemp("fig3")
-    run_experiment("fig3", ExperimentConfig(dt=0.002), str(path))
+    run_experiment("fig3", PRESET_CFG, str(path))
     return str(path)
 
 
 @pytest.fixture(scope="module")
 def fig4_dir(tmp_path_factory):
     path = tmp_path_factory.mktemp("fig4")
-    run_experiment("fig4", ExperimentConfig(dt=0.002), str(path))
+    run_experiment("fig4", PRESET_CFG, str(path))
     return str(path)
 
 
 @pytest.fixture(scope="module")
 def fig5_dir(tmp_path_factory):
     path = tmp_path_factory.mktemp("fig5")
-    run_experiment("fig5", ExperimentConfig(dt=0.002), str(path))
+    run_experiment("fig5", PRESET_CFG, str(path))
     return str(path)
 
 
@@ -254,3 +255,36 @@ class TestSolveRecord:
             if os.path.exists(series):
                 _, data = read_csv(series)
                 assert manifest["stats"]["visited_points"] == len(data["t"]), name
+
+
+@pytest.fixture(scope="module")
+def sweep_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("sweep")
+    write_sweep(str(path))
+    return str(path)
+
+
+class TestReferenceOutputs:
+    """Every pinned file is written again, and matches its reference in
+    tests/reference/ (see reference_outputs.py for the rule)."""
+
+    @pytest.mark.parametrize("name", sorted(os.listdir(REFERENCE_DIR)))
+    def test_matches_reference(self, name, request):
+        outdir = request.getfixturevalue(name.split("_", 1)[0] + "_dir")
+        assert mismatches(os.path.join(outdir, name), os.path.join(REFERENCE_DIR, name)) == []
+
+    def test_pins_every_file_the_fixtures_write(self, fig3_dir, fig4_dir, fig5_dir,
+                                                sweep_dir):
+        written = [n for d in (fig3_dir, fig4_dir, fig5_dir, sweep_dir) for n in os.listdir(d)]
+        assert sorted(written) == sorted(os.listdir(REFERENCE_DIR))
+
+    def test_a_moved_field_fails(self, fig3_dir, tmp_path):
+        # a relative move of 1e-8 in one correlation is caught, 1e-12 is not
+        name = "fig3_dimer_correlations.csv"
+        rows = open(os.path.join(fig3_dir, name), encoding="utf-8").read().splitlines()
+        n, m, c = rows[2].split(",")
+        for rel, caught in ((1e-8, True), (1e-12, False)):
+            rows[2] = f"{n},{m},{float(c) * (1 + rel):.17g}"
+            path = tmp_path / name
+            path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+            assert bool(mismatches(str(path), os.path.join(REFERENCE_DIR, name))) == caught
