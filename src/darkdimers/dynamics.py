@@ -13,21 +13,21 @@ For long horizons `steady_state` evaluates the same RK4 iteration
 through its one-step matrix: the generator is vectorized in an
 orthonormal basis of Hermitian matrices (real coordinates, so
 Hermiticity is structural), the degree-4 RK4 polynomial of dt*L is
-formed once, and repeated squaring of that matrix walks the trajectory
-in geometrically growing strides, one matrix per excitation-parity
+formed once in two products, and the walk visits the trajectory in
+geometrically growing strides, one matrix per excitation-parity
 block, restricted to the states sharing rho0's site symmetries (each
 transposition or chain reflection that fixes rho0 and commutes with L to
-1e-12; a start with no symmetry gets no reduction).  The visited states
-are states of the plain RK4 iteration, up to rounding, just evaluated at
+1e-12; a start with no symmetry gets no reduction); a stride doubling
+squares the propagator only while that pays.  The visited states are
+states of the plain RK4 iteration, up to rounding, just evaluated at
 coarse times.  Setting the blocks up holds d^2-entry tables and one
 piece of at most _PIECE_ENTRIES entries at a time.  The walk holds two
-buffers per block: the propagator, formed in the generator's (Horner form,
-by product panels), and the generator, refilled from its nonzeros into the
-buffer each squaring frees, for the residuals ||L r||.  Each
-block has up to 16**n_at / 4 entries, so `steady_state` accepts up to
-six atoms and raises ValueError above that; `liouvillian_matrix` is
-guarded to five.  `evolve`, the plain step-by-step RK4 loop, has no
-size guard.
+buffers per block: the propagator, formed in the generator's, and the
+generator, refilled from its nonzeros into the buffer each squaring
+frees, for the residuals ||L r||.  Each block has up to 16**n_at / 4
+entries, so `steady_state` accepts up to six atoms and raises ValueError
+above that; `liouvillian_matrix` is guarded to five.  `evolve`, the
+plain step-by-step RK4 loop, has no size guard.
 """
 
 from __future__ import annotations
@@ -63,7 +63,9 @@ _SQRT2 = math.sqrt(2.0)
 _STEADY_STATE_MAX_ATOMS = 6
 _LIOUVILLIAN_MAX_ATOMS = 5
 _PIECE_ENTRIES = 1 << 13  # entries set up at once; a six-atom term has up to 1.5e5
-_PANEL = 128  # columns (rows) of one product panel while the RK4 polynomial forms
+_PANEL = 64  # bracket columns per product while the RK4 polynomial forms
+# an n^2 block product costs n / 6 block x vector products: 38 against 0.21 ms at n = 1056
+_PRODUCT_MATVECS = 1.0 / 6.0
 
 
 class IntegrationInstabilityError(RuntimeError):
@@ -538,18 +540,16 @@ def _one_blas_thread() -> None:
         _BLAS_THREADS._api[1](1)
 
 
-def _rk4_step_matrix(m: np.ndarray, dt: float, w: int = _PANEL) -> np.ndarray:
-    # I + a + a^2/2 + a^3/6 + a^4/24 with a = dt m, in Horner form
-    # I + a (I + a/2 (I + a/3 (I + a/4))) in m's own buffer and one more, p:
-    # two products go back into p by w-column panels, the last into m by rows
-    n, p = len(m), m * (dt / 4.0)
-    for c in (dt / 3.0, dt / 2.0):
-        p.reshape(-1)[:: n + 1] += 1.0
-        for j in range(0, n, w):
-            np.multiply(m @ p[:, j:j + w], c, out=p[:, j:j + w])
-    p.reshape(-1)[:: n + 1] += 1.0
-    for i in range(0, n, w):
-        np.multiply(m[i:i + w] @ p, dt, out=m[i:i + w])
+def _rk4_step_matrix(m: np.ndarray, dt: float) -> np.ndarray:
+    # I + a + a^2 (I/2 + a/6 + a^2/24) with a = dt m in two products (Paterson
+    # & Stockmeyer): a^2 whole, then a^2 (bracket) into a's own _PANEL columns
+    m *= dt
+    n, a2 = len(m), m @ m
+    for j in range(0, n, _PANEL):
+        a, bracket = m[:, j:j + _PANEL], a2[:, j:j + _PANEL] / 24.0
+        bracket += a / 6.0
+        bracket[j:j + _PANEL].reshape(-1)[:: bracket.shape[1] + 1] += 0.5
+        a += a2 @ bracket
     m.reshape(-1)[:: n + 1] += 1.0
     return m
 
@@ -564,9 +564,12 @@ def steady_state(
     """Integrate from rho0 until ||d rho/dt||_F <= convergence_tol or
     the next stride would pass t_max.
 
-    Uses the vectorized RK4 propagator with repeated squaring, so the
-    walk accelerates geometrically while staying on the exact fixed-step
-    RK4 trajectory; the convergence time is resolved to ~t/4.  It stays
+    Uses the vectorized RK4 propagator, so the walk accelerates
+    geometrically while staying on the exact fixed-step RK4 trajectory;
+    the convergence time is resolved to ~t/4.  A stride doubling squares
+    the propagator (stride tau_P) while that saves rest / (2 tau_P) > n *
+    _PRODUCT_MATVECS matvecs on the largest block n, the rest of the walk
+    being t_max - t or less, as the last two residuals decay.  It stays
     among the states sharing rho0's site symmetries (1e-12 test, see
     _VectorizedGenerator): a start with no symmetry gets no reduction.
     The parity-diagonal block is propagated always, the parity-off-
@@ -579,7 +582,9 @@ def steady_state(
     record=True those points are returned as a TimeSeries.  `stats` names
     the accepted site permutations (1-based images), each propagated
     block's full and reduced size, the squarings, the visited points, the
-    final stride and the block-propagator x vector products (matvecs).
+    final visit stride (`stride`; tau_P is dt * 2**squarings) and every
+    block-propagator x vector product, tau / tau_P per block and visit
+    (`matvecs`).
     The dense block products run at OpenBLAS's thread count when darkdimers
     first asked, the state-sized work at the count found on entry, and that
     count is in place again on return.
@@ -619,34 +624,41 @@ def steady_state(
         # no stride passes t_max (beyond the rounding of the summed strides)
         t_stop = cfg.t_max * (1.0 + 1e-12)
         nzs = [(k, m.ravel()[k]) for m in ms for k in [np.flatnonzero(m).astype(np.int32)]]
-        ps, tau = None, cfg.dt
+        # a visit takes `hops` propagator steps: tau / the propagator's stride
+        ps, tau, hops, n = None, cfg.dt, 1, max(map(len, ms))
         while not converged and t + tau <= t_stop:
             if ps is None:
-                # each generator's buffer becomes its propagator; with two blocks the
-                # second new buffer, not yet made, leaves room for whole products
-                w = _PANEL if len(ms) == 1 else len(ms[0])
-                ps = [_rk4_step_matrix(m, cfg.dt, w) for m in ms]
+                # each generator's buffer becomes its propagator
+                ps = [_rk4_step_matrix(m, cfg.dt) for m in ms]
                 ms = [np.zeros_like(m) for m in ms]
                 for m, (k, v) in zip(ms, nzs):
                     m.reshape(-1)[k] = v
             elif 2.0 * tau <= min(max(cfg.dt, t / 4.0), t_stop - t):
-                # square into the generator's buffer; the freed one takes back its
-                # nonzeros (4-10% of a block of five or six atoms)
-                for p, m, (k, v) in zip(ps, ms, nzs):
-                    np.matmul(p, p, out=m)
-                    p.fill(0.0)
-                    p.reshape(-1)[k] = v
-                ps, ms, tau = ms, ps, 2.0 * tau
-                stats["squarings"] += 1
+                # the walk left, capped by the decay rate of the last two residuals
+                rest = t_stop - t
+                if residual < r_prev:
+                    rest = min(rest, math.log(residual / cfg.convergence_tol) * tau
+                               / math.log(r_prev / residual))
+                tau, hops = 2.0 * tau, 2 * hops
+                # square while it saves rest / (2 tau_P) matvecs, into the generator's
+                # buffer; the freed one takes back its nonzeros (4-10% of a block)
+                while hops > 1 and rest * hops / (2.0 * tau) > n * _PRODUCT_MATVECS:
+                    for p, m, (k, v) in zip(ps, ms, nzs):
+                        np.matmul(p, p, out=m)
+                        p.fill(0.0)
+                        p.reshape(-1)[k] = v
+                    ps, ms, hops = ms, ps, hops // 2
+                    stats["squarings"] += 1
             for _ in range(8):
-                rs[: len(ps)] = [p @ r for p, r in zip(ps, rs)]
-                stats["matvecs"] += len(ps)
+                for _ in range(hops):
+                    rs[: len(ps)] = [p @ r for p, r in zip(ps, rs)]
+                stats["matvecs"] += hops * len(ps)
                 t += tau
                 tr = unit @ rs[0]
                 rec.note_trace(tr)
                 for r in rs:
                     r /= tr
-                residual = visit(t)
+                r_prev, residual = residual, visit(t)
                 converged = residual <= cfg.convergence_tol
                 if converged or t + tau > t_stop:
                     break

@@ -126,9 +126,10 @@ class SweepCell:
     converged: bool
     error: Optional[str] = None  # why the cell has no steady state; not a CSV column
     squarings: Optional[int] = None  # of the cell's solve; not a CSV column
+    matvecs: Optional[int] = None  # of the cell's solve; not a CSV column
 
 
-SWEEP_COLUMNS = tuple(f.name for f in fields(SweepCell))[:-2]
+SWEEP_COLUMNS = tuple(f.name for f in fields(SweepCell))[:-3]
 
 
 def _sweep_cell(args) -> SweepCell:
@@ -142,7 +143,8 @@ def _sweep_cell(args) -> SweepCell:
         return SweepCell(k0zc, k0a, nan, nan, nan, nan, nan, False, str(exc))
     row = state_row(result.state, cfg.n_at)
     return SweepCell(k0zc, k0a, row["var_x"], row["var_y"], row["purity"], row["mean_z"],
-                     result.t_converge, result.converged, squarings=result.stats["squarings"])
+                     result.t_converge, result.converged, squarings=result.stats["squarings"],
+                     matvecs=result.stats["matvecs"])
 
 
 def run_sweep(cfg: ExperimentConfig) -> List[SweepCell]:
@@ -166,11 +168,12 @@ def write_sweep_csv(path: str, cells: Sequence[SweepCell], cfg: ExperimentConfig
                     extra: Optional[Dict] = None) -> List[str]:
     failed = {"non_converged": sum(not c.converged for c in cells), "cells": [
         {"k0zc": c.k0zc, "k0a": c.k0a, "error": c.error} for c in cells if c.error]}
-    sq = [c.squarings for c in cells if c.squarings is not None]
-    squarings = (dict(zip(("p50", "p95", "max"), np.percentile(sq, [50, 95, 100]).tolist()))
-                 if sq else None)
-    return write_table(path, SWEEP_COLUMNS, (astuple(c)[:-2] for c in cells), cfg,
-                       {**(extra or {}), "failed": failed, "squarings": squarings,
+    solved = [c for c in cells if c.squarings is not None]
+    counts = {k: dict(zip(("p50", "p95", "max"), np.percentile(
+        [getattr(c, k) for c in solved], [50, 95, 100]).tolist())) if solved else None
+        for k in ("squarings", "matvecs")}
+    return write_table(path, SWEEP_COLUMNS, (astuple(c)[:-3] for c in cells), cfg,
+                       {**(extra or {}), "failed": failed, **counts,
                         "converged_cells": sum(c.converged for c in cells)})
 
 

@@ -222,21 +222,23 @@ class TestSweepPlumbing:
         assert blobs[0] == blobs[1] == blobs[2]
 
     def test_manifest_aggregates_are_worker_invariant(self, small_cfg, tmp_path):
-        # converged cells and the quantiles of the cells' squarings, taken
-        # over the merged grid, whatever the worker count
+        # converged cells and the quantiles of the cells' squarings and
+        # matvecs, taken over the merged grid, whatever the worker count
         aggregates = []
         for workers in (1, 2):
             cfg = replace(small_cfg, workers=workers)
             cells = run_sweep(cfg)
             files = write_sweep_csv(str(tmp_path / f"sweep_{workers}.csv"), cells, cfg)
             manifest = json.load(open(files[1], encoding="utf-8"))
-            aggregates.append({k: manifest[k] for k in ("converged_cells", "squarings")})
+            aggregates.append({k: manifest[k]
+                               for k in ("converged_cells", "squarings", "matvecs")})
         assert aggregates[0] == aggregates[1]
         assert aggregates[0]["converged_cells"] == sum(c.converged for c in cells) > 0
-        squarings = sorted(c.squarings for c in cells)
-        assert aggregates[0]["squarings"] == {
-            "p50": squarings[4], "p95": pytest.approx(np.percentile(squarings, 95)),
-            "max": squarings[-1]}
+        for key in ("squarings", "matvecs"):
+            counts = sorted(getattr(c, key) for c in cells)
+            assert aggregates[0][key] == {
+                "p50": counts[4], "p95": pytest.approx(np.percentile(counts, 95)),
+                "max": counts[-1]}
 
     @pytest.mark.parametrize("workers,grid_a,pool", [(2, "pi/4,pi/2", 2), (64, "pi/4,pi/2", 2),
                                                      (2, "pi/4", None)])
@@ -290,8 +292,9 @@ class TestSweepPlumbing:
         manifest = json.load(open(files[1], encoding="utf-8"))
         failed = manifest["failed"]
         assert failed["non_converged"] == 1
-        # no solve finished, so there are no squarings to aggregate
-        assert manifest["converged_cells"] == 0 and manifest["squarings"] is None
+        # no solve finished, so there are no squarings or matvecs to aggregate
+        assert manifest["converged_cells"] == 0
+        assert manifest["squarings"] is None and manifest["matvecs"] is None
         (entry,) = failed["cells"]
         assert (entry["k0zc"], entry["k0a"]) == (0.0, 2 * math.pi)
         assert "smallest eigenvalue" in entry["error"] and "dt" in entry["error"]

@@ -377,6 +377,54 @@ class TestSymmetryReduction:
         assert out.stdout.split() == ["16", "False"]
 
 
+class TestSquaringRule:
+    """The walk visits the same times whatever it squares; it squares its
+    propagator only while the matvecs saved on the rest of the walk pay for
+    a block product (n * _PRODUCT_MATVECS)."""
+
+    @staticmethod
+    def _dimer_walk(n_at, bath, record=False, **cfg):
+        # the fig4 dimer chain (the fig3 dimer at six atoms) from the ground state
+        k0zc = {4: math.pi / 4, 6: 0.0}[n_at]
+        model = build_model(make_geometry(n_at, math.pi / 4, k0zc), bath)
+        return steady_state(ground_state(n_at), model, EvolveConfig(**cfg), record=record)
+
+    @pytest.mark.parametrize("n_at,always", [
+        (4, dict(squarings=11, matvecs=95, stride=10.24, visited_points=96)),
+        (6, dict(squarings=12, matvecs=102, stride=20.48, visited_points=103))])
+    def test_squares_less_on_the_same_visits(self, monkeypatch, bath088, n_at, always):
+        res = self._dimer_walk(n_at, bath088)
+        monkeypatch.setattr(dynamics, "_PRODUCT_MATVECS", 0.0)
+        ref = self._dimer_walk(n_at, bath088)
+        # at no cost a product always pays: a squaring at every stride doubling
+        assert {k: ref.stats[k] for k in always} == always
+        assert ref.t_converge == {4: 153.56, 6: 286.68}[n_at]
+        assert res.converged and res.t_converge == ref.t_converge
+        for key in ("visited_points", "stride"):
+            assert res.stats[key] == ref.stats[key]
+        assert res.stats["squarings"] < ref.stats["squarings"]
+        assert res.stats["matvecs"] > ref.stats["matvecs"]
+        assert np.max(np.abs(res.state - ref.state)) <= 1e-12
+
+    def test_unreachable_tol_squares_wherever_the_horizon_pays(self, bath088):
+        # the residual never nears tol = 1e-300, so only t_stop - t bounds the
+        # rest of the walk: replay the rule at each doubling of the visits
+        t_max = 30.0
+        res = self._dimer_walk(4, bath088, record=True, t_max=t_max, convergence_tol=1e-300)
+        assert not res.converged
+        cost = max(b["reduced"] for b in res.stats["blocks"]) * dynamics._PRODUCT_MATVECS
+        t, taus = res.series.times, np.diff(res.series.times)
+        doublings = np.flatnonzero(taus[1:] > 1.5 * taus[:-1]) + 1
+        hops, squarings = 1, 0
+        for i in doublings:
+            hops *= 2
+            while hops > 1 and (t_max - t[i]) * hops / (2.0 * taus[i]) > cost:
+                hops, squarings = hops // 2, squarings + 1
+        assert res.stats["squarings"] == squarings
+        # the horizon lets some doublings square and stops the last ones
+        assert 0 < squarings < len(doublings)
+
+
 class TestLiouvillian:
     def test_resource_guard(self, bath088):
         geo = make_geometry(6, math.pi / 4, 0.0)
@@ -534,33 +582,31 @@ class TestVectorizedEngine:
         n, dt = 1024, 0.05
         rng = np.random.default_rng(4)
         m = rng.normal(size=(n, n)) / math.sqrt(n)
-        a, m_copy = dt * m, m.copy()
+        a = dt * m
         tracemalloc.start()
         try:
             p = _rk4_step_matrix(m, dt)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # Horner form in m's own buffer: besides it only the bracket and one
-        # panel of the next product are alive, never a, a^2 or a whole product
+        # two products in m's own buffer: besides it only a^2 and two panels
+        # of the bracket and its product are alive, never a whole bracket
         assert np.shares_memory(p, m)
         a2 = a @ a
         plain = np.eye(n) + a + a2 / 2 + a2 @ a / 6 + a2 @ a2 / 24
         assert np.max(np.abs(p - plain)) <= 1e-14 * np.max(np.abs(plain))
         assert peak <= 1.2 * p.nbytes
-        # whole products, as a two-block walk forms them, give the same matrix
-        whole = _rk4_step_matrix(m_copy, dt, n)
-        assert np.max(np.abs(whole - p)) <= 1e-14 * np.max(np.abs(plain))
 
     def test_squaring_walk_holds_generator_propagator_and_one_buffer(self, bath088):
         # no symmetry at N = 5: two 512^2 blocks, each with its propagator and
         # one work buffer that holds the generator between squarings, plus
         # the generators' nonzeros (10% of each block); a squaring allocates
-        # nothing (generator, propagator and product took 5.07 blocks)
+        # nothing (generator, propagator and product took 5.07 blocks); the
+        # horizon is long enough for squaring to pay
         model = build_model(make_geometry(5, 0.9, 0.3), bath088)
         tracemalloc.start()
         try:
-            res = steady_state(_plus_pi_4(5), model, EvolveConfig(t_max=0.2))
+            res = steady_state(_plus_pi_4(5), model, EvolveConfig(t_max=2.0))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

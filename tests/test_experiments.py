@@ -178,10 +178,13 @@ class TestFig5:
                                    {"full": 2048, "reduced": 40}]
         _, data = read_csv(os.path.join(fig5_dir, "fig5_thermal_series.csv"))
         assert stats["visited_points"] == len(data["t"])
-        # dt = 0.002 doubled at each squaring; both blocks step once per
-        # visited point after the start
-        assert stats["squarings"] == 9 and stats["stride"] == 0.002 * 2**9
-        assert stats["matvecs"] == 2 * (stats["visited_points"] - 1) == 146
+        # the visit stride is dt = 0.002 doubled nine times; the propagator's
+        # stride doubled at the first `squarings` of those, and both blocks
+        # take tau / tau_P propagator steps per visit at stride tau
+        assert stats["stride"] == 0.002 * 2**9
+        taus = np.diff(data["t"])
+        hops = np.rint(taus / np.minimum(taus, 0.002 * 2 ** stats["squarings"]))
+        assert stats["matvecs"] == 2 * hops.sum()
 
     def test_thermal_polarizations_decay_together(self, fig5_dir):
         _, data = read_csv(os.path.join(fig5_dir, "fig5_thermal_series.csv"))
