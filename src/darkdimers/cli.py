@@ -33,7 +33,7 @@ from .darkstates import (
     stability_residual,
     stable_dark_geometry,
 )
-from .dynamics import _BLAS_THREADS, IntegrationInstabilityError
+from .dynamics import IntegrationInstabilityError
 from .experiments import (
     EXPERIMENT_NAMES,
     population_rows,
@@ -199,17 +199,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    # state-sized work gains nothing from a second OpenBLAS thread, which then
-    # spins idle; steady_state threads its dense block products itself
-    with _BLAS_THREADS.at(1):
-        try:
-            return _COMMANDS[args.command][1](args)
-        except ConfigError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        except (IntegrationInstabilityError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+    try:
+        return _COMMANDS[args.command][1](args)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (IntegrationInstabilityError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

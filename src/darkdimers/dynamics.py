@@ -64,6 +64,9 @@ _STEADY_STATE_MAX_ATOMS = 6
 _LIOUVILLIAN_MAX_ATOMS = 5
 _PIECE_ENTRIES = 1 << 13  # entries set up at once; a six-atom term has up to 1.5e5
 _PANEL = 64  # bracket columns per product while the RK4 polynomial forms
+# a walk whose largest block is no larger runs on one BLAS thread: a second
+# one gains nothing on products up to n = 256 and takes 2.94 -> 1.33 ms at 384
+_THREADED_BLOCK = 256
 # an n^2 block product costs n / 6 block x vector products: 38 against 0.21 ms at n = 1056
 _PRODUCT_MATVECS = 1.0 / 6.0
 
@@ -473,14 +476,10 @@ def _signed_orbits(basis, perms: np.ndarray, n0: int):
 
 class _BlasThreads:
     """The thread count of the OpenBLAS that numpy loaded, read and set by
-    ctypes through the getter and setter its bundled library exports.  The
-    lookup runs on first use, never at import; with no setter found, the
-    count is None and is never set.  State-sized work (a 64 x 64 product,
-    eigvalsh or Cholesky) runs no faster on two threads, and each threaded
-    call either leaves the idle OpenBLAS worker spinning for about 0.1 s
-    (OpenBLAS's default) or, under the CLI's OPENBLAS_THREAD_TIMEOUT=4, pays
-    to wake it, so `steady_state` threads only its dense block products, at
-    `block`: OpenBLAS's count when first asked."""
+    ctypes through the getter and setter its bundled library exports, the
+    only way to change it once numpy has loaded.  The lookup runs on first
+    use, never at import; with no setter found, the count is None and is
+    never set."""
 
     _DIRS = ("numpy.libs", os.path.join("numpy", ".dylibs"))
     _NAMES = ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
@@ -488,7 +487,6 @@ class _BlasThreads:
 
     def __init__(self):
         self._api = None  # (getter, setter) once looked up; () if none was found
-        self.block = None
 
     def _lookup(self):
         import glob  # here, so that importing darkdimers does not pay for it
@@ -512,11 +510,10 @@ class _BlasThreads:
         """OpenBLAS's thread count now, or None without a setter."""
         if self._api is None:
             self._api = self._lookup()
-            self.block = self._api[0]() if self._api else None
         return self._api[0]() if self._api else None
 
     @contextlib.contextmanager
-    def at(self, n: Optional[int]):
+    def at(self, n: int):
         """Run the body at n threads, then restore the count found on entry."""
         before = self.count()
         if before is None or n == before:
@@ -534,9 +531,8 @@ _BLAS_THREADS = _BlasThreads()
 
 def _one_blas_thread() -> None:
     """Initializer of a sweep worker, whose siblings fill the other cores:
-    every product, the dense block products too, runs on one thread."""
+    every product runs on one thread."""
     if _BLAS_THREADS.count() is not None:
-        _BLAS_THREADS.block = 1
         _BLAS_THREADS._api[1](1)
 
 
@@ -585,16 +581,16 @@ def steady_state(
     final visit stride (`stride`; tau_P is dt * 2**squarings) and every
     block-propagator x vector product, tau / tau_P per block and visit
     (`matvecs`).
-    The dense block products run at OpenBLAS's thread count when darkdimers
-    first asked, the state-sized work at the count found on entry, and that
-    count is in place again on return.
+    A walk whose largest propagated block has at most _THREADED_BLOCK
+    coordinates runs on one BLAS thread, the count found on entry being
+    restored on return or raise; set-up and larger walks run at the count
+    in force.
     """
     if model.n_at > _STEADY_STATE_MAX_ATOMS:
         raise ValueError(
             f"steady_state is limited to n_at <= {_STEADY_STATE_MAX_ATOMS} (its "
             f"dense parity blocks have 16**n_at / 4 entries); got n_at = {model.n_at}"
         )
-    entry_threads = _BLAS_THREADS.count()
     rho0 = _as_density(rho0)
     gen = _VectorizedGenerator(model, _resolve_form(model, form), rho0)
     rec = _Recorder(model.n_at, record)
@@ -611,13 +607,11 @@ def steady_state(
     def visit(t):
         """Check (and record) the state; return its residual."""
         stats["visited_points"] += 1
-        with _BLAS_THREADS.at(entry_threads):
-            rec.visit(t, gen.from_coords(np.concatenate(rs)))
+        rec.visit(t, gen.from_coords(np.concatenate(rs)))
         return float(np.linalg.norm(np.concatenate([m @ r for m, r in zip(ms, rs)])))
 
-    # the dense block products (propagator, squarings, matvecs, residuals) run
-    # at the block count, the state-sized work at the count found on entry
-    with _BLAS_THREADS.at(_BLAS_THREADS.block):
+    n = max(map(len, ms))
+    with _BLAS_THREADS.at(1) if n <= _THREADED_BLOCK else contextlib.nullcontext():
         t = 0.0
         residual = visit(t)
         converged = residual <= cfg.convergence_tol
@@ -625,7 +619,7 @@ def steady_state(
         t_stop = cfg.t_max * (1.0 + 1e-12)
         nzs = [(k, m.ravel()[k]) for m in ms for k in [np.flatnonzero(m).astype(np.int32)]]
         # a visit takes `hops` propagator steps: tau / the propagator's stride
-        ps, tau, hops, n = None, cfg.dt, 1, max(map(len, ms))
+        ps, tau, hops = None, cfg.dt, 1
         while not converged and t + tau <= t_stop:
             if ps is None:
                 # each generator's buffer becomes its propagator

@@ -273,11 +273,11 @@ class TestSweepPlumbing:
     @needs_blas_setter
     def test_worker_initializer_leaves_one_thread(self):
         code = ("from darkdimers.dynamics import _BLAS_THREADS, _one_blas_thread; "
-                "_one_blas_thread(); print(_BLAS_THREADS.count(), _BLAS_THREADS.block)")
+                "_one_blas_thread(); print(_BLAS_THREADS.count())")
         env = dict(os.environ, OPENBLAS_NUM_THREADS="2", PYTHONPATH=os.pathsep.join(sys.path))
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True, timeout=120)
-        assert out.stdout.split() == ["1", "1"]
+        assert out.stdout.split() == ["1"]
 
     def test_unstable_cell_is_a_nan_row(self, tmp_path):
         # collective geometry at a coarse step: the cell loses positivity,
@@ -303,18 +303,22 @@ class TestSweepPlumbing:
 
     def test_csv_bytes_independent_of_blas_threads(self, tmp_path):
         # the reduced blocks change BLAS blocking with the thread count;
-        # the 12-digit CSV must not notice
-        blobs = []
-        for threads in ("1", "2"):
-            out = tmp_path / f"sweep_{threads}.csv"
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                       PYTHONPATH=os.pathsep.join(sys.path))
-            subprocess.run([sys.executable, "-m", "darkdimers", "sweep", "--n-at", "3",
-                            "--grid-zc", "0:pi:4", "--grid-a", "0:pi:4", "--out", str(out)],
-                           env=env, check=True, capture_output=True, timeout=300)
-            blobs.append(out.read_bytes())
-        assert blobs[0] == blobs[1]
-        assert len(blobs[0].splitlines()) == 17
+        # the 12-digit CSV must not notice.  The N = 3 blocks walk on one
+        # thread either way; the N = 5 blocks (272 and 512 coordinates) are
+        # above the one-thread threshold, so the second run walks them on two
+        for n_at, grid_zc, grid_a, rows in (("3", "0:pi:4", "0:pi:4", 16),
+                                            ("5", "0,0.3", "pi/4,0.9", 4)):
+            blobs = []
+            for threads in ("1", "2"):
+                out = tmp_path / f"sweep_{n_at}_{threads}.csv"
+                env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                           PYTHONPATH=os.pathsep.join(sys.path))
+                subprocess.run([sys.executable, "-m", "darkdimers", "sweep", "--n-at", n_at,
+                                "--grid-zc", grid_zc, "--grid-a", grid_a, "--out", str(out)],
+                               env=env, check=True, capture_output=True, timeout=300)
+                blobs.append(out.read_bytes())
+            assert blobs[0] == blobs[1]
+            assert len(blobs[0].splitlines()) == rows + 1
 
     def test_csv_schema_and_manifest(self, small_cfg, tmp_path):
         cells = run_sweep(small_cfg)
@@ -493,29 +497,6 @@ class TestCli:
         assert code == 0
         out = capsys.readouterr().out
         assert "purity:" in out and "converged: True" in out
-
-    @needs_blas_setter
-    def test_command_runs_at_one_thread_and_restores_the_count(self, monkeypatch, capsys):
-        from darkdimers import cli
-
-        seen, solve = [], cli.solve
-
-        def counting_solve(cfg):
-            seen.append(_BLAS_THREADS.count())
-            return solve(cfg)
-
-        def failing_solve(cfg):
-            raise RuntimeError("no exit code maps this")
-
-        with _BLAS_THREADS.at(2):
-            monkeypatch.setattr(cli, "solve", counting_solve)
-            assert main(["steady", "--n-at", "2", "--t-max", "500"]) == 0
-            assert _BLAS_THREADS.count() == 2
-            monkeypatch.setattr(cli, "solve", failing_solve)
-            with pytest.raises(RuntimeError):
-                main(["steady", "--n-at", "2"])
-            assert _BLAS_THREADS.count() == 2
-        assert seen == [1]
 
     def test_sweep_command_writes_files(self, tmp_path, capsys):
         out = str(tmp_path / "sweep.csv")

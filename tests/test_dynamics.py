@@ -286,25 +286,43 @@ class TestSteadyState:
         assert np.all(np.diff(res.series.times) > 0)
         assert res.series.data["purity"][-1] == pytest.approx(1.0, abs=1e-6)
 
-    @pytest.mark.skipif(dynamics._BLAS_THREADS.count() is None,
-                        reason="no OpenBLAS thread setter found")
     @pytest.mark.parametrize("dt,raises", [(0.005, False), (0.099, True)])
-    def test_block_products_at_block_count_rest_at_entry_count(self, monkeypatch, bath088,
-                                                               dt, raises):
-        # entered at one thread with a block count of two: the RK4 polynomial
-        # runs at two, the positivity checks at one, and one thread is left
-        # on return, or on the instability that dt = 0.099 raises
-        threads = dynamics._BLAS_THREADS
+    def test_small_walk_on_one_thread_restores_the_count(self, monkeypatch, bath088,
+                                                         dt, raises):
+        # entered at two threads, the N = 4 walk (blocks of at most 128) forms
+        # its propagator and checks its states on one, and sets two again on
+        # return, or on the instability that dt = 0.099 raises
+        calls = _stand_in_blas(monkeypatch)
         products = _thread_counts_of_calls(monkeypatch, dynamics, "_rk4_step_matrix")
         checks = _thread_counts_of_calls(monkeypatch, dynamics._Recorder, "visit")
-        monkeypatch.setattr(threads, "block", 2)
         model = build_model(make_geometry(4, 2 * math.pi, 0.0), bath088)
-        with threads.at(1):
-            with pytest.raises(IntegrationInstabilityError) if raises else nullcontext():
-                steady_state(ground_state(4), model, EvolveConfig(dt=dt, t_max=5.0))
-            assert threads.count() == 1
-        assert products == [2]
+        with pytest.raises(IntegrationInstabilityError) if raises else nullcontext():
+            steady_state(ground_state(4), model, EvolveConfig(dt=dt, t_max=5.0))
+        assert calls == [1, 2]
+        assert products == [1]
         assert set(checks) == {1} and len(checks) > 1
+
+    @pytest.mark.parametrize("threshold,switches", [(None, False), (512, True), (511, False)])
+    def test_thread_rule_keys_on_the_largest_block(self, monkeypatch, bath088,
+                                                   threshold, switches):
+        # N = 5 at k0a 0.9, k0zc 0.3 from the ground state walks one block of
+        # 512 coordinates: above the default threshold nothing is switched
+        if threshold is not None:
+            monkeypatch.setattr(dynamics, "_THREADED_BLOCK", threshold)
+        calls = _stand_in_blas(monkeypatch)
+        model = build_model(make_geometry(5, 0.9, 0.3), bath088)
+        res = steady_state(ground_state(5), model, EvolveConfig(t_max=1.0))
+        assert [b["reduced"] for b in res.stats["blocks"]] == [512]
+        assert calls == ([1, 2] if switches else [])
+
+
+def _stand_in_blas(monkeypatch):
+    """Put a stand-in OpenBLAS getter and setter in place, the count starting
+    at two; return the log of the setter's calls."""
+    calls = []
+    monkeypatch.setattr(dynamics._BLAS_THREADS, "_api",
+                        (lambda: calls[-1] if calls else 2, calls.append))
+    return calls
 
 
 def _thread_counts_of_calls(monkeypatch, owner, name):
