@@ -36,16 +36,13 @@ from .darkstates import (
 from .dynamics import IntegrationInstabilityError
 from .experiments import (
     EXPERIMENT_NAMES,
+    law_populations,
     population_rows,
     run_experiment,
     run_sweep,
     setup_from_config,
-    solve,
     solve_case,
-    solve_record,
-    write_populations_csv,
     write_sweep_csv,
-    write_table,
 )
 from .observables import dark_condition, excitation_populations, state_row
 
@@ -79,14 +76,14 @@ def _cmd_report(args) -> int:
     presets write it."""
     cfg = _resolve(args)
     report = "series" if args.command == "evolve" else args.command
-    files, converged = solve_case(cfg, {report: (cfg.out or f"{report}.csv", {})})
+    files, result = solve_case(cfg, {report: (cfg.out or f"{report}.csv", {})})
     print("\n".join(files))
-    return 0 if converged else 1
+    return 0 if result.converged else 1
 
 
 def _cmd_steady(args) -> int:
     cfg = _resolve(args)
-    result = solve(cfg)
+    _, result = solve_case(cfg, {"steady": (cfg.out, {})} if cfg.out else {})
     row = state_row(result.state, cfg.n_at)
     print(f"converged: {result.converged}")
     print(f"t_converge: {result.t_converge:.6g}")
@@ -96,10 +93,6 @@ def _cmd_steady(args) -> int:
     print(f"var_x/y: {row['var_x']:.6g} {row['var_y']:.6g}")
     print("populations: "
           + " ".join(f"{row[f'p{k}']:.6g}" for k in range(cfg.n_at + 1)))
-    if cfg.out:
-        header = list(row) + ["t_converge", "converged"]
-        values = list(row.values()) + [result.t_converge, result.converged]
-        write_table(cfg.out, header, [values], cfg, solve_record(result))
     return 0 if result.converged else 1
 
 
@@ -141,14 +134,13 @@ def _cmd_darkstate(args) -> int:
 
 def _cmd_populations(args) -> int:
     cfg = _resolve(args)
-    result = solve(cfg)
+    law_populations(cfg, args.law)  # a law that cannot apply stops before the solve
+    _, result = solve_case(cfg, {"populations": (cfg.out, {"law": args.law})} if cfg.out else {})
     for ne, pop, predicted in population_rows(cfg, result, args.law):
         line = f"P({ne}) = {pop:.6g}"
         if args.law != "none":
             line += f"   {args.law}: {predicted:.6g}"
         print(line)
-    if cfg.out:
-        write_populations_csv(cfg.out, cfg, result, {"law": args.law})
     return 0 if result.converged else 1
 
 

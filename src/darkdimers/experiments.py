@@ -1,11 +1,12 @@
 """Experiment orchestration: parameter sweeps, named experiment presets,
 and deterministic CSV/JSON output.
 
-`solve(cfg)` is the one path from a configuration to a steady state.
-Each report (series, correlations, populations) has one writer;
-`solve_case` runs a solve through its reports' writers for the evolve
-and correlations commands and for the presets: fig3-fig5 are tables of
-solves at fixed geometries (`PRESETS`), fig2 is the sweep.
+`solve(cfg)` is the one path from a configuration to a steady state and
+`solve_case` the one path from a solve to its files: it writes each
+report asked of it (series, correlations, populations, steady) with the
+columns and rows that the table `_REPORTS` gives that report.  The solve
+commands and the fig3-fig5 presets (`PRESETS`, tables of cases at fixed
+geometries) run through it; fig2 is the sweep.
 Every CSV gets a JSON sidecar (same stem, .json) recording the fully
 resolved configuration and the library version, plus the solve record
 (`converged`, `t_converge`, `stats`) for reports of a solve.  Floats are
@@ -24,7 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import __version__
-from .config import ExperimentConfig, initial_state_vector, parse_grid
+from .config import ConfigError, ExperimentConfig, initial_state_vector, parse_grid
 from .darkstates import predicted_populations
 from .dynamics import (EvolveConfig, IntegrationInstabilityError, SteadyStateResult,
                        _one_blas_thread, steady_state)
@@ -48,9 +49,7 @@ __all__ = [
     "run_experiment",
     "write_table",
     "write_sweep_csv",
-    "write_series_csv",
-    "write_correlations_csv",
-    "write_populations_csv",
+    "law_populations",
     "population_rows",
     "EXPERIMENT_NAMES",
 ]
@@ -68,9 +67,9 @@ def _fmt(value) -> str:
 
 
 def write_table(path: str, columns: Sequence[str], rows, cfg: ExperimentConfig,
-                extra: Optional[Dict] = None) -> List[str]:
+                extra: Dict) -> List[str]:
     """Write `rows` under the header `columns` to the CSV at `path`, and
-    its JSON manifest next to it; returns both paths."""
+    its JSON manifest with the keys of `extra` next to it; returns both paths."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(columns) + "\n")
         for row in rows:
@@ -80,9 +79,8 @@ def write_table(path: str, columns: Sequence[str], rows, cfg: ExperimentConfig,
         "columns": list(columns),
         "config": cfg.to_dict(),
         "version": __version__,
+        **extra,
     }
-    if extra:
-        manifest.update(extra)
     manifest_path = os.path.splitext(path)[0] + ".json"
     with open(manifest_path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -178,8 +176,8 @@ def write_sweep_csv(path: str, cells: Sequence[SweepCell], cfg: ExperimentConfig
 
 
 # ---------------------------------------------------------------------------
-# Reports of one solve.  Each writer takes the solved configuration and its
-# SteadyStateResult, and every manifest carries the same solve record.
+# Reports of one solve.  `solve_case` writes each one from `_REPORTS`, and
+# every manifest carries the same solve record.
 
 
 def solve_record(result: SteadyStateResult) -> Dict:
@@ -193,42 +191,43 @@ def series_columns(n_at: int) -> List[str]:
             + [f"p{k}" for k in range(n_at + 1)])
 
 
-def write_series_csv(path: str, cfg: ExperimentConfig, result: SteadyStateResult,
-                     extra: Optional[Dict] = None) -> List[str]:
-    """The recorded series of a `solve(cfg, record=True)`."""
-    cols = series_columns(cfg.n_at)
-    rows = zip(result.series.times, *(result.series.data[c] for c in cols[1:]))
-    return write_table(path, cols, rows, cfg, {**solve_record(result), **(extra or {})})
-
-
-def write_correlations_csv(path: str, cfg: ExperimentConfig, result: SteadyStateResult,
-                           extra: Optional[Dict] = None) -> List[str]:
-    """The sigma_x pair correlations of the steady state, one row per (n, m)."""
-    corr = pair_correlations(result.state, cfg.n_at)
-    rows = [(n + 1, m + 1, corr[n, m]) for n in range(cfg.n_at) for m in range(cfg.n_at)]
-    return write_table(path, ("n", "m", "C"), rows, cfg,
-                       {**solve_record(result), **(extra or {})})
+def law_populations(cfg: ExperimentConfig, law: str) -> np.ndarray:
+    """The closed-form `law` populations for n_e = 0..n_at (nan for "none");
+    a law that cannot apply to `cfg` (odd n_at, or squeezed at n_ph = 0) is
+    a ConfigError, so callers check it before they solve."""
+    if law == "none":
+        return np.full(cfg.n_at + 1, float("nan"))
+    try:
+        return predicted_populations(law, cfg.n_at, make_bath(cfg.n_ph, cfg.phi))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def population_rows(cfg: ExperimentConfig, result: SteadyStateResult,
                     law: str) -> List[Tuple[int, float, float]]:
     """(n_e, steady-state population, closed-form `law` or nan for
     "none") for n_e = 0..n_at."""
-    pops = excitation_populations(result.state)
-    if law == "none":
-        predicted = np.full(cfg.n_at + 1, float("nan"))
-    else:
-        predicted = predicted_populations(law, cfg.n_at, make_bath(cfg.n_ph, cfg.phi))
-    return list(zip(range(cfg.n_at + 1), pops, predicted))
+    return list(zip(range(cfg.n_at + 1), excitation_populations(result.state),
+                    law_populations(cfg, law)))
 
 
-def write_populations_csv(path: str, cfg: ExperimentConfig, result: SteadyStateResult,
-                          extra: Dict) -> List[str]:
-    """The excitation populations of the steady state next to the law that
-    `extra["law"]` names; `extra` goes into the manifest."""
-    rows = population_rows(cfg, result, extra["law"])
-    return write_table(path, ("n_e", "p_steady", "p_predicted"), rows, cfg,
-                       {**solve_record(result), **extra})
+# report -> (its columns at n_at, its rows from (cfg, result, manifest tags))
+_REPORTS = {
+    # the points the walk visited (a solve with record=True)
+    "series": (series_columns, lambda cfg, result, tags: zip(
+        result.series.times, *(result.series.data[c] for c in series_columns(cfg.n_at)[1:]))),
+    # the sigma_x pair correlations of the steady state, one row per (n, m)
+    "correlations": (lambda n_at: ("n", "m", "C"), lambda cfg, result, tags: [
+        (n + 1, m + 1, c) for (n, m), c in np.ndenumerate(pair_correlations(result.state,
+                                                                            cfg.n_at))]),
+    # the excitation populations next to the law that tags["law"] names
+    "populations": (lambda n_at: ("n_e", "p_steady", "p_predicted"),
+                    lambda cfg, result, tags: population_rows(cfg, result, tags["law"])),
+    # one row: the steady state's observables and how the solve went
+    "steady": (lambda n_at: series_columns(n_at)[1:] + ["t_converge", "converged"],
+               lambda cfg, result, tags: [[*state_row(result.state, cfg.n_at).values(),
+                                           result.t_converge, result.converged]]),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -242,9 +241,6 @@ def dimer_center(n_at: int, k0a: float) -> float:
     zc = (n_at - 2) k0a / 2 (mod pi/2) zeroes them all (mod pi)."""
     return ((n_at - 2) * k0a / 2.0) % (math.pi / 2.0)
 
-
-_WRITERS = {"series": write_series_csv, "correlations": write_correlations_csv,
-            "populations": write_populations_csv}
 
 _CHAINS = (("dimer", math.pi / 4), ("melted", math.pi))
 
@@ -274,33 +270,41 @@ EXPERIMENT_NAMES = ("fig2", *PRESETS)
 
 
 def solve_case(case: ExperimentConfig, reports: Dict[str, Tuple[str, Dict]]
-               ) -> Tuple[List[str], bool]:
+               ) -> Tuple[List[str], SteadyStateResult]:
     """Solve `case` once and write each of its `reports` ({report: (path,
-    manifest tags)}) with that report's writer; returns the written paths
-    and whether the solve converged."""
+    manifest tags)}) with the columns and rows that `_REPORTS` gives it;
+    returns the written paths and the solve's result."""
     result = solve(case, record="series" in reports)
-    files = [f for report, (path, tags) in reports.items()
-             for f in _WRITERS[report](path, case, result, tags)]
-    return files, bool(result.converged)
+    files = []
+    for report, (path, tags) in reports.items():
+        columns, rows = _REPORTS[report]
+        files += write_table(path, columns(case.n_at), rows(case, result, tags), case,
+                             {**solve_record(result), **tags})
+    return files, result
 
 
 def run_experiment(name: str, cfg: ExperimentConfig, outdir: str) -> Tuple[List[str], bool]:
     """Produce the data files of one named experiment preset under
     `outdir`; returns the written paths and whether every solve converged
-    (the fig2 sweep reports its non-converged cells in its manifest)."""
+    (the fig2 sweep reports its non-converged cells in its manifest).
+    Every population law is checked before the first solve."""
     if name not in EXPERIMENT_NAMES:
         raise ValueError(
             f"unknown experiment {name!r}; expected one of {EXPERIMENT_NAMES}"
         )
+    cases = [(replace(cfg, **overrides), {
+        report: (os.path.join(outdir, f"{stem}_{report}.csv"),
+                 {"experiment": name, **tags, **report_tags})
+        for report, report_tags in reports.items()})
+        for stem, overrides, reports, tags in PRESETS.get(name, ())]
+    for case, reports in cases:
+        if "populations" in reports:
+            law_populations(case, reports["populations"][1]["law"])
     os.makedirs(outdir, exist_ok=True)
     if name == "fig2":
         # Steady-state map over array center and separation.
         sweep_cfg = replace(cfg, initial="ground")
         return write_sweep_csv(os.path.join(outdir, "fig2_sweep.csv"), run_sweep(sweep_cfg),
                                sweep_cfg, {"experiment": name}), True
-    solved = [solve_case(replace(cfg, **overrides), {
-        report: (os.path.join(outdir, f"{stem}_{report}.csv"),
-                 {"experiment": name, **tags, **report_tags})
-        for report, report_tags in reports.items()})
-        for stem, overrides, reports, tags in PRESETS[name]]
-    return [f for files, _ in solved for f in files], all(ok for _, ok in solved)
+    solved = [solve_case(case, reports) for case, reports in cases]
+    return [f for files, _ in solved for f in files], all(r.converged for _, r in solved)

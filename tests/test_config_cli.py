@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from darkdimers import experiments
 from darkdimers.cli import _build_parser, main
 from darkdimers.config import (
     ConfigError,
@@ -549,6 +550,25 @@ class TestCli:
         assert code == 0
         out = capsys.readouterr().out
         assert "melted_dark" in out and "cross-check fidelity" in out
+
+    @pytest.mark.parametrize("args,out_name,fragment", [
+        (["populations", "--n-at", "3", "--law", "squeezed"], "p.csv",
+         "squeezed law needs an even atom number, got 3"),
+        (["populations", "--n-at", "2", "--n-ph", "0", "--law", "squeezed"], "p.csv",
+         "squeezed law undefined at n_ph = 0"),
+        (["experiment", "fig5", "--n-ph", "0"], "fig5", "squeezed law undefined at n_ph = 0"),
+    ], ids=["odd-n-at", "vacuum", "fig5-vacuum"])
+    def test_law_that_cannot_apply_exits_2_before_any_solve(self, tmp_path, capsys,
+                                                             monkeypatch, args, out_name,
+                                                             fragment):
+        def no_solve(*_, **__):
+            raise AssertionError("solved before the population law was checked")
+
+        monkeypatch.setattr(experiments, "solve", no_solve)
+        assert main([*args, "--out", str(tmp_path / out_name)]) == 2
+        captured = capsys.readouterr()
+        assert fragment in captured.err and "Traceback" not in captured.err
+        assert captured.out == "" and os.listdir(tmp_path) == []
 
     def test_populations_with_law(self, capsys):
         code = main(["populations", "--n-at", "2", "--k0a", "pi/4",

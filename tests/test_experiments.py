@@ -234,16 +234,41 @@ class TestSolveRecord:
         assert main(["evolve", *geometry, "--out", series]) == 0
         assert main(["correlations", *geometry, "--out", str(tmp_path / "c.csv")]) == 0
         assert main(["populations", *geometry, "--out", str(tmp_path / "p.csv")]) == 0
+        assert main(["steady", *geometry, "--out", str(tmp_path / "s.csv")]) == 0
         records = [read_manifest(str(tmp_path / name))
-                   for name in ("series.csv", "c.csv", "p.csv")]
+                   for name in ("series.csv", "c.csv", "p.csv", "s.csv")]
         for manifest in records:
             assert SOLVE_RECORD <= set(manifest)
             assert manifest["converged"] is True
         _, data = read_csv(series)
         assert records[0]["stats"]["visited_points"] == len(data["t"])
-        # the three commands make the same solve
+        # the four commands make the same solve
         for manifest in records[1:]:
             assert all(manifest[k] == records[0][k] for k in SOLVE_RECORD)
+
+    def test_steady_prints_what_it_writes(self, tmp_path, capsys):
+        out = str(tmp_path / "steady.csv")
+        assert main(["steady", "--n-at", "2", "--t-max", "500", "--out", out]) == 0
+        printed = dict(line.split(": ") for line in capsys.readouterr().out.splitlines())
+        _, data = read_csv(out)
+        assert printed.pop("converged") == "True" and data["converged"][0] == 1
+        assert printed.pop("residual")  # not a column
+        assert printed.pop("purity") == f"{data['purity'][0]:.12g}"
+        for label, columns in (("t_converge", ["t_converge"]),
+                               ("mean_x/y/z", ["mean_x", "mean_y", "mean_z"]),
+                               ("var_x/y", ["var_x", "var_y"]),
+                               ("populations", ["p0", "p1", "p2"])):
+            assert printed.pop(label) == " ".join(f"{data[c][0]:.6g}" for c in columns)
+        assert printed == {}
+
+    def test_populations_prints_what_it_writes(self, tmp_path, capsys):
+        out = str(tmp_path / "pops.csv")
+        assert main(["populations", "--n-at", "2", "--k0a", "pi/4", "--t-max", "500",
+                     "--law", "dimer", "--out", out]) == 0
+        _, data = read_csv(out)
+        assert capsys.readouterr().out.splitlines() == [
+            f"P({ne:.0f}) = {pop:.6g}   dimer: {law:.6g}"
+            for ne, pop, law in zip(data["n_e"], data["p_steady"], data["p_predicted"])]
 
     @pytest.mark.parametrize("preset", ["fig3_dir", "fig4_dir", "fig5_dir"])
     def test_preset_manifests(self, preset, request):
