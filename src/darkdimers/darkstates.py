@@ -5,17 +5,21 @@ here at its validity geometry is annihilated by both squeezed jump
 operators, which is also the operational check that pins down all phase
 conventions.
 
-Two-atom building blocks (atoms n < m, phases from the positions):
+Two-atom building blocks (atoms n < m, phases from the positions), each
+a 2 x 2 amplitude tensor amp[e_n, e_m] (e = 1 excited):
 
     sym       (|g_n e_m> - e^{i k0 (z_m - z_n)} |e_n g_m>) / sqrt(2)
     squeezed  (mu |g_n g_m> + e^{i k0 (z_n + z_m)} nu |e_n e_m>)
               / sqrt(|mu|^2 + |nu|^2)
 
-A sym pair exists where sin k0(z_n - z_m) = 0, a squeezed pair where
-cos k0(z_n + z_m) = +/-1.  Chains of nearest-neighbor squeezed pairs are
-the only products the hopping Hamiltonian leaves invariant; when
-sin k0 a = 0 the pairing ambiguity instead produces symmetrized sums
-over all perfect matchings ("melted" states).
+Every state is a product of pairs (unpaired atoms in |g>) or a sum of
+such products.  One rule places a pair: |sin k0(z_n - z_m)| <= _GEOM_TOL
+for sym, |sin k0(z_n + z_m)| <= _GEOM_TOL (cos = +/-1) for squeezed, the
+test `stable_dark_geometry` makes on the nearest-neighbor chain.  Chains
+of nearest-neighbor squeezed pairs are the only products the hopping
+Hamiltonian leaves invariant; when sin k0 a = 0 the pairing ambiguity
+instead produces symmetrized sums over all perfect matchings ("melted"
+states).
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ _MAX_MATCHING_ATOMS = 8  # 105 perfect matchings; larger arrays use dimer_chain
 
 @dataclass(frozen=True)
 class PairSpec:
-    """One two-atom dark pair: atoms n < m (1-based), kind 'sym' or
+    """One two-atom dark pair: atoms 1 <= n < m (1-based), kind 'sym' or
     'squeezed'."""
 
     n: int
@@ -59,58 +63,46 @@ class PairSpec:
     def __post_init__(self):
         if self.kind not in ("sym", "squeezed"):
             raise ValueError(f"kind must be 'sym' or 'squeezed', got {self.kind!r}")
-        if not self.n < self.m:
-            raise ValueError(f"require n < m, got ({self.n}, {self.m})")
+        if not 1 <= self.n < self.m:
+            raise ValueError(f"require 1 <= n < m, got ({self.n}, {self.m})")
 
 
-def _pair_components(geo: ArrayGeometry, bath: BathParams, spec: PairSpec):
-    """[(excite_n, excite_m, amplitude), ...] for one pair."""
-    zn = geo.k0z[spec.n - 1]
-    zm = geo.k0z[spec.m - 1]
-    if spec.kind == "squeezed":
-        if abs(abs(math.cos(zn + zm)) - 1.0) > _GEOM_TOL:
-            raise ValueError(
-                f"squeezed pair ({spec.n},{spec.m}) needs |cos k0(z_n+z_m)| = 1; "
-                f"got cos = {math.cos(zn + zm):.6g}"
-            )
-        mu, nu = bath.mu, bath.nu
-        norm = math.sqrt(abs(mu) ** 2 + abs(nu) ** 2)
-        phase = cmath.exp(1j * (zn + zm))
-        return [(0, 0, mu / norm), (1, 1, phase * nu / norm)]
-    if abs(math.sin(zn - zm)) > _GEOM_TOL:
-        raise ValueError(
-            f"sym pair ({spec.n},{spec.m}) needs sin k0(z_n-z_m) = 0; "
-            f"got sin = {math.sin(zn - zm):.6g}"
-        )
-    phase = cmath.exp(1j * (zm - zn))
-    return [(0, 1, 1.0 / math.sqrt(2.0)), (1, 0, -phase / math.sqrt(2.0))]
+def _pair_amplitudes(geo: ArrayGeometry, bath: BathParams, spec: PairSpec) -> np.ndarray:
+    """The pair's 2 x 2 amplitudes amp[e_n, e_m], e = 1 meaning excited."""
+    if spec.m > geo.n_at:
+        raise ValueError(f"pair ({spec.n},{spec.m}) lies outside the {geo.n_at}-atom register")
+    zn, zm = geo.k0z[spec.n - 1], geo.k0z[spec.m - 1]
+    squeezed = spec.kind == "squeezed"
+    sin = np.sin(zn + zm if squeezed else zn - zm)
+    if abs(sin) > _GEOM_TOL:
+        need = "cos k0(z_n+z_m) = +/-1" if squeezed else "sin k0(z_n-z_m) = 0"
+        raise ValueError(f"{spec.kind} pair ({spec.n},{spec.m}) needs {need}; got sin = {sin:.6g}")
+    amp = np.zeros((2, 2), dtype=complex)
+    if squeezed:
+        norm = math.sqrt(abs(bath.mu) ** 2 + abs(bath.nu) ** 2)
+        amp[0, 0], amp[1, 1] = bath.mu / norm, cmath.exp(1j * (zn + zm)) * bath.nu / norm
+    else:
+        amp[0, 1], amp[1, 0] = 1.0 / math.sqrt(2.0), -cmath.exp(1j * (zm - zn)) / math.sqrt(2.0)
+    return amp
 
 
-def _scatter_pairs(n_at: int, pair_components) -> np.ndarray:
-    """Add the product of per-pair components into a full-register
-    vector (all unpaired atoms in |g>)."""
-    psi = np.zeros(2**n_at, dtype=complex)
-    for combo in itertools.product(*pair_components):
-        idx = 0
-        amp = 1.0 + 0.0j
-        for (n, m, _), (en, em, a) in combo:
-            if en:
-                idx |= 1 << (n_at - n)
-            if em:
-                idx |= 1 << (n_at - m)
-            amp *= a
-        psi[idx] += amp
-    return psi
-
-
-def _tagged_components(geo, bath, spec):
-    return [((spec.n, spec.m, spec.kind), comp) for comp in _pair_components(geo, bath, spec)]
+def _product(geo: ArrayGeometry, bath: BathParams, specs) -> np.ndarray:
+    """Register vector of the pairs' tensor product, unpaired atoms in
+    |g>.  Einsum axis s - 1 is site s, so ravel() puts site 1 on the most
+    significant bit."""
+    operands = []
+    for spec in specs:
+        operands += [_pair_amplitudes(geo, bath, spec), [spec.n - 1, spec.m - 1]]
+    paired = {s for spec in specs for s in (spec.n - 1, spec.m - 1)}
+    for s in sorted(set(range(geo.n_at)) - paired):
+        operands += [np.array([1.0, 0.0]), [s]]
+    return np.einsum(*operands, list(range(geo.n_at))).ravel()
 
 
 def pair_state(geo: ArrayGeometry, bath: BathParams, spec: PairSpec) -> np.ndarray:
     """Two-atom dark state embedded in the full register (other atoms in
     |g>)."""
-    psi = _scatter_pairs(geo.n_at, [_tagged_components(geo, bath, spec)])
+    psi = _product(geo, bath, [spec])
     return psi / np.linalg.norm(psi)
 
 
@@ -118,16 +110,13 @@ def dimer_chain(geo: ArrayGeometry, bath: BathParams) -> np.ndarray:
     """Product of squeezed nearest-neighbor pairs (1,2)(3,4)..., the
     unique Hamiltonian-stable dark state when sin k0 a != 0.
 
-    Requires an even atom number and cos k0(z_{2n-1} + z_{2n}) = +/-1
-    for every pair.
+    Requires an even atom number and |sin k0(z_{2n-1} + z_{2n})| <=
+    _GEOM_TOL for every pair.
     """
     if geo.n_at % 2:
         raise ValueError(f"dimer chain needs an even atom number, got {geo.n_at}")
-    pairs = [
-        _tagged_components(geo, bath, PairSpec(2 * k + 1, 2 * k + 2, "squeezed"))
-        for k in range(geo.n_at // 2)
-    ]
-    psi = _scatter_pairs(geo.n_at, pairs)
+    pairs = [PairSpec(2 * k + 1, 2 * k + 2, "squeezed") for k in range(geo.n_at // 2)]
+    psi = _product(geo, bath, pairs)
     return psi / np.linalg.norm(psi)
 
 
@@ -176,15 +165,10 @@ def melted_dark(geo: ArrayGeometry, bath: BathParams, l: int) -> np.ndarray:
     psi = np.zeros(2**geo.n_at, dtype=complex)
     for matching in _perfect_matchings(list(range(1, geo.n_at + 1))):
         for squeezed_idx in itertools.combinations(range(n_pairs), l):
-            comps = [
-                _tagged_components(
-                    geo,
-                    bath,
-                    PairSpec(n, m, "squeezed" if k in squeezed_idx else "sym"),
-                )
+            psi += _product(geo, bath, [
+                PairSpec(n, m, "squeezed" if k in squeezed_idx else "sym")
                 for k, (n, m) in enumerate(matching)
-            ]
-            psi += _scatter_pairs(geo.n_at, comps)
+            ])
     norm = np.linalg.norm(psi)
     if norm < 1e-12:
         raise ValueError(f"matching sum vanished for l = {l}")
@@ -308,10 +292,11 @@ def predicted_populations(kind: str, n_at: int, bath: BathParams) -> np.ndarray:
     return p
 
 
-def stable_dark_geometry(n_at: int, k0a: float, k0zc: float, tol: float = 1e-9) -> bool:
+def stable_dark_geometry(n_at: int, k0a: float, k0zc: float) -> bool:
     """Whether a stable dark state exists: even atom number and every
     nearest-neighbor pair (1,2)(3,4)... centered where the field
-    quadrature correlations are extremal, cos k0(z_{2n-1}+z_{2n}) = +/-1.
+    quadrature correlations are extremal, |sin k0(z_{2n-1}+z_{2n})| <=
+    _GEOM_TOL: the test `dimer_chain` applies to each of its pairs.
 
     Covers both regimes: for sin k0 a = 0 any pairing is equivalent to
     the nearest-neighbor one; otherwise the nearest-neighbor chain is
@@ -321,4 +306,4 @@ def stable_dark_geometry(n_at: int, k0a: float, k0zc: float, tol: float = 1e-9) 
         return False
     k0z = make_geometry(n_at, k0a, k0zc).k0z
     sums = k0z[0::2] + k0z[1::2]
-    return bool(np.all(np.abs(np.sin(sums)) <= tol))
+    return bool(np.all(np.abs(np.sin(sums)) <= _GEOM_TOL))

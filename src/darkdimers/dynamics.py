@@ -16,8 +16,8 @@ Hermiticity is structural), the degree-4 RK4 polynomial of dt*L is
 formed once in two products, and the walk visits the trajectory in
 geometrically growing strides, one matrix per excitation-parity
 block, restricted to the states sharing rho0's site symmetries (each
-transposition or chain reflection that fixes rho0 and commutes with L to
-1e-12; a start with no symmetry gets no reduction); a stride doubling
+transposition or chain reflection that fixes rho0 to 1e-12 and commutes
+with L to 1e-14 relative; no symmetry, no reduction); a stride doubling
 squares the propagator only while that pays.  The visited states are
 states of the plain RK4 iteration, up to rounding, just evaluated at
 coarse times.  Setting the blocks up holds d^2-entry tables and one
@@ -342,10 +342,11 @@ class _VectorizedGenerator:
     (diagonal, then Re and Im of the same-parity pairs) and block 1 (Re
     and Im of the opposite-parity pairs).
 
-    Site transpositions and the chain reflection that fix rho0 and commute
-    with L (both to 1e-12, L on a random Hermitian probe) generate a group
-    G; the coordinates are G's signed orbits sum s_k E_k / sqrt|orbit|,
-    less those whose signs conflict: the plain ones when G is trivial.
+    Site transpositions and the chain reflection that fix rho0 (to 1e-12)
+    and commute with L (to 1e-14 of max|L x|, x a random Hermitian probe;
+    looser passes near-symmetries) generate a group G; the coordinates are
+    G's signed orbits sum s_k E_k / sqrt|orbit|, less those whose signs
+    conflict: the plain ones when G is trivial.
     Besides d^2-entry tables, set-up holds one piece at a time: a few moved
     candidates, one generator's coordinate images, or one term's entries.
     """
@@ -411,7 +412,7 @@ class _VectorizedGenerator:
             g = perms[c, :, None], perms[c, None, :]  # a[g] stacks a[g][:, g] per candidate
             fix = abs(rho0[g] - rho0).max(axis=(1, 2)) <= 1e-12
             ok[c[fix]] = (abs(_rhs_from_terms(terms, x[g][fix]) - lx[g][fix]).max(axis=(1, 2))
-                          <= 1e-12 * abs(lx).max())
+                          <= 1e-14 * abs(lx).max())
         return sites[ok], perms[ok]
 
     def assemble(self, b: int) -> np.ndarray:
@@ -566,7 +567,7 @@ def steady_state(
     the propagator (stride tau_P) while that saves rest / (2 tau_P) > n *
     _PRODUCT_MATVECS matvecs on the largest block n, the rest of the walk
     being t_max - t or less, as the last two residuals decay.  It stays
-    among the states sharing rho0's site symmetries (1e-12 test, see
+    among the states sharing rho0's site symmetries (tests in
     _VectorizedGenerator): a start with no symmetry gets no reduction.
     The parity-diagonal block is propagated always, the parity-off-
     diagonal one only when rho0 has coherences between the even and odd
@@ -592,6 +593,7 @@ def steady_state(
             f"dense parity blocks have 16**n_at / 4 entries); got n_at = {model.n_at}"
         )
     rho0 = _as_density(rho0)
+    _check_shape(rho0, model)
     gen = _VectorizedGenerator(model, _resolve_form(model, form), rho0)
     rec = _Recorder(model.n_at, record)
 

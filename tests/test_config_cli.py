@@ -363,6 +363,10 @@ class TestCli:
     def test_bad_flag_exits_2(self, capsys):
         assert main(["steady", "--n-ph=-1"]) == 2
         assert "n_ph" in capsys.readouterr().err
+        assert main(["steady", "--n-at", "abc"]) == 2
+        assert "bad value for n_at: 'abc'" in capsys.readouterr().err
+        assert main(["sweep", "--n-at", "2", "--grid-a", "0:pi"]) == 2
+        assert "must be 'lo:hi:n'" in capsys.readouterr().err
 
     def test_unknown_experiment_usage_error(self):
         with pytest.raises(SystemExit) as exc:

@@ -38,6 +38,10 @@ class TestPairSpec:
         with pytest.raises(ValueError):
             PairSpec(1, 2, "singlet")
 
+    def test_sites_start_at_one(self):
+        with pytest.raises(ValueError, match="1 <= n < m"):
+            PairSpec(0, 2, "sym")
+
 
 class TestPairState:
     def test_squeezed_amplitudes(self, geo2_dark, bath088):
@@ -79,6 +83,20 @@ class TestPairState:
         # support only on |gggg> and |e g e g> (atoms 1 and 3 excited)
         assert pops[0] > 0 and pops[0b1010] > 0
         assert pops.sum() == pytest.approx(pops[0] + pops[0b1010], abs=1e-14)
+
+    def test_pair_outside_register_rejected(self, bath088):
+        geo = make_geometry(4, math.pi, 0.0)
+        with pytest.raises(ValueError, match=r"\(1,5\) lies outside the 4-atom register"):
+            pair_state(geo, bath088, PairSpec(1, 5, "sym"))
+
+    def test_off_center_pair_rejected_like_the_geometry_test(self, bath088):
+        # sin k0(z_1+z_2) = 2e-6: ||cos| - 1| = 2e-12 alone would pass it
+        geo = make_geometry(2, math.pi / 4, 1e-6)
+        assert not stable_dark_geometry(2, geo.k0a, geo.k0zc)
+        with pytest.raises(ValueError, match="cos"):
+            pair_state(geo, bath088, PairSpec(1, 2, "squeezed"))
+        with pytest.raises(ValueError, match="cos"):
+            dimer_chain(geo, bath088)
 
     def test_geometry_precondition_errors(self, bath088):
         geo = make_geometry(2, math.pi / 4, math.pi / 8)

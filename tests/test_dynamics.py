@@ -80,6 +80,11 @@ class TestGenerators:
     def test_dimension_mismatch(self, model2):
         with pytest.raises(ValueError, match="mismatch"):
             lindblad_rhs_general(np.eye(8, dtype=complex) / 8, model2)
+        # one atom too few or too many, as a vector or a density matrix
+        for rho in (ground_state(1), ground_state(3), np.eye(8, dtype=complex) / 8):
+            for solve in (steady_state, evolve):
+                with pytest.raises(ValueError, match="mismatch"):
+                    solve(rho, model2, EvolveConfig(t_max=0.02))
 
     def test_dark_state_is_fixed_point(self, geo2_dark, bath088, model2):
         psi = pair_state(geo2_dark, bath088, PairSpec(1, 2, "squeezed"))

@@ -6,6 +6,7 @@ against each other."""
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -81,6 +82,20 @@ def test_blocks_match_rhs_and_preserve_trace(model, form, start, seed):
     res = steady_state(psi, model, EvolveConfig(dt=dt, t_max=n * dt, convergence_tol=1e-300),
                        form=form)
     assert np.max(np.abs(res.state - rho_loop)) <= 1e-12
+
+
+@pytest.mark.parametrize("form", ["general", "squeezed"])
+def test_near_symmetry_is_rejected(form):
+    # at k0zc = 1e-12 the swap of the two atoms commutes with L only to
+    # ~1e-12 relative; accepting it dropped ~3e-12 of L(F_o) outside the sector
+    model = build_model(make_geometry(2, 1.0, 1e-12), make_bath(1.0))
+    psi = ground_state(2)
+    gen = _VectorizedGenerator(model, form, np.outer(psi, psi.conj()))
+    assert gen.symmetries == []
+    terms = _generator_terms(model, form)
+    for e in np.eye(gen.blocks[1].stop):
+        lf = _rhs_from_terms(terms, gen.from_coords(e))
+        assert np.max(np.abs(gen.from_coords(gen.to_coords(lf)) - lf)) <= 1e-12
 
 
 @settings(max_examples=50, deadline=None)

@@ -172,6 +172,7 @@ class TestFidelity:
 
     def test_ground_vs_maximally_mixed(self):
         assert fidelity(ground_state(2), np.eye(4) / 4.0) == pytest.approx(0.25)
+        assert fidelity(np.eye(4) / 4.0, ground_state(2)) == pytest.approx(0.25)
 
     def test_mixed_mixed_rejected(self):
         with pytest.raises(ValueError, match="pure"):
@@ -180,6 +181,8 @@ class TestFidelity:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             fidelity(ground_state(2), ground_state(3))
+        with pytest.raises(ValueError, match="mismatch"):
+            fidelity(np.eye(4) / 4.0, ground_state(3))
 
     def test_range(self):
         rng = np.random.default_rng(4)
