@@ -24,9 +24,9 @@ _EXPORTS = {
         "PolarizationMoments", "dark_condition", "excitation_populations", "fidelity",
         "pair_correlations", "polarization_moments", "purity"), "observables"),
     **dict.fromkeys((
-        "PairSpec", "collective_amplitudes", "collective_dark_state", "dimer_chain",
-        "melted_dark", "pair_state", "predicted_populations", "sph_harm_equator",
-        "stability_residual", "stable_dark_geometry"), "darkstates"),
+        "PairSpec", "collective_amplitudes", "collective_dark_state", "dark_state",
+        "dimer_chain", "melted_dark", "pair_state", "predicted_populations",
+        "sph_harm_equator", "stability_residual", "stable_dark_geometry"), "darkstates"),
 }
 
 __all__ = ["__version__", *_EXPORTS]

@@ -14,7 +14,6 @@ an idle OpenBLAS worker then sleeps at once instead of spinning for about
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from pathlib import Path
@@ -26,14 +25,8 @@ import numpy as np
 
 from . import __version__
 from .config import CONFIG_KEYS, ConfigError, load_config_file, resolve_config
-from .darkstates import (
-    collective_dark_state,
-    dimer_chain,
-    melted_dark,
-    stability_residual,
-    stable_dark_geometry,
-)
-from .dynamics import IntegrationInstabilityError
+from .darkstates import dark_state, stability_residual
+from .dynamics import _STEADY_STATE_MAX_ATOMS, IntegrationInstabilityError
 from .experiments import (
     EXPERIMENT_NAMES,
     law_populations,
@@ -51,7 +44,12 @@ def _resolve(args) -> "ExperimentConfig":
     file_values = load_config_file(args.config) if args.config else None
     flag_values = {name: getattr(args, name) for name in CONFIG_KEYS}
     cfg = resolve_config(file_values, flag_values)
-    if cfg.out and args.command != "darkstate":  # check the output before any solve
+    if args.command == "darkstate":
+        return cfg
+    if cfg.n_at > _STEADY_STATE_MAX_ATOMS:
+        raise ConfigError(f"{args.command} solves n_at <= {_STEADY_STATE_MAX_ATOMS} "
+                          f"(steady_state's size limit); got n_at = {cfg.n_at}")
+    if cfg.out:  # check the output before any solve
         out, want_dir = Path(cfg.out), args.command == "experiment"
         if not want_dir and out.suffix.lower() == ".json":  # its manifest would overwrite it
             raise ConfigError(f"out {cfg.out} ends in .json, the suffix of its manifest")
@@ -103,20 +101,10 @@ def _cmd_darkstate(args) -> int:
         raise ConfigError(
             "darkstate needs a minimal-uncertainty squeezed bath with n_ph > 0"
         )
-    melted = abs(math.sin(cfg.k0a)) <= 1e-9
-    if not stable_dark_geometry(cfg.n_at, cfg.k0a, cfg.k0zc):
-        raise ConfigError(
-            f"no stable dark state at n_at={cfg.n_at}, k0a={cfg.k0a:.6g}, "
-            f"k0zc={cfg.k0zc:.6g}: nearest-neighbor pairs must sit at "
-            "quadrature extrema (cos k0(z_n+z_m) = +/-1) and n_at must be even"
-        )
-    if melted:
-        sector = args.sector if args.sector is not None else cfg.n_at // 2
-        psi = melted_dark(geo, bath, sector)
-        label = f"melted_dark(l={sector})"
-    else:
-        psi = dimer_chain(geo, bath)
-        label = "dimer_chain"
+    try:
+        label, psi, collective = dark_state(geo, bath, args.sector)
+    except ValueError as exc:  # no dark state at this geometry, or no such sector
+        raise ConfigError(str(exc)) from None
     jx, jy = model.squeezed_jumps
     print(f"state: {label}")
     print(f"jump annihilation |Jx psi|: {np.linalg.norm(jx @ psi):.3e}")
@@ -124,10 +112,8 @@ def _cmd_darkstate(args) -> int:
     print(f"hamiltonian stability residual: {stability_residual(psi, model):.3e}")
     print(f"rate-weighted dark condition min eig: {dark_condition(geo, bath):.3e}")
     print("populations: " + " ".join(f"{p:.6g}" for p in excitation_populations(psi)))
-    if melted and abs(math.sin(cfg.k0a / 2.0)) <= 1e-9 \
-            and abs(math.sin(2.0 * cfg.k0zc)) <= 1e-9:
-        other = collective_dark_state(geo, bath, cfg.n_at // 2)
-        overlap = abs(np.vdot(other, psi)) ** 2
+    if collective is not None:
+        overlap = abs(np.vdot(collective, psi)) ** 2
         print(f"collective-form cross-check fidelity: {overlap:.12g}")
     return 0
 

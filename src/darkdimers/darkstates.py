@@ -28,6 +28,7 @@ import cmath
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -44,6 +45,7 @@ __all__ = [
     "collective_dark_state",
     "predicted_populations",
     "stable_dark_geometry",
+    "dark_state",
     "sph_harm_equator",
 ]
 
@@ -149,7 +151,7 @@ def melted_dark(geo: ArrayGeometry, bath: BathParams, l: int) -> np.ndarray:
     normalizes.  l = n_at/2 is the all-squeezed sector reached from the
     ground state.
     """
-    if abs(math.sin(geo.k0a)) > _GEOM_TOL:
+    if not _melted(geo.k0a):
         raise ValueError(
             f"melted states need sin k0 a = 0; got sin = {math.sin(geo.k0a):.6g}"
         )
@@ -292,6 +294,11 @@ def predicted_populations(kind: str, n_at: int, bath: BathParams) -> np.ndarray:
     return p
 
 
+def _melted(k0a: float) -> bool:
+    """The sin k0 a = 0 regime, where every pairing is equivalent."""
+    return abs(math.sin(k0a)) <= _GEOM_TOL
+
+
 def stable_dark_geometry(n_at: int, k0a: float, k0zc: float) -> bool:
     """Whether a stable dark state exists: even atom number and every
     nearest-neighbor pair (1,2)(3,4)... centered where the field
@@ -307,3 +314,25 @@ def stable_dark_geometry(n_at: int, k0a: float, k0zc: float) -> bool:
     k0z = make_geometry(n_at, k0a, k0zc).k0z
     sums = k0z[0::2] + k0z[1::2]
     return bool(np.all(np.abs(np.sin(sums)) <= _GEOM_TOL))
+
+
+def dark_state(geo: ArrayGeometry, bath: BathParams, l: Optional[int] = None):
+    """(name, state, collective) of the stable dark state at `geo`:
+    `melted_dark` in sector l (default n_at/2) where sin k0 a = 0, else
+    `dimer_chain`; `collective` is the l = n_at/2 closed form where that
+    applies, else None.  ValueError where `stable_dark_geometry` finds no
+    dark state or the constructor rejects l."""
+    if not stable_dark_geometry(geo.n_at, geo.k0a, geo.k0zc):
+        raise ValueError(
+            f"no stable dark state at n_at={geo.n_at}, k0a={geo.k0a:.6g}, k0zc={geo.k0zc:.6g}: "
+            f"n_at must be even and each nearest-neighbor pair (1,2)(3,4)... centered at "
+            f"|sin k0(z_n+z_m)| <= {_GEOM_TOL:g}")
+    if not _melted(geo.k0a):
+        return "dimer_chain", dimer_chain(geo, bath), None
+    l = geo.n_at // 2 if l is None else l
+    psi = melted_dark(geo, bath, l)
+    try:  # the closed form needs k0 a = 0 (mod 2pi) and k0 zc in {0, pi/2} (mod pi)
+        collective = collective_dark_state(geo, bath, geo.n_at // 2)
+    except ValueError:
+        collective = None
+    return f"melted_dark(l={l})", psi, collective

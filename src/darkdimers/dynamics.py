@@ -72,7 +72,7 @@ _PRODUCT_MATVECS = 1.0 / 6.0
 
 
 class IntegrationInstabilityError(RuntimeError):
-    """Raised when the integrator loses positivity beyond tolerance."""
+    """Raised when the integrator loses positivity or finiteness."""
 
 
 @dataclass(frozen=True)
@@ -231,11 +231,17 @@ def liouvillian_matrix(model: ModelOperators, form: str = "general") -> np.ndarr
 # Checks and recording at visited points
 
 
+def _unstable(what: str, t: float) -> IntegrationInstabilityError:
+    return IntegrationInstabilityError(
+        f"{what} at t = {t:.4g}; the integration is unstable, use a smaller dt")
+
+
 class _Recorder:
-    """What a trajectory reports at its visited points: the positivity
-    check (unrecorded, a Cholesky factorization of rho + 1e-6 I, with the
-    eigenvalues and min_eigenvalue only if it fails), the numerical-hygiene
-    extremes and, with `record`, the observable columns of a TimeSeries."""
+    """What a trajectory reports at its visited points: the checks (every
+    trace and state finite; positivity, unrecorded a Cholesky factorization
+    of rho + 1e-6 I, with the eigenvalues and min_eigenvalue only if it
+    fails), the numerical-hygiene extremes and, with `record`, the
+    observable columns of a TimeSeries."""
 
     def __init__(self, n_at: int, record: bool):
         self.n_at = n_at
@@ -245,11 +251,15 @@ class _Recorder:
         self.max_trace_dev = 0.0
         self.min_eigenvalue = math.inf
 
-    def note_trace(self, tr: float) -> None:
+    def note_trace(self, t: float, tr: float) -> None:
         """Track the trace before it is renormalized away."""
+        if not math.isfinite(tr):
+            raise _unstable(f"trace {tr}", t)
         self.max_trace_dev = max(self.max_trace_dev, abs(tr - 1.0))
 
     def visit(self, t: float, rho: np.ndarray) -> None:
+        if not np.isfinite(rho).all():
+            raise _unstable("non-finite state", t)
         if not self.record:
             try:  # positive definite exactly when no eigenvalue is below -1e-6
                 np.linalg.cholesky(rho + 1e-6 * np.eye(len(rho)))
@@ -259,10 +269,7 @@ class _Recorder:
         lam = float(np.linalg.eigvalsh(rho)[0])
         self.min_eigenvalue = min(self.min_eigenvalue, lam)
         if lam < -1e-6:
-            raise IntegrationInstabilityError(
-                f"smallest eigenvalue {lam:.3e} at t = {t:.4g}; "
-                "the integration is unstable, use a smaller dt"
-            )
+            raise _unstable(f"smallest eigenvalue {lam:.3e}", t)
         if self.record:
             self.times.append(t)
             self.rows.append(state_row(rho, self.n_at))
@@ -320,7 +327,7 @@ def evolve(
         k4 = _rhs_from_terms(terms, rho + dt * k3)
         rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         tr = np.trace(rho).real
-        rec.note_trace(tr)
+        rec.note_trace(step * dt, tr)
         rho = (rho + rho.conj().T) / 2.0
         rho /= tr
         if step % cfg.record_stride == 0 or step == n_steps:
@@ -610,7 +617,10 @@ def steady_state(
         """Check (and record) the state; return its residual."""
         stats["visited_points"] += 1
         rec.visit(t, gen.from_coords(np.concatenate(rs)))
-        return float(np.linalg.norm(np.concatenate([m @ r for m, r in zip(ms, rs)])))
+        residual = float(np.linalg.norm(np.concatenate([m @ r for m, r in zip(ms, rs)])))
+        if not math.isfinite(residual):
+            raise _unstable(f"residual {residual}", t)
+        return residual
 
     n = max(map(len, ms))
     with _BLAS_THREADS.at(1) if n <= _THREADED_BLOCK else contextlib.nullcontext():
@@ -651,7 +661,7 @@ def steady_state(
                 stats["matvecs"] += hops * len(ps)
                 t += tau
                 tr = unit @ rs[0]
-                rec.note_trace(tr)
+                rec.note_trace(t, tr)
                 for r in rs:
                     r /= tr
                 r_prev, residual = residual, visit(t)

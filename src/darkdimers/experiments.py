@@ -25,7 +25,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, ExperimentConfig, initial_state_vector, parse_grid
+from .config import (_EVOLVE_KEYS, ConfigError, ExperimentConfig, initial_state_vector,
+                     parse_grid)
 from .darkstates import predicted_populations
 from .dynamics import (EvolveConfig, IntegrationInstabilityError, SteadyStateResult,
                        _one_blas_thread, steady_state)
@@ -96,8 +97,7 @@ def setup_from_config(
     geo = make_geometry(cfg.n_at, cfg.k0a, cfg.k0zc)
     bath = make_bath(cfg.n_ph, cfg.phi)
     model = build_model(geo, bath, cfg.gamma)
-    ecfg = EvolveConfig(dt=cfg.dt, t_max=cfg.t_max,
-                        record_stride=cfg.record_stride, convergence_tol=cfg.tol)
+    ecfg = EvolveConfig(**{name: getattr(cfg, key) for key, name in _EVOLVE_KEYS.items()})
     return geo, bath, model, ecfg
 
 

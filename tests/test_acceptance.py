@@ -43,9 +43,10 @@ from darkdimers.observables import (
     polarization_moments,
     purity,
 )
-from darkdimers.operators import ground_state, is_hermitian
+from darkdimers.operators import ground_state
 
 from conftest import random_hermitian_unit_trace
+from matrix_checks import is_hermitian
 
 N_PH = 0.88
 FIG5_GEOMETRIES = (

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from darkdimers import experiments
+from darkdimers import experiments, make_bath, make_geometry
 from darkdimers.cli import _build_parser, main
 from darkdimers.config import (
     ConfigError,
@@ -22,6 +22,7 @@ from darkdimers.config import (
     parse_grid,
     resolve_config,
 )
+from darkdimers.darkstates import dimer_chain, melted_dark
 from darkdimers.dynamics import _BLAS_THREADS, _one_blas_thread
 from darkdimers.experiments import dimer_center, run_sweep, write_sweep_csv
 from darkdimers.observables import polarization_moments
@@ -68,6 +69,16 @@ class TestParseGrid:
             parse_grid("0:pi:zero")
         with pytest.raises(ConfigError):
             parse_grid("0:pi:0")
+
+    def test_point_count_bounded_before_allocating(self, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("np.linspace reached")
+
+        monkeypatch.setattr(np, "linspace", unreachable)
+        with pytest.raises(ConfigError, match=r"grid needs 1\.\.1024 points, got 1000000000"):
+            parse_grid("0:pi:1000000000")
+        with pytest.raises(ConfigError, match="bad value for grid_a: grid needs 1..1024"):
+            resolve_config(flag_values={"grid_a": "0:pi:1025"})
 
     @pytest.mark.parametrize("text", [",", " , "])
     def test_empty_comma_list(self, text, capsys):
@@ -302,6 +313,15 @@ class TestSweepPlumbing:
         header = open(files[0], encoding="utf-8").readline().strip()
         assert header == "k0zc,k0a,var_x,var_y,purity,mean_z,t_converge,converged"
 
+    def test_non_finite_cell_carries_its_reason(self, tmp_path):
+        # at n_ph 1e300 the residual overflows at t = 0: a NaN row with a reason
+        cfg = ExperimentConfig(n_at=2, n_ph=1e300, t_max=1.0, grid_zc="0", grid_a="pi/4")
+        with np.errstate(all="ignore"):
+            cells = run_sweep(cfg)
+        files = write_sweep_csv(str(tmp_path / "sweep.csv"), cells, cfg)
+        (entry,) = json.load(open(files[1], encoding="utf-8"))["failed"]["cells"]
+        assert entry["error"].startswith("residual nan at t = 0;")
+
     def test_csv_bytes_independent_of_blas_threads(self, tmp_path):
         # the reduced blocks change BLAS blocking with the thread count;
         # the 12-digit CSV must not notice.  The N = 3 blocks walk on one
@@ -418,18 +438,37 @@ class TestCli:
             "print(os.environ['OPENBLAS_THREAD_TIMEOUT'])\n")
         assert _fresh(code, OPENBLAS_THREAD_TIMEOUT=user).split() == [expected, expected]
 
-    def test_steady_beyond_six_atoms_exits_1(self, capsys):
-        assert main(["steady", "--n-at", "7"]) == 1
+    def test_steady_beyond_six_atoms_exits_2(self, capsys):
+        assert main(["steady", "--n-at", "7"]) == 2
         err = capsys.readouterr().err
         assert "n_at <= 6" in err and "n_at = 7" in err
 
-    def test_sweep_beyond_six_atoms_exits_1_at_once(self, tmp_path, capsys):
+    def test_sweep_beyond_six_atoms_exits_2_at_once(self, tmp_path, capsys):
         start = time.perf_counter()
         code = main(["sweep", "--n-at", "7", "--grid-zc", "0", "--grid-a", "pi/4",
                      "--out", str(tmp_path / "sweep.csv")])
         assert time.perf_counter() - start < 1.0
-        assert code == 1
+        assert code == 2
         assert "n_at <= 6" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["steady", "evolve"])
+    def test_overflowing_solve_exits_1_with_its_reason(self, tmp_path, capsys, command):
+        # the RK4 polynomial overflows: no NaN observables, no LinAlgError
+        out = tmp_path / "out.csv"
+        with np.errstate(all="ignore"):
+            code = main([command, "--n-at", "2", "--n-ph", "1e100", "--t-max", "1",
+                         "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1 and "nan" not in captured.out
+        assert captured.err.startswith("error: trace nan at t = 0.005;")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["correlations", "populations", "experiment"])
+    def test_solve_commands_reject_seven_atoms(self, tmp_path, capsys, command):
+        args = [command, "fig2"] if command == "experiment" else [command]
+        code = main(args + ["--n-at", "7", "--out", str(tmp_path / "out")])
+        assert code == 2 and "n_at <= 6" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     def test_steady_out_writes_row_and_manifest(self, tmp_path):
         out = tmp_path / "steady.csv"
@@ -543,6 +582,30 @@ class TestCli:
         code = main(["darkstate", "--n-at", "4", "--k0a", "pi/3", "--k0zc", "0"])
         assert code == 2
         assert "dark" in capsys.readouterr().err
+
+    def test_darkstate_sector_out_of_range_exits_2(self, capsys):
+        code = main(["darkstate", "--n-at", "4", "--k0a", "2pi", "--l", "9"])
+        err = capsys.readouterr().err
+        assert code == 2 and "l must be in 0..2, got 9" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("n_at", [2, 4])
+    @pytest.mark.parametrize("offset", [-1e-8, -1e-10, 1e-10, 1e-8])
+    def test_darkstate_regime_at_the_melted_boundary(self, capsys, n_at, offset):
+        # the CLI prints the state of the constructor that accepts the geometry
+        k0a = math.pi + offset
+        code = main(["darkstate", "--n-at", str(n_at), "--k0a", repr(k0a), "--k0zc", "0"])
+        captured = capsys.readouterr()
+        geo, bath = make_geometry(n_at, k0a, 0.0), make_bath(0.88)
+        if n_at == 4 and abs(offset) > 1e-9:  # sin 4 k0a = 4e-8: no pair is centered
+            assert code == 2 and "no stable dark state" in captured.err
+            return
+        assert code == 0
+        if abs(offset) < 1e-9:
+            assert "state: melted_dark(l=" in captured.out
+            melted_dark(geo, bath, n_at // 2)
+        else:
+            assert "state: dimer_chain" in captured.out
+            dimer_chain(geo, bath)
 
     def test_darkstate_rejects_vacuum_bath(self, capsys):
         code = main(["darkstate", "--n-at", "2", "--k0a", "pi/4", "--n-ph", "0"])

@@ -11,6 +11,7 @@ from darkdimers.darkstates import (
     PairSpec,
     collective_amplitudes,
     collective_dark_state,
+    dark_state,
     dimer_chain,
     melted_dark,
     pair_state,
@@ -420,6 +421,37 @@ class TestStableDarkGeometry:
         # a single centered pair is stable regardless of separation
         assert stable_dark_geometry(2, 1.234, 0.0)
         assert not stable_dark_geometry(2, 1.234, 0.3)
+
+
+class TestDarkState:
+    @pytest.mark.parametrize("offset", [-1e-8, -1e-10, 1e-10, 1e-8])
+    def test_regime_at_the_melted_boundary(self, bath088, offset):
+        # sin k0a = -offset: melted within the pair tolerance, a dimer chain
+        # beyond it (a single centered pair is stable at any separation)
+        geo = make_geometry(2, math.pi + offset, 0.0)
+        name, psi, collective = dark_state(geo, bath088)
+        constructor = melted_dark if abs(offset) < 1e-9 else dimer_chain
+        assert name.startswith(constructor.__name__)
+        assert collective is None  # the closed form needs k0 a = 0 (mod 2pi)
+        assert max(jump_norms(geo, bath088, psi)) <= 1e-8
+
+    def test_collective_form_where_it_applies(self, bath088):
+        geo = make_geometry(4, 2 * math.pi, math.pi / 2)
+        name, psi, collective = dark_state(geo, bath088)
+        assert name == "melted_dark(l=2)"
+        assert fidelity(collective, psi) == pytest.approx(1.0, abs=1e-12)
+        # a lower sector is still cross-checked against the l = n_at/2 form
+        _, lower, collective = dark_state(geo, bath088, 1)
+        assert abs(np.vdot(collective, lower)) <= 1e-12
+
+    @pytest.mark.parametrize("n_at,k0a,k0zc,l,fragment", [
+        (4, math.pi / 3, 0.0, None, r"\|sin k0\(z_n\+z_m\)\| <= 1e-09"),
+        (3, math.pi / 4, math.pi / 4, None, "n_at must be even"),
+        (4, 2 * math.pi, 0.0, 9, r"l must be in 0\.\.2, got 9"),
+    ], ids=["off-center", "odd", "sector"])
+    def test_no_dark_state_raises(self, bath088, n_at, k0a, k0zc, l, fragment):
+        with pytest.raises(ValueError, match=fragment):
+            dark_state(make_geometry(n_at, k0a, k0zc), bath088, l)
 
 
 @settings(max_examples=40, deadline=None)

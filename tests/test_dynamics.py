@@ -27,12 +27,12 @@ from darkdimers.observables import fidelity, polarization_moments
 from darkdimers.operators import (
     excitation_counts,
     ground_state,
-    is_hermitian,
     product_state,
     pure_to_density,
 )
 
 from conftest import random_hermitian_unit_trace
+from matrix_checks import is_hermitian
 
 
 @pytest.fixture(scope="module")
@@ -167,6 +167,13 @@ class TestEvolve:
                    EvolveConfig(dt=0.09, t_max=20.0, record_stride=5))
 
 
+    def test_non_finite_trace_raises(self):
+        model = build_model(make_geometry(2, math.pi / 4, 0.0), make_bath(1e100))
+        with np.errstate(all="ignore"), pytest.raises(IntegrationInstabilityError,
+                                                      match="trace nan at t = 0.005"):
+            evolve(ground_state(2), model, EvolveConfig(t_max=1.0))
+
+
 class TestSteadyState:
     def test_two_atom_reaches_pair_state(self, geo2_dark, bath088, model2):
         res = steady_state(ground_state(2), model2, EvolveConfig())
@@ -249,6 +256,26 @@ class TestSteadyState:
         # the eigenvalues are taken at every recorded point, else only when
         # the Cholesky gate fails
         assert rec.min_eigenvalue == -2e-6
+
+    @pytest.mark.parametrize("record", [False, True])
+    def test_non_finite_state_raises(self, record):
+        # NaN passes a Cholesky factorization, and eigvalsh raises LinAlgError on it
+        from darkdimers.dynamics import _Recorder
+
+        rho = np.diag([1.0, 0.0]).astype(complex)
+        rho[0, 1] = np.nan
+        with pytest.raises(IntegrationInstabilityError, match="non-finite state at t = 2"):
+            _Recorder(1, record).visit(2.0, rho)
+
+    @pytest.mark.parametrize("record", [False, True])
+    @pytest.mark.parametrize("n_ph,fragment", [(1e100, "trace nan at t = 0.005"),
+                                               (1e300, "residual nan at t = 0;")])
+    def test_overflowing_walk_raises(self, record, n_ph, fragment):
+        # the RK4 polynomial overflows (1e100), or the residual at t = 0 (1e300)
+        model = build_model(make_geometry(2, math.pi / 4, 0.0), make_bath(n_ph))
+        with np.errstate(all="ignore"), pytest.raises(IntegrationInstabilityError,
+                                                      match=fragment):
+            steady_state(ground_state(2), model, EvolveConfig(t_max=1.0), record=record)
 
     def test_dimer_steady_state_independent_of_initial_state(self, bath088):
         geo = make_geometry(4, math.pi / 4, math.pi / 4)

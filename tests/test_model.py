@@ -27,9 +27,10 @@ from darkdimers.operators import (
     SIGMA_Y,
     SIGMA_Z,
     embed_single_site,
-    is_hermitian,
     site_lowering,
 )
+
+from matrix_checks import is_hermitian
 
 # Frozen by direct arithmetic from |mu|^2 = N+1, |nu|^2 = N,
 # nu mu* = -M, eta = ln(|mu|/|nu|)/2 at N_ph = 0.88, phi = 0.

@@ -16,7 +16,8 @@ from darkdimers.observables import (
     purity,
     state_row,
 )
-from darkdimers.operators import basis_state, ground_state, pure_to_density
+from darkdimers.operators import ground_state, pure_to_density
+from matrix_checks import basis_state
 
 
 def pair_variance(mu, nu, sign):

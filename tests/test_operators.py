@@ -9,20 +9,18 @@ from darkdimers.operators import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
-    basis_state,
     dicke_state,
     embed_single_site,
     excitation_counts,
     expectation,
     ground_state,
-    is_hermitian,
-    is_unitary,
-    is_valid_density_matrix,
     kron,
     product_state,
     pure_to_density,
-    smallest_eigenvalue,
 )
+
+from matrix_checks import (basis_state, is_hermitian, is_unitary, is_valid_density_matrix,
+                           smallest_eigenvalue)
 
 PAULI_Z_MATRIX = np.diag([1.0, -1.0]).astype(complex)  # literal diag(1,-1)
 
