@@ -56,10 +56,11 @@ def _resolve(args) -> "ExperimentConfig":
         if out.exists() and out.is_dir() != want_dir:
             kind = "a directory" if want_dir else "a file"
             raise ConfigError(f"out {cfg.out} exists and is not {kind}")
-        try:
-            out.parent.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:  # a file where a directory should be, or no permission
-            raise ConfigError(f"cannot create the directory of out {cfg.out}: {exc}") from None
+        home = out if want_dir else out.parent  # the files' directory; `write_table` makes it
+        base = next(p for p in (home, *home.parents) if p.exists())
+        if not (base.is_dir() and os.access(base, os.W_OK | os.X_OK)):
+            raise ConfigError(f"cannot create the directory of out {cfg.out}: "
+                              f"{base} is not a writable directory")
     return cfg
 
 
@@ -98,9 +99,7 @@ def _cmd_darkstate(args) -> int:
     cfg = _resolve(args)
     geo, bath, model, _ = setup_from_config(cfg)
     if model.squeezed_jumps is None:
-        raise ConfigError(
-            "darkstate needs a minimal-uncertainty squeezed bath with n_ph > 0"
-        )
+        raise ConfigError("darkstate needs a minimal-uncertainty squeezed bath with n_ph > 0")
     try:
         label, psi, collective = dark_state(geo, bath, args.sector)
     except ValueError as exc:  # no dark state at this geometry, or no such sector
@@ -179,12 +178,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command][1](args)
-    except ConfigError as exc:
+    except (IntegrationInstabilityError, ValueError, OSError) as exc:  # OSError: a failed write
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (IntegrationInstabilityError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ConfigError) else 1
 
 
 if __name__ == "__main__":

@@ -122,12 +122,13 @@ class ExperimentConfig:
     k0a: float = _key(math.pi / 4, parse_angle, "dimensionless lattice constant k0*a")
     k0zc: float = _key(0.0, parse_angle, "dimensionless array center k0*z_c")
     gamma: float = _key(1.0, _real, "waveguide decay rate")
-    dt: float = _key(0.005, _real, "integrator step (units 1/gamma)")
-    t_max: float = _key(2.0e4, _real, "integration horizon")
-    tol: float = _key(1e-9, _real, "steady-state residual tolerance on ||drho/dt||_F")
-    record_stride: int = _key(200, int, "EvolveConfig.record_stride for library callers of "
-                              "evolve; no command reads it (series rows are the "
-                              "steady-state walk's visited points)")
+    dt: float = _key(EvolveConfig.dt, _real, "integrator step (units 1/gamma)")
+    t_max: float = _key(EvolveConfig.t_max, _real, "integration horizon")
+    tol: float = _key(EvolveConfig.convergence_tol, _real,
+                      "steady-state residual tolerance on ||drho/dt||_F")
+    record_stride: int = _key(EvolveConfig.record_stride, int, "EvolveConfig.record_stride for "
+                              "library callers of evolve; no command reads it (series rows are "
+                              "the steady-state walk's visited points)")
     initial: str = _key("ground", str, "ground | plus-pi-4 | state file")
     grid_zc: str = _key("0:pi:65", _grid, "sweep grid for k0zc: 'lo:hi:n' or comma list")
     grid_a: str = _key("0:pi:65", _grid, "sweep grid for k0a: 'lo:hi:n' or comma list")

@@ -319,17 +319,19 @@ def stable_dark_geometry(n_at: int, k0a: float, k0zc: float) -> bool:
 def dark_state(geo: ArrayGeometry, bath: BathParams, l: Optional[int] = None):
     """(name, state, collective) of the stable dark state at `geo`:
     `melted_dark` in sector l (default n_at/2) where sin k0 a = 0, else
-    `dimer_chain`; `collective` is the l = n_at/2 closed form where that
-    applies, else None.  ValueError where `stable_dark_geometry` finds no
-    dark state or the constructor rejects l."""
+    `dimer_chain`, whose only sector is l = n_at/2; `collective` is the
+    l = n_at/2 closed form where that applies, else None.  ValueError where
+    `stable_dark_geometry` finds no dark state or the state has no sector l."""
     if not stable_dark_geometry(geo.n_at, geo.k0a, geo.k0zc):
         raise ValueError(
             f"no stable dark state at n_at={geo.n_at}, k0a={geo.k0a:.6g}, k0zc={geo.k0zc:.6g}: "
             f"n_at must be even and each nearest-neighbor pair (1,2)(3,4)... centered at "
             f"|sin k0(z_n+z_m)| <= {_GEOM_TOL:g}")
-    if not _melted(geo.k0a):
-        return "dimer_chain", dimer_chain(geo, bath), None
     l = geo.n_at // 2 if l is None else l
+    if not _melted(geo.k0a):
+        if l != geo.n_at // 2:
+            raise ValueError(f"the dimer chain has only sector l = {geo.n_at // 2}, got l = {l}")
+        return "dimer_chain", dimer_chain(geo, bath), None
     psi = melted_dark(geo, bath, l)
     try:  # the closed form needs k0 a = 0 (mod 2pi) and k0 zc in {0, pi/2} (mod pi)
         collective = collective_dark_state(geo, bath, geo.n_at // 2)

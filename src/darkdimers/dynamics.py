@@ -139,9 +139,7 @@ def _generator_terms(model: ModelOperators, form: str):
                 "the squeezed two-jump generator requires a minimal-uncertainty "
                 "bath with n_ph > 0"
             )
-        jx, jy = model.squeezed_jumps
-        rate = model.squeezed_rate
-        ops = [(rate, jx), (rate, jy)]
+        ops = [(model.squeezed_rate, j) for j in model.squeezed_jumps]
     elif form == "general":
         ops = [(ch.coefficient, ch.operator) for ch in model.travelling_jumps]
     else:
@@ -231,9 +229,9 @@ def liouvillian_matrix(model: ModelOperators, form: str = "general") -> np.ndarr
 # Checks and recording at visited points
 
 
-def _unstable(what: str, t: float) -> IntegrationInstabilityError:
-    return IntegrationInstabilityError(
-        f"{what} at t = {t:.4g}; the integration is unstable, use a smaller dt")
+def _unstable(what: str, t: float, why: str = "the integration is unstable, use a smaller dt"
+              ) -> IntegrationInstabilityError:
+    return IntegrationInstabilityError(f"{what} at t = {t:.4g}; {why}")
 
 
 class _Recorder:
@@ -618,8 +616,9 @@ def steady_state(
         stats["visited_points"] += 1
         rec.visit(t, gen.from_coords(np.concatenate(rs)))
         residual = float(np.linalg.norm(np.concatenate([m @ r for m, r in zip(ms, rs)])))
-        if not math.isfinite(residual):
-            raise _unstable(f"residual {residual}", t)
+        if not math.isfinite(residual):  # at t = 0 the state passed its checks: L overflows
+            raise _unstable(f"residual {residual}", t) if t else _unstable(
+                f"residual {residual}", t, "the generator overflows (n_ph or gamma too large)")
         return residual
 
     n = max(map(len, ms))

@@ -70,7 +70,9 @@ def _fmt(value) -> str:
 def write_table(path: str, columns: Sequence[str], rows, cfg: ExperimentConfig,
                 extra: Dict) -> List[str]:
     """Write `rows` under the header `columns` to the CSV at `path`, and
-    its JSON manifest with the keys of `extra` next to it; returns both paths."""
+    its JSON manifest with the keys of `extra` next to it, creating their
+    directory (no other code does); returns both paths."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(columns) + "\n")
         for row in rows:
@@ -289,9 +291,7 @@ def run_experiment(name: str, cfg: ExperimentConfig, outdir: str) -> Tuple[List[
     (the fig2 sweep reports its non-converged cells in its manifest).
     Every population law is checked before the first solve."""
     if name not in EXPERIMENT_NAMES:
-        raise ValueError(
-            f"unknown experiment {name!r}; expected one of {EXPERIMENT_NAMES}"
-        )
+        raise ValueError(f"unknown experiment {name!r}; expected one of {EXPERIMENT_NAMES}")
     cases = [(replace(cfg, **overrides), {
         report: (os.path.join(outdir, f"{stem}_{report}.csv"),
                  {"experiment": name, **tags, **report_tags})
@@ -300,7 +300,6 @@ def run_experiment(name: str, cfg: ExperimentConfig, outdir: str) -> Tuple[List[
     for case, reports in cases:
         if "populations" in reports:
             law_populations(case, reports["populations"][1]["law"])
-    os.makedirs(outdir, exist_ok=True)
     if name == "fig2":
         # Steady-state map over array center and separation.
         sweep_cfg = replace(cfg, initial="ground")

@@ -116,6 +116,8 @@ def make_bath(
     if n_ph < 0:
         raise ValueError(f"n_ph must be >= 0, got {n_ph}")
     bound = math.sqrt(n_ph * (n_ph + 1.0))
+    if not math.isfinite(bound):  # n_ph above about 1.34e154
+        raise ValueError(f"|M| = sqrt(N(N+1)) is not finite at n_ph = {n_ph:g}")
     if m_abs is not None:
         if minimal:
             raise ValueError("pass either minimal=True or an explicit m_abs, not both")

@@ -1,8 +1,9 @@
 """The config gate as a property: over flag values and config-file lines,
 every command exits 0, 1 or 2, prints at most one `error:` line and no
-traceback, and writes nothing when it exits 2.  `experiments.solve` is
-replaced by a stub that raises, so no solve runs: an input that passes
-the gate exits 1 (a sweep 0, with the stub's reason in every cell)."""
+traceback, and writes no file or directory when it exits 2.
+`experiments.solve` is replaced by a stub that raises, so no solve runs:
+an input that passes the gate exits 1 (a sweep 0, with the stub's reason
+in every cell)."""
 
 import contextlib
 import hashlib
@@ -20,7 +21,7 @@ from darkdimers.dynamics import IntegrationInstabilityError
 GRIDS = ["0", "0:pi:2", "pi/4,pi/2", ",", "0:pi", "0:pi:0", "0:pi:1025", "pi/x"]
 VALUES = {
     "n-at": ["1", "2", "4", "7", "9", "0", "x", "2.5"],
-    "n-ph": ["0.88", "0", "-1", "nan", "1e400", "x"],
+    "n-ph": ["0.88", "0", "-1", "nan", "1e300", "1e400", "x"],
     "phi": ["0", "pi/4", "pi/0", "x"],
     "k0a": ["pi/4", "pi", "2pi", "-1e300", "inf", "pie"],
     "k0zc": ["0", "pi/2", "1e-6", "x"],
@@ -58,9 +59,10 @@ def _stub_solve(cfg, record=False):
 
 
 def _snapshot(root):
-    """Every file under root, with a hash of its bytes."""
+    """Every directory under root, and every file with a hash of its bytes."""
     found = {}
-    for top, _, names in os.walk(root):
+    for top, dirs, names in os.walk(root):
+        found.update((os.path.relpath(os.path.join(top, name), root), None) for name in dirs)
         for name in names:
             path = os.path.join(top, name)
             with open(path, "rb") as fh:

@@ -122,8 +122,8 @@ class TestResolveConfig:
 
     @pytest.mark.parametrize(
         "field,value,fragment",
-        [("n_ph", "-1", "n_ph"), ("n_at", "0", "n_at"), ("dt", "0.5", "dt"),
-         ("workers", "0", "workers"), ("tol", "0", "tol"),
+        [("n_ph", "-1", "n_ph"), ("n_ph", "1e300", "n_ph"), ("n_at", "0", "n_at"),
+         ("dt", "0.5", "dt"), ("workers", "0", "workers"), ("tol", "0", "tol"),
          ("initial", "no-such-file", "initial"), ("gamma", "0", "gamma"),
          ("t_max", "-1", "t_max"), ("record_stride", "0", "record_stride")],
     )
@@ -314,13 +314,14 @@ class TestSweepPlumbing:
         assert header == "k0zc,k0a,var_x,var_y,purity,mean_z,t_converge,converged"
 
     def test_non_finite_cell_carries_its_reason(self, tmp_path):
-        # at n_ph 1e300 the residual overflows at t = 0: a NaN row with a reason
-        cfg = ExperimentConfig(n_at=2, n_ph=1e300, t_max=1.0, grid_zc="0", grid_a="pi/4")
+        # at gamma 1e200 the residual overflows at t = 0: a NaN row with a reason
+        cfg = ExperimentConfig(n_at=2, gamma=1e200, t_max=1.0, grid_zc="0", grid_a="pi/4")
         with np.errstate(all="ignore"):
             cells = run_sweep(cfg)
         files = write_sweep_csv(str(tmp_path / "sweep.csv"), cells, cfg)
         (entry,) = json.load(open(files[1], encoding="utf-8"))["failed"]["cells"]
-        assert entry["error"].startswith("residual nan at t = 0;")
+        assert entry["error"] == ("residual inf at t = 0; "
+                                  "the generator overflows (n_ph or gamma too large)")
 
     def test_csv_bytes_independent_of_blas_threads(self, tmp_path):
         # the reduced blocks change BLAS blocking with the thread count;
@@ -519,11 +520,31 @@ class TestCli:
         else:
             assert os.listdir(out) == []
 
+    def test_failed_write_exits_1_with_one_error_line(self, tmp_path, capsys, monkeypatch):
+        def no_space(*_, **__):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(experiments.os, "makedirs", no_space)
+        out = tmp_path / "new" / "steady.csv"
+        code = main(["steady", "--n-at", "2", "--t-max", "0.05", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1 and "Traceback" not in err
+        assert err.splitlines() == ["error: [Errno 28] No space left on device"]
+        assert os.listdir(tmp_path) == []
+
     def test_out_under_a_file_exits_2(self, tmp_path, capsys):
         (tmp_path / "file").write_text("kept\n", encoding="utf-8")
         out = tmp_path / "file" / "steady.csv"
         assert main(["steady", "--n-at", "2", "--t-max", "0.05", "--out", str(out)]) == 2
         assert "cannot create the directory of out" in capsys.readouterr().err
+
+    def test_out_in_a_read_only_directory_exits_2(self, tmp_path, capsys, monkeypatch):
+        # os.access stands in for permissions, which a superuser would not meet
+        monkeypatch.setattr(os, "access", lambda path, mode: False)
+        out = tmp_path / "new" / "steady.csv"
+        assert main(["steady", "--n-at", "2", "--t-max", "0.05", "--out", str(out)]) == 2
+        assert f"{tmp_path} is not a writable directory" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("suffix", [".json", ".JSON"])
     @pytest.mark.parametrize("command", ["steady", "evolve", "sweep"])
@@ -607,6 +628,18 @@ class TestCli:
             assert "state: dimer_chain" in captured.out
             dimer_chain(geo, bath)
 
+    @pytest.mark.parametrize("sector", [None, "2", "1", "9"])
+    def test_darkstate_dimer_chain_has_one_sector(self, capsys, sector):
+        # the dimer chain is the l = n_at/2 sector; any other --l is a config error
+        args = ["darkstate", "--n-at", "4", "--k0a", "pi/4", "--k0zc", "pi/4"]
+        code = main(args + (["--l", sector] if sector else []))
+        captured = capsys.readouterr()
+        if sector in (None, "2"):
+            assert code == 0 and captured.out.startswith("state: dimer_chain\n")
+        else:
+            assert code == 2 and captured.out == ""
+            assert f"dimer chain has only sector l = 2, got l = {sector}" in captured.err
+
     def test_darkstate_rejects_vacuum_bath(self, capsys):
         code = main(["darkstate", "--n-at", "2", "--k0a", "pi/4", "--n-ph", "0"])
         assert code == 2
@@ -624,7 +657,12 @@ class TestCli:
         (["populations", "--n-at", "2", "--n-ph", "0", "--law", "squeezed"], "p.csv",
          "squeezed law undefined at n_ph = 0"),
         (["experiment", "fig5", "--n-ph", "0"], "fig5", "squeezed law undefined at n_ph = 0"),
-    ], ids=["odd-n-at", "vacuum", "fig5-vacuum"])
+        # the directories of out appear with its first file, so none is left
+        (["populations", "--n-at", "3", "--law", "squeezed"], "new/sub/p.csv",
+         "squeezed law needs an even atom number, got 3"),
+        (["experiment", "fig5", "--n-ph", "0"], "new/sub/figs",
+         "squeezed law undefined at n_ph = 0"),
+    ], ids=["odd-n-at", "vacuum", "fig5-vacuum", "odd-n-at-new-dirs", "fig5-vacuum-new-dirs"])
     def test_law_that_cannot_apply_exits_2_before_any_solve(self, tmp_path, capsys,
                                                              monkeypatch, args, out_name,
                                                              fragment):

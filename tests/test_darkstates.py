@@ -448,7 +448,8 @@ class TestDarkState:
         (4, math.pi / 3, 0.0, None, r"\|sin k0\(z_n\+z_m\)\| <= 1e-09"),
         (3, math.pi / 4, math.pi / 4, None, "n_at must be even"),
         (4, 2 * math.pi, 0.0, 9, r"l must be in 0\.\.2, got 9"),
-    ], ids=["off-center", "odd", "sector"])
+        (4, math.pi / 4, math.pi / 4, 1, "the dimer chain has only sector l = 2, got l = 1"),
+    ], ids=["off-center", "odd", "sector", "dimer-sector"])
     def test_no_dark_state_raises(self, bath088, n_at, k0a, k0zc, l, fragment):
         with pytest.raises(ValueError, match=fragment):
             dark_state(make_geometry(n_at, k0a, k0zc), bath088, l)

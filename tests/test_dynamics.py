@@ -268,11 +268,14 @@ class TestSteadyState:
             _Recorder(1, record).visit(2.0, rho)
 
     @pytest.mark.parametrize("record", [False, True])
-    @pytest.mark.parametrize("n_ph,fragment", [(1e100, "trace nan at t = 0.005"),
-                                               (1e300, "residual nan at t = 0;")])
-    def test_overflowing_walk_raises(self, record, n_ph, fragment):
-        # the RK4 polynomial overflows (1e100), or the residual at t = 0 (1e300)
-        model = build_model(make_geometry(2, math.pi / 4, 0.0), make_bath(n_ph))
+    @pytest.mark.parametrize("n_ph,gamma,fragment", [
+        (1e100, 1.0, "trace nan at t = 0.005; the integration is unstable, use a smaller dt"),
+        (0.88, 1e200, "residual inf at t = 0; the generator overflows \\(n_ph or gamma too large")
+    ], ids=["1e+100-trace nan at t = 0.005", "gamma-1e200"])
+    def test_overflowing_walk_raises(self, record, n_ph, gamma, fragment):
+        # the RK4 polynomial overflows (n_ph 1e100), or the residual at t = 0
+        # (gamma 1e200), where no dt can help
+        model = build_model(make_geometry(2, math.pi / 4, 0.0), make_bath(n_ph), gamma)
         with np.errstate(all="ignore"), pytest.raises(IntegrationInstabilityError,
                                                       match=fragment):
             steady_state(ground_state(2), model, EvolveConfig(t_max=1.0), record=record)

@@ -85,6 +85,13 @@ class TestBath:
         with pytest.raises(ValueError):
             make_bath(-0.1)
 
+    @pytest.mark.parametrize("n_ph", [1.4e154, 1e300, math.inf, math.nan])
+    def test_n_ph_whose_bound_is_not_finite(self, n_ph):
+        # N(N+1) overflows above about 1.34e154
+        assert math.isfinite(make_bath(1.3e154).m_abs)
+        with pytest.raises(ValueError, match=r"\|M\| = sqrt\(N\(N\+1\)\) is not finite"):
+            make_bath(n_ph)
+
     @pytest.mark.parametrize("n_ph", [0.1, 0.88, 2.5, 10.0])
     def test_mu_nu_product_is_m(self, n_ph):
         bath = make_bath(n_ph)
