@@ -37,7 +37,7 @@ from .experiments import (
     solve_case,
     write_sweep_csv,
 )
-from .observables import dark_condition, excitation_populations, state_row
+from .observables import dark_condition, excitation_populations, fidelity, state_row
 
 
 def _resolve(args) -> "ExperimentConfig":
@@ -112,8 +112,7 @@ def _cmd_darkstate(args) -> int:
     print(f"rate-weighted dark condition min eig: {dark_condition(geo, bath):.3e}")
     print("populations: " + " ".join(f"{p:.6g}" for p in excitation_populations(psi)))
     if collective is not None:
-        overlap = abs(np.vdot(collective, psi)) ** 2
-        print(f"collective-form cross-check fidelity: {overlap:.12g}")
+        print(f"collective-form cross-check fidelity: {fidelity(collective, psi):.12g}")
     return 0
 
 

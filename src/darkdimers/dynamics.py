@@ -32,8 +32,8 @@ plain step-by-step RK4 loop, has no size guard.
 
 from __future__ import annotations
 
-import contextlib
 import ctypes
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -132,7 +132,10 @@ class SteadyStateResult:
 def _generator_terms(model: ModelOperators, form: str):
     """Sandwich terms (c, A, B) with L(rho) = sum c A rho B, None standing
     for the identity: -i[H, rho] first, then per jump op the terms
-    c (op rho op^dag - (op^dag op rho + rho op^dag op) / 2)."""
+    c (op rho op^dag - (op^dag op rho + rho op^dag op) / 2).  Form "auto"
+    is the squeezed form where the bath has one, else the general form."""
+    if form == "auto":
+        form = "squeezed" if model.squeezed_jumps is not None else "general"
     if form == "squeezed":
         if model.squeezed_jumps is None:
             raise ValueError(
@@ -153,12 +156,6 @@ def _generator_terms(model: ModelOperators, form: str):
         k = opd @ op
         terms += [(c, op, opd), (-0.5 * c, k, None), (-0.5 * c, None, k)]
     return terms
-
-
-def _resolve_form(model: ModelOperators, form: str) -> str:
-    if form == "auto":
-        return "squeezed" if model.squeezed_jumps is not None else "general"
-    return form
 
 
 def _check_shape(rho: np.ndarray, model: ModelOperators) -> None:
@@ -219,7 +216,7 @@ def liouvillian_matrix(model: ModelOperators, form: str = "general") -> np.ndarr
     d = model.hamiltonian.shape[0]
     col_stacked = np.arange(d * d).reshape(d, d).T.ravel()
     lv = np.zeros((d * d, d * d), dtype=complex)
-    terms = _generator_terms(model, _resolve_form(model, form))
+    terms = _generator_terms(model, form)
     for e_out, e_in, v in _sandwich_entries(terms, d):
         np.add.at(lv, (col_stacked[e_out], col_stacked[e_in]), v)
     return lv
@@ -310,7 +307,7 @@ def evolve(
 
     Returns (TimeSeries, final density matrix).
     """
-    terms = _generator_terms(model, _resolve_form(model, form))
+    terms = _generator_terms(model, form)
     rho = _as_density(rho0)
     _check_shape(rho, model)
     rec = _Recorder(model.n_at, True)
@@ -381,12 +378,9 @@ class _VectorizedGenerator:
         self._basis = ((re.ravel(), w_re.ravel()), (im.ravel(), w_im.ravel()))
         sites, perms = self._symmetries(model.n_at, rho0)
         self.symmetries = [tuple(int(x) + 1 for x in row) for row in sites]
-        dims, self._basis_in = self.full_dims, self._basis
-        if len(perms):
-            index, weight, root_size, dims = _signed_orbits(self._basis, perms, n0)
-            self._basis_in = tuple((index[k], w * (weight * root_size)[k])
-                                   for k, w in self._basis)
-            self._basis = tuple((index[k], w * weight[k]) for k, w in self._basis)
+        index, weight, root_size, dims = _signed_orbits(self._basis, perms, n0)
+        self._basis_in = tuple((index[k], w * (weight * root_size)[k]) for k, w in self._basis)
+        self._basis = tuple((index[k], w * weight[k]) for k, w in self._basis)
         # per block, the matrix elements that some input coordinate reads
         live = (self._basis_in[0][1] != 0) | (self._basis_in[1][1] != 0)
         flips = (par[:, None] != par).ravel()
@@ -480,66 +474,43 @@ def _signed_orbits(basis, perms: np.ndarray, n0: int):
     return index, weight, np.where(roots, size, 0), dims
 
 
-class _BlasThreads:
-    """The thread count of the OpenBLAS that numpy loaded, read and set by
-    ctypes through the getter and setter its bundled library exports, the
-    only way to change it once numpy has loaded.  The lookup runs on first
-    use, never at import; with no setter found, the count is None and is
-    never set."""
+@functools.cache
+def _blas_api():
+    """The thread (getter, setter) of the OpenBLAS that numpy loaded, found
+    by ctypes among the symbols its bundled library exports, the only way
+    to change the count once numpy has loaded; () if none is found.  The
+    lookup runs on first use, never at import."""
+    import glob  # here, so that importing darkdimers does not pay for it
 
-    _DIRS = ("numpy.libs", os.path.join("numpy", ".dylibs"))
-    _NAMES = ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
-              "openblas_{}_num_threads")
-
-    def __init__(self):
-        self._api = None  # (getter, setter) once looked up; () if none was found
-
-    def _lookup(self):
-        import glob  # here, so that importing darkdimers does not pay for it
-
-        site = os.path.dirname(os.path.dirname(np.__file__))
-        for d in self._DIRS:
-            for path in sorted(glob.glob(os.path.join(site, d, "*openblas*"))):
-                try:  # only the copy already loaded, never a second one
-                    lib = ctypes.CDLL(path, mode=getattr(os, "RTLD_NOLOAD", 0))
-                except OSError:
-                    continue
-                for name in self._NAMES:
-                    get, put = (getattr(lib, name.format(x), None) for x in ("get", "set"))
-                    if get is not None and put is not None:
-                        get.argtypes, get.restype = [], ctypes.c_int
-                        put.argtypes, put.restype = [ctypes.c_int], None
-                        return get, put
-        return ()
-
-    def count(self) -> Optional[int]:
-        """OpenBLAS's thread count now, or None without a setter."""
-        if self._api is None:
-            self._api = self._lookup()
-        return self._api[0]() if self._api else None
-
-    @contextlib.contextmanager
-    def at(self, n: int):
-        """Run the body at n threads, then restore the count found on entry."""
-        before = self.count()
-        if before is None or n == before:
-            yield
-            return
-        self._api[1](n)
-        try:
-            yield
-        finally:
-            self._api[1](before)
+    site = os.path.dirname(os.path.dirname(np.__file__))
+    for d in ("numpy.libs", os.path.join("numpy", ".dylibs")):
+        for path in sorted(glob.glob(os.path.join(site, d, "*openblas*"))):
+            try:  # only the copy already loaded, never a second one
+                lib = ctypes.CDLL(path, mode=getattr(os, "RTLD_NOLOAD", 0))
+            except OSError:
+                continue
+            for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
+                         "openblas_{}_num_threads"):
+                get, put = (getattr(lib, name.format(x), None) for x in ("get", "set"))
+                if get is not None and put is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    put.argtypes, put.restype = [ctypes.c_int], None
+                    return get, put
+    return ()
 
 
-_BLAS_THREADS = _BlasThreads()
-
-
-def _one_blas_thread() -> None:
-    """Initializer of a sweep worker, whose siblings fill the other cores:
-    every product runs on one thread."""
-    if _BLAS_THREADS.count() is not None:
-        _BLAS_THREADS._api[1](1)
+def _set_blas_threads(n: int) -> Optional[int]:
+    """Set OpenBLAS to n threads, calling the setter only if that changes the
+    count; return the count found, or None, setting nothing, without a setter.
+    With n = 1 also the initializer of a sweep worker, whose siblings fill
+    the other cores."""
+    api = _blas_api()
+    if not api:
+        return None
+    before = api[0]()
+    if n != before:
+        api[1](n)
+    return before
 
 
 def _rk4_step_matrix(m: np.ndarray, dt: float) -> np.ndarray:
@@ -599,7 +570,7 @@ def steady_state(
         )
     rho0 = _as_density(rho0)
     _check_shape(rho0, model)
-    gen = _VectorizedGenerator(model, _resolve_form(model, form), rho0)
+    gen = _VectorizedGenerator(model, form, rho0)
     rec = _Recorder(model.n_at, record)
 
     rs = np.split(gen.to_coords(rho0), [gen.blocks[1].start])
@@ -622,7 +593,8 @@ def steady_state(
         return residual
 
     n = max(map(len, ms))
-    with _BLAS_THREADS.at(1) if n <= _THREADED_BLOCK else contextlib.nullcontext():
+    entry_threads = _set_blas_threads(1) if n <= _THREADED_BLOCK else None
+    try:
         t = 0.0
         residual = visit(t)
         converged = residual <= cfg.convergence_tol
@@ -667,6 +639,9 @@ def steady_state(
                 converged = residual <= cfg.convergence_tol
                 if converged or t + tau > t_stop:
                     break
+    finally:
+        if entry_threads is not None:
+            _set_blas_threads(entry_threads)
     stats["stride"] = tau
 
     rho = gen.from_coords(np.concatenate(rs))

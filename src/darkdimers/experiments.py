@@ -29,7 +29,7 @@ from .config import (_EVOLVE_KEYS, ConfigError, ExperimentConfig, initial_state_
                      parse_grid)
 from .darkstates import predicted_populations
 from .dynamics import (EvolveConfig, IntegrationInstabilityError, SteadyStateResult,
-                       _one_blas_thread, steady_state)
+                       _set_blas_threads, steady_state)
 from .model import (
     ArrayGeometry,
     BathParams,
@@ -159,7 +159,8 @@ def run_sweep(cfg: ExperimentConfig) -> List[SweepCell]:
     if workers > 1:
         # imported here so that a serial run does not pay for the import
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_set_blas_threads,
+                                 initargs=(1,)) as pool:
             return list(pool.map(_sweep_cell, tasks, chunksize=4))
     return [_sweep_cell(task) for task in tasks]
 

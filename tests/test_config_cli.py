@@ -23,7 +23,7 @@ from darkdimers.config import (
     resolve_config,
 )
 from darkdimers.darkstates import dimer_chain, melted_dark
-from darkdimers.dynamics import _BLAS_THREADS, _one_blas_thread
+from darkdimers.dynamics import _blas_api, _set_blas_threads
 from darkdimers.experiments import dimer_center, run_sweep, write_sweep_csv
 from darkdimers.observables import polarization_moments
 
@@ -38,7 +38,7 @@ def _fresh(code: str, **env) -> str:
     return out.stdout.strip()
 
 
-needs_blas_setter = pytest.mark.skipif(_BLAS_THREADS.count() is None,
+needs_blas_setter = pytest.mark.skipif(not _blas_api(),
                                        reason="no OpenBLAS thread setter found")
 
 
@@ -261,9 +261,9 @@ class TestSweepPlumbing:
         sizes, initializers = [], []
 
         class RecordingPool:
-            def __init__(self, max_workers, initializer=None):
+            def __init__(self, max_workers, initializer=None, initargs=()):
                 sizes.append(max_workers)
-                initializers.append(initializer)
+                initializers.append((initializer, initargs))
 
             def __enter__(self):
                 return self
@@ -280,12 +280,12 @@ class TestSweepPlumbing:
         assert all(c.converged for c in run_sweep(cfg))
         assert sizes == ([] if pool is None else [pool])
         # each worker sets itself to one OpenBLAS thread
-        assert initializers == ([] if pool is None else [_one_blas_thread])
+        assert initializers == ([] if pool is None else [(_set_blas_threads, (1,))])
 
     @needs_blas_setter
     def test_worker_initializer_leaves_one_thread(self):
-        code = ("from darkdimers.dynamics import _BLAS_THREADS, _one_blas_thread; "
-                "_one_blas_thread(); print(_BLAS_THREADS.count())")
+        code = ("from darkdimers.dynamics import _blas_api, _set_blas_threads; "
+                "_set_blas_threads(1); print(_blas_api()[0]())")
         env = dict(os.environ, OPENBLAS_NUM_THREADS="2", PYTHONPATH=os.pathsep.join(sys.path))
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True, timeout=120)
@@ -327,19 +327,24 @@ class TestSweepPlumbing:
         # the reduced blocks change BLAS blocking with the thread count;
         # the 12-digit CSV must not notice.  The N = 3 blocks walk on one
         # thread either way; the N = 5 blocks (272 and 512 coordinates) are
-        # above the one-thread threshold, so the second run walks them on two
+        # above the one-thread threshold, so the second run walks them on two.
+        # Given two CPUs, a third run puts the N = 5 cells in two workers,
+        # which the pool's initializer sets to one thread each
+        two_cpus = (os.cpu_count() or 1) >= 2
         for n_at, grid_zc, grid_a, rows in (("3", "0:pi:4", "0:pi:4", 16),
                                             ("5", "0,0.3", "pi/4,0.9", 4)):
             blobs = []
-            for threads in ("1", "2"):
-                out = tmp_path / f"sweep_{n_at}_{threads}.csv"
+            runs = [("1", "1"), ("2", "1")] + [("2", "2")] * (n_at == "5" and two_cpus)
+            for threads, workers in runs:
+                out = tmp_path / f"sweep_{n_at}_{threads}_{workers}.csv"
                 env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                            PYTHONPATH=os.pathsep.join(sys.path))
                 subprocess.run([sys.executable, "-m", "darkdimers", "sweep", "--n-at", n_at,
-                                "--grid-zc", grid_zc, "--grid-a", grid_a, "--out", str(out)],
+                                "--grid-zc", grid_zc, "--grid-a", grid_a,
+                                "--workers", workers, "--out", str(out)],
                                env=env, check=True, capture_output=True, timeout=300)
                 blobs.append(out.read_bytes())
-            assert blobs[0] == blobs[1]
+            assert len(set(blobs)) == 1
             assert len(blobs[0].splitlines()) == rows + 1
 
     def test_csv_schema_and_manifest(self, small_cfg, tmp_path):

@@ -355,8 +355,8 @@ def _stand_in_blas(monkeypatch):
     """Put a stand-in OpenBLAS getter and setter in place, the count starting
     at two; return the log of the setter's calls."""
     calls = []
-    monkeypatch.setattr(dynamics._BLAS_THREADS, "_api",
-                        (lambda: calls[-1] if calls else 2, calls.append))
+    monkeypatch.setattr(dynamics, "_blas_api",
+                        lambda: (lambda: calls[-1] if calls else 2, calls.append))
     return calls
 
 
@@ -365,7 +365,7 @@ def _thread_counts_of_calls(monkeypatch, owner, name):
     log, real = [], getattr(owner, name)
 
     def counting(*args):
-        log.append(dynamics._BLAS_THREADS.count())
+        log.append(dynamics._blas_api()[0]())
         return real(*args)
 
     monkeypatch.setattr(owner, name, counting)

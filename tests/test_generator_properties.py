@@ -84,7 +84,7 @@ def test_blocks_match_rhs_and_preserve_trace(model, form, start, seed):
     assert np.max(np.abs(res.state - rho_loop)) <= 1e-12
 
 
-@pytest.mark.parametrize("form", ["general", "squeezed"])
+@pytest.mark.parametrize("form", ["general", "squeezed", "auto"])
 def test_near_symmetry_is_rejected(form):
     # at k0zc = 1e-12 the swap of the two atoms commutes with L only to
     # ~1e-12 relative; accepting it dropped ~3e-12 of L(F_o) outside the sector
