@@ -83,7 +83,7 @@ def _cmd_report(args) -> int:
 def _cmd_steady(args) -> int:
     cfg = _resolve(args)
     _, result = solve_case(cfg, {"steady": (cfg.out, {})} if cfg.out else {})
-    row = state_row(result.state, cfg.n_at)
+    row = state_row(result.state)
     print(f"converged: {result.converged}")
     print(f"t_converge: {result.t_converge:.6g}")
     print(f"residual: {result.residual:.6g}")

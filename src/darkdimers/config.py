@@ -18,7 +18,7 @@ import numpy as np
 
 from .dynamics import EvolveConfig
 from .model import make_bath
-from .operators import ground_state
+from .operators import ground_state, product_state
 
 __all__ = [
     "ConfigError",
@@ -148,7 +148,7 @@ def load_config_file(path: str) -> Dict[str, str]:
     """Read a key/value config file into a raw string dict."""
     values: Dict[str, str] = {}
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:  # a leading BOM is not part of a key
             for lineno, raw in enumerate(fh, start=1):
                 line = raw.split("#", 1)[0].strip()
                 if not line:
@@ -230,12 +230,8 @@ def initial_state_vector(cfg: ExperimentConfig) -> np.ndarray:
     if cfg.initial == "ground":
         return ground_state(cfg.n_at)
     if cfg.initial == "plus-pi-4":
-        # not operators.product_state: its renormalization moves printed series digits
         single = np.array([1.0, np.exp(1j * math.pi / 4)]) / math.sqrt(2.0)
-        psi = np.array([1.0 + 0.0j])
-        for _ in range(cfg.n_at):
-            psi = np.kron(psi, single)
-        return psi
+        return product_state([single] * cfg.n_at)
     try:
         with open(cfg.initial, encoding="utf-8") as fh:
             amps = [complex(line.strip()) for line in fh if line.strip()]

@@ -219,7 +219,7 @@ def sph_harm_equator(l: int, m: int) -> float:
     return y
 
 
-def collective_dark_state(geo: ArrayGeometry, bath: BathParams, l: int) -> np.ndarray:
+def collective_dark_state(geo: ArrayGeometry, bath: BathParams) -> np.ndarray:
     """Closed-form dark state in the symmetric (Dicke) sector,
 
         sum_m e^{-eta m} s_m Y_{l,m}(pi/2, 0) |l, m>,
@@ -239,12 +239,9 @@ def collective_dark_state(geo: ArrayGeometry, bath: BathParams, l: int) -> np.nd
             "collective form needs k0 zc in {0, pi/2} (mod pi); "
             f"got k0 zc = {geo.k0zc:.6g}"
         )
-    if geo.n_at % 2 or l != geo.n_at // 2:
-        raise ValueError(
-            f"collective form is the l = n_at/2 sector; got l = {l}, "
-            f"n_at = {geo.n_at} (lower sectors come from melted_dark)"
-        )
-    eta = bath.eta
+    if geo.n_at % 2:
+        raise ValueError(f"collective form needs an even n_at (sector l = n_at/2), got {geo.n_at}")
+    l, eta = geo.n_at // 2, bath.eta
     signed = math.cos(2.0 * geo.k0zc) < 0.0
     psi = np.zeros(2**geo.n_at, dtype=complex)
     for m in range(-l, l + 1):
@@ -334,7 +331,7 @@ def dark_state(geo: ArrayGeometry, bath: BathParams, l: Optional[int] = None):
         return "dimer_chain", dimer_chain(geo, bath), None
     psi = melted_dark(geo, bath, l)
     try:  # the closed form needs k0 a = 0 (mod 2pi) and k0 zc in {0, pi/2} (mod pi)
-        collective = collective_dark_state(geo, bath, geo.n_at // 2)
+        collective = collective_dark_state(geo, bath)
     except ValueError:
         collective = None
     return f"melted_dark(l={l})", psi, collective

@@ -238,8 +238,7 @@ class _Recorder:
     fails), the numerical-hygiene extremes and, with `record`, the
     observable columns of a TimeSeries."""
 
-    def __init__(self, n_at: int, record: bool):
-        self.n_at = n_at
+    def __init__(self, record: bool):
         self.record = record
         self.times = []
         self.rows = []
@@ -267,7 +266,7 @@ class _Recorder:
             raise _unstable(f"smallest eigenvalue {lam:.3e}", t)
         if self.record:
             self.times.append(t)
-            self.rows.append(state_row(rho, self.n_at))
+            self.rows.append(state_row(rho))
 
     def series(self) -> Optional[TimeSeries]:
         if not self.rows:
@@ -310,7 +309,7 @@ def evolve(
     terms = _generator_terms(model, form)
     rho = _as_density(rho0)
     _check_shape(rho, model)
-    rec = _Recorder(model.n_at, True)
+    rec = _Recorder(True)
     rec.visit(0.0, rho)
 
     n_steps = int(round(cfg.t_max / cfg.dt))
@@ -571,7 +570,7 @@ def steady_state(
     rho0 = _as_density(rho0)
     _check_shape(rho0, model)
     gen = _VectorizedGenerator(model, form, rho0)
-    rec = _Recorder(model.n_at, record)
+    rec = _Recorder(record)
 
     rs = np.split(gen.to_coords(rho0), [gen.blocks[1].start])
     # Block 0 holds the trace; block 1 stays exactly zero, and is not

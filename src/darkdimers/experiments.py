@@ -141,7 +141,7 @@ def _sweep_cell(args) -> SweepCell:
         # non-converged with empty observables and its reason.
         nan = float("nan")
         return SweepCell(k0zc, k0a, nan, nan, nan, nan, nan, False, str(exc))
-    row = state_row(result.state, cfg.n_at)
+    row = state_row(result.state)
     return SweepCell(k0zc, k0a, row["var_x"], row["var_y"], row["purity"], row["mean_z"],
                      result.t_converge, result.converged, squarings=result.stats["squarings"],
                      matvecs=result.stats["matvecs"])
@@ -221,14 +221,13 @@ _REPORTS = {
         result.series.times, *(result.series.data[c] for c in series_columns(cfg.n_at)[1:]))),
     # the sigma_x pair correlations of the steady state, one row per (n, m)
     "correlations": (lambda n_at: ("n", "m", "C"), lambda cfg, result, tags: [
-        (n + 1, m + 1, c) for (n, m), c in np.ndenumerate(pair_correlations(result.state,
-                                                                            cfg.n_at))]),
+        (n + 1, m + 1, c) for (n, m), c in np.ndenumerate(pair_correlations(result.state))]),
     # the excitation populations next to the law that tags["law"] names
     "populations": (lambda n_at: ("n_e", "p_steady", "p_predicted"),
                     lambda cfg, result, tags: population_rows(cfg, result, tags["law"])),
     # one row: the steady state's observables and how the solve went
     "steady": (lambda n_at: series_columns(n_at)[1:] + ["t_converge", "converged"],
-               lambda cfg, result, tags: [[*state_row(result.state, cfg.n_at).values(),
+               lambda cfg, result, tags: [[*state_row(result.state).values(),
                                            result.t_converge, result.converged]]),
 }
 

@@ -100,36 +100,26 @@ class BathParams:
             )
 
 
-def make_bath(
-    n_ph: float,
-    phi: float = 0.0,
-    minimal: bool = True,
-    m_abs: Optional[float] = None,
-) -> BathParams:
+def make_bath(n_ph: float, phi: float = 0.0, m_abs: Optional[float] = None) -> BathParams:
     """Build bath parameters.
 
-    minimal=True sets |M| to the uncertainty bound sqrt(N(N+1)); an
-    explicit m_abs overrides (and must then satisfy
-    0 <= m_abs <= sqrt(N(N+1))).  minimal=False without an override
-    gives a plain thermal bath (|M| = 0).
+    m_abs=None sets |M| to the uncertainty bound sqrt(N(N+1)), the
+    minimal-uncertainty squeezed vacuum; an explicit m_abs must satisfy
+    0 <= m_abs <= sqrt(N(N+1)), and m_abs=0.0 gives a plain thermal bath.
     """
     if n_ph < 0:
         raise ValueError(f"n_ph must be >= 0, got {n_ph}")
     bound = math.sqrt(n_ph * (n_ph + 1.0))
     if not math.isfinite(bound):  # n_ph above about 1.34e154
         raise ValueError(f"|M| = sqrt(N(N+1)) is not finite at n_ph = {n_ph:g}")
-    if m_abs is not None:
-        if minimal:
-            raise ValueError("pass either minimal=True or an explicit m_abs, not both")
-        if not 0.0 <= m_abs <= bound * (1.0 + 1e-12) + 1e-15:
-            raise ValueError(
-                f"m_abs = {m_abs} violates the uncertainty bound "
-                f"sqrt(N(N+1)) = {bound:.12g}"
-            )
-        return BathParams(n_ph=float(n_ph), m_abs=float(m_abs), phi=float(phi))
-    return BathParams(
-        n_ph=float(n_ph), m_abs=bound if minimal else 0.0, phi=float(phi)
-    )
+    if m_abs is None:
+        m_abs = bound
+    elif not 0.0 <= m_abs <= bound * (1.0 + 1e-12) + 1e-15:
+        raise ValueError(
+            f"m_abs = {m_abs} violates the uncertainty bound "
+            f"sqrt(N(N+1)) = {bound:.12g}"
+        )
+    return BathParams(n_ph=float(n_ph), m_abs=float(m_abs), phi=float(phi))
 
 
 @dataclass(frozen=True)
@@ -259,7 +249,6 @@ class ModelOperators:
     travelling_jumps: Tuple[TravellingChannel, ...]
     squeezed_jumps: Optional[Tuple[np.ndarray, np.ndarray]]
     squeezed_rate: Optional[float]
-    gamma: float
     n_at: int
 
 
@@ -287,6 +276,5 @@ def build_model(geo: ArrayGeometry, bath: BathParams, gamma: float = 1.0) -> Mod
         travelling_jumps=tuple(channels),
         squeezed_jumps=sq,
         squeezed_rate=sq_rate,
-        gamma=float(gamma),
         n_at=geo.n_at,
     )

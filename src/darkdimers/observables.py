@@ -58,11 +58,16 @@ def _collective_spin(n_at: int):
     return MappingProxyType(ops)
 
 
-def polarization_moments(state: np.ndarray, n_at: int) -> PolarizationMoments:
+def _n_atoms(state: np.ndarray) -> int:
+    """The atom count of a state vector or density matrix on 2**n_at levels."""
+    return len(state).bit_length() - 1
+
+
+def polarization_moments(state: np.ndarray) -> PolarizationMoments:
     """Collective polarization means and variances of a state (vector or
-    density matrix) of n_at atoms."""
+    density matrix)."""
     values = {}
-    for label, (s, s2) in _collective_spin(n_at).items():
+    for label, (s, s2) in _collective_spin(_n_atoms(state)).items():
         mean = expectation(state, s).real
         values[f"mean_{label}"] = mean
         values[f"var_{label}"] = expectation(state, s2).real - mean**2
@@ -78,20 +83,21 @@ def purity(rho: np.ndarray) -> float:
     return float(np.vdot(rho.T.conj(), rho).real)
 
 
-def state_row(state: np.ndarray, n_at: int) -> dict:
+def state_row(state: np.ndarray) -> dict:
     """The observables that describe one state, in series-CSV column
     order: purity, mean_x/y/z, var_x/y, then the excitation populations
     p0..pN."""
-    mom = polarization_moments(state, n_at)
+    mom = polarization_moments(state)
     row = {"purity": purity(state), "mean_x": mom.mean_x, "mean_y": mom.mean_y,
            "mean_z": mom.mean_z, "var_x": mom.var_x, "var_y": mom.var_y}
     row.update((f"p{k}", p) for k, p in enumerate(excitation_populations(state)))
     return row
 
 
-def pair_correlations(state: np.ndarray, n_at: int) -> np.ndarray:
+def pair_correlations(state: np.ndarray) -> np.ndarray:
     """Correlation matrix C[n, m] = <sigma_x^(n) sigma_x^(m)> / 4
     (0-indexed atoms).  Diagonal entries are exactly 1/4."""
+    n_at = _n_atoms(state)
     lower = site_lowering(n_at)
     sx = lower + lower.transpose(0, 2, 1)
     c = np.empty((n_at, n_at))
@@ -111,7 +117,7 @@ def excitation_populations(state: np.ndarray) -> np.ndarray:
         diag = np.abs(state) ** 2
     else:
         diag = state.diagonal().real
-    n_at = int(round(np.log2(diag.size)))
+    n_at = _n_atoms(diag)
     counts = excitation_counts(n_at)
     return np.array([diag[counts == k].sum() for k in range(n_at + 1)])
 

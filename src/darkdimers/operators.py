@@ -115,11 +115,11 @@ def ground_state(n_at: int) -> np.ndarray:
 
 
 def product_state(single_site_states) -> np.ndarray:
-    """Tensor product of per-atom 2-vectors (atom 1 first)."""
+    """Tensor product of per-atom 2-vectors (atom 1 first), unit norm if each is."""
     psi = np.array([1.0 + 0.0j])
     for s in single_site_states:
         psi = np.kron(psi, np.asarray(s, dtype=complex))
-    return psi / np.linalg.norm(psi)
+    return psi
 
 
 def excitation_counts(n_at: int) -> np.ndarray:

@@ -155,7 +155,7 @@ def test_criterion_03_two_atom_steady_state(bath, steady2):
     geo = make_geometry(2, math.pi / 4, 0.0)
     target = pair_state(geo, bath, PairSpec(1, 2, "squeezed"))
     fid = fidelity(target, res.state)
-    mom = polarization_moments(res.state, 2)
+    mom = polarization_moments(res.state)
     assert fid >= 0.999
     assert mom.mean_z == pytest.approx(MEAN_Z_PAIR, abs=1e-3)
     assert mom.var_x == pytest.approx(VAR_X_PAIR, abs=1e-3)
@@ -202,7 +202,7 @@ def test_criterion_05_dimerized_chain(bath, steady6_dimer):
     target = dimer_chain(geo, bath)
     fid = fidelity(target, res.state)
     assert fid >= 0.999
-    corr = pair_correlations(res.state, 6)
+    corr = pair_correlations(res.state)
     on_pair = [corr[2 * k, 2 * k + 1] for k in range(3)]
     off_pair = max(
         abs(corr[n, m]) for n in range(6) for m in range(6)
@@ -226,7 +226,7 @@ def test_criterion_06_melted_dimer(bath, steady6_melted):
     target = melted_dark(geo, bath, 3)
     fid = fidelity(target, res.state)
     assert fid >= 0.999
-    corr = pair_correlations(res.state, 6)
+    corr = pair_correlations(res.state)
     for n in range(6):
         for m in range(6):
             if n == m:
@@ -322,7 +322,7 @@ def test_criterion_11_cross_constructor_consistency(bath):
     fids = {}
     for n_at in (4, 6):
         geo = make_geometry(n_at, 2.0 * math.pi, 0.0)
-        col = collective_dark_state(geo, bath, n_at // 2)
+        col = collective_dark_state(geo, bath)
         mel = melted_dark(geo, bath, n_at // 2)
         fids[n_at] = fidelity(col, mel)
         assert fids[n_at] >= 1.0 - 1e-9

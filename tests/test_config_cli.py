@@ -102,6 +102,15 @@ class TestResolveConfig:
         assert cfg.n_at == 4                       # flag wins
         assert cfg.k0a == pytest.approx(math.pi / 4)
 
+    def test_byte_order_mark_is_not_part_of_the_first_key(self, tmp_path, capsys):
+        # an editor's "UTF-8 with BOM" is still a plain UTF-8 config file
+        path = tmp_path / "run.cfg"
+        path.write_text("n-at = 2\nt_max = 2e4  # horizon\nk0a = pi/4\n", encoding="utf-8-sig")
+        assert path.read_bytes().startswith(b"\xef\xbb\xbfn-at")
+        assert load_config_file(str(path)) == {"n_at": "2", "t_max": "2e4", "k0a": "pi/4"}
+        assert main(["steady", "--config", str(path)]) == 0
+        assert "converged: True" in capsys.readouterr().out
+
     def test_unknown_key(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("n_atoms = 4\n", encoding="utf-8")
@@ -155,10 +164,19 @@ class TestInitialState:
     def test_plus_pi_4_polarizations_match(self):
         cfg = ExperimentConfig(n_at=4, initial="plus-pi-4")
         psi = initial_state_vector(cfg)
-        mom = polarization_moments(psi, 4)
+        mom = polarization_moments(psi)
         assert mom.mean_x == pytest.approx(mom.mean_y, abs=1e-12)
         assert mom.mean_x == pytest.approx(4 * 0.5 * math.cos(math.pi / 4), abs=1e-12)
         assert mom.mean_z == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("n_at", range(1, 9))
+    def test_plus_pi_4_is_the_kron_product_of_the_site_state(self, n_at):
+        single = np.array([1.0, np.exp(1j * math.pi / 4)]) / math.sqrt(2.0)
+        psi = np.array([1.0 + 0.0j])
+        for _ in range(n_at):
+            psi = np.kron(psi, single)
+        cfg = ExperimentConfig(n_at=n_at, initial="plus-pi-4")
+        assert initial_state_vector(cfg).tobytes() == psi.tobytes()
 
     def test_state_file_roundtrip(self, tmp_path):
         path = tmp_path / "state.txt"

@@ -314,7 +314,7 @@ class TestCollectiveDarkState:
         # the annihilation requirement at each center
         for zc, sign in ((0.0, -1.0), (math.pi / 2, +1.0)):
             geo = make_geometry(2, 2 * math.pi, zc)
-            psi = collective_dark_state(geo, bath088, 1)
+            psi = collective_dark_state(geo, bath088)
             eta = bath088.eta
             expected = np.zeros(4, dtype=complex)
             expected[0] = math.exp(eta)
@@ -328,22 +328,22 @@ class TestCollectiveDarkState:
     @pytest.mark.parametrize("zc", [0.0, math.pi / 2])
     def test_matches_melted_dark(self, bath088, n_at, zc):
         geo = make_geometry(n_at, 2 * math.pi, zc)
-        col = collective_dark_state(geo, bath088, n_at // 2)
+        col = collective_dark_state(geo, bath088)
         mel = melted_dark(geo, bath088, n_at // 2)
         assert fidelity(col, mel) >= 1.0 - 1e-9
 
     def test_no_weight_on_odd_sectors(self, bath088):
         geo = make_geometry(2, 2 * math.pi, 0.0)
-        psi = collective_dark_state(geo, bath088, 1)
+        psi = collective_dark_state(geo, bath088)
         assert excitation_populations(psi)[1] <= 1e-14
 
     def test_regime_validation(self, bath088):
         with pytest.raises(ValueError, match="2pi"):
-            collective_dark_state(make_geometry(2, math.pi, 0.0), bath088, 1)
+            collective_dark_state(make_geometry(2, math.pi, 0.0), bath088)
         with pytest.raises(ValueError, match="zc"):
-            collective_dark_state(make_geometry(2, 2 * math.pi, 0.3), bath088, 1)
-        with pytest.raises(ValueError, match="sector"):
-            collective_dark_state(make_geometry(4, 2 * math.pi, 0.0), bath088, 1)
+            collective_dark_state(make_geometry(2, 2 * math.pi, 0.3), bath088)
+        with pytest.raises(ValueError, match="even n_at"):
+            collective_dark_state(make_geometry(3, 2 * math.pi, 0.0), bath088)
 
 
 class TestPredictedPopulations:

@@ -72,7 +72,7 @@ class TestGenerators:
                 assert np.linalg.norm(diff) <= 1e-10
 
     def test_squeezed_form_requires_minimal_bath(self, geo2_dark):
-        model = build_model(geo2_dark, make_bath(0.5, minimal=False))
+        model = build_model(geo2_dark, make_bath(0.5, m_abs=0.0))
         rho = pure_to_density(ground_state(2))
         with pytest.raises(ValueError, match="minimal"):
             lindblad_rhs_squeezed(rho, model)
@@ -248,7 +248,7 @@ class TestSteadyState:
     def test_positivity_gate_threshold(self, record):
         from darkdimers.dynamics import _Recorder
 
-        rec = _Recorder(1, record)
+        rec = _Recorder(record)
         rec.visit(0.5, np.diag([1.0 + 5e-7, -5e-7]).astype(complex))
         with pytest.raises(IntegrationInstabilityError,
                            match=r"smallest eigenvalue -2\.000e-06 at t = 1\b"):
@@ -265,7 +265,7 @@ class TestSteadyState:
         rho = np.diag([1.0, 0.0]).astype(complex)
         rho[0, 1] = np.nan
         with pytest.raises(IntegrationInstabilityError, match="non-finite state at t = 2"):
-            _Recorder(1, record).visit(2.0, rho)
+            _Recorder(record).visit(2.0, rho)
 
     @pytest.mark.parametrize("record", [False, True])
     @pytest.mark.parametrize("n_ph,gamma,fragment", [
@@ -302,7 +302,7 @@ class TestSteadyState:
     def test_recorded_moments_match_final_state(self, bath088):
         model = build_model(make_geometry(3, 0.8, 0.2), bath088)
         res = steady_state(ground_state(3), model, EvolveConfig(t_max=20.0), record=True)
-        mom = polarization_moments(res.state, 3)
+        mom = polarization_moments(res.state)
         for key in ("var_x", "var_y", "mean_z"):
             assert abs(res.series.data[key][-1] - getattr(mom, key)) <= 1e-12
 

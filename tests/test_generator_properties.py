@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from darkdimers import EvolveConfig, build_model, evolve, make_bath, make_geometry, steady_state
@@ -24,16 +24,17 @@ from conftest import random_hermitian_unit_trace
 
 angles = st.floats(0.0, 2.0 * math.pi)
 n_phs = st.floats(0.0, 2.0, exclude_min=True)
-models = st.builds(
-    lambda n_at, k0a, k0zc, n_ph, phi: build_model(
-        make_geometry(n_at, k0a, k0zc), make_bath(n_ph, phi)),
-    st.integers(1, 4), angles, angles, n_phs, angles,
-)
+
+
+def _model(n_at, k0a, k0zc, n_ph, phi):
+    return build_model(make_geometry(n_at, k0a, k0zc), make_bath(n_ph, phi))
+
+
+models = st.builds(_model, st.integers(1, 4), angles, angles, n_phs, angles)
 # geometries with and without site symmetries: identical atoms at
 # k0a = 2 pi, a mirror-symmetric chain at k0zc = 0 or pi/2
 symmetric_models = st.builds(
-    lambda n_at, k0a, k0zc, n_ph, phi: build_model(
-        make_geometry(n_at, k0a, k0zc), make_bath(n_ph, phi)),
+    _model,
     st.integers(1, 4),
     st.one_of(angles, st.sampled_from([math.pi / 4, math.pi, 2.0 * math.pi])),
     st.one_of(angles, st.sampled_from([0.0, math.pi / 4, math.pi / 2])),
@@ -81,6 +82,25 @@ def test_blocks_match_rhs_and_preserve_trace(model, form, start, seed):
                          form=form)
     res = steady_state(psi, model, EvolveConfig(dt=dt, t_max=n * dt, convergence_tol=1e-300),
                        form=form)
+    assert np.max(np.abs(res.state - rho_loop)) <= 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(model=st.builds(_model, st.integers(1, 3), angles, angles, n_phs, angles),
+       form=st.sampled_from(["general", "squeezed"]),
+       start=st.sampled_from(["ground", "plus-pi-4", "random"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_squaring_walk_matches_the_plain_rk4_loop(model, form, start, seed):
+    # 400 steps make the walk square its propagator, which 8 steps never do
+    psi = _start(start, model.n_at, seed)
+    dt = 0.005
+    res = steady_state(psi, model, EvolveConfig(dt=dt, t_max=400 * dt, convergence_tol=1e-300),
+                       form=form, record=True)
+    assume(not res.converged)  # only a start at rest (the ground state at n_ph ~ 0) converges
+    assert res.stats["squarings"] > 0
+    t_end = res.series.times[-1]
+    _, rho_loop = evolve(psi, model, EvolveConfig(dt=dt, t_max=t_end, record_stride=400),
+                         form=form)
     assert np.max(np.abs(res.state - rho_loop)) <= 1e-12
 
 

@@ -69,17 +69,13 @@ class TestBath:
             make_bath(0.0).eta
 
     def test_mu_nu_undefined_off_minimal(self):
-        bath = make_bath(0.88, minimal=False, m_abs=0.5)
+        bath = make_bath(0.88, m_abs=0.5)
         with pytest.raises(ValueError, match="minimal"):
             bath.mu
 
     def test_uncertainty_bound_enforced(self):
         with pytest.raises(ValueError, match="uncertainty"):
-            make_bath(0.88, minimal=False, m_abs=1.5)
-
-    def test_conflicting_arguments(self):
-        with pytest.raises(ValueError):
-            make_bath(0.88, minimal=True, m_abs=0.3)
+            make_bath(0.88, m_abs=1.5)
 
     def test_negative_n_ph(self):
         with pytest.raises(ValueError):
@@ -248,7 +244,7 @@ class TestSqueezedJumps:
 
     def test_non_minimal_rejected(self, geo2_dark):
         with pytest.raises(ValueError):
-            squeezed_jumps(geo2_dark, make_bath(0.88, minimal=False, m_abs=0.2))
+            squeezed_jumps(geo2_dark, make_bath(0.88, m_abs=0.2))
 
 
 class TestFieldTwoPoint:
@@ -286,7 +282,7 @@ class TestBuildModel:
         assert is_hermitian(model.hamiltonian)
 
     def test_no_squeezed_form_for_thermal_bath(self, geo2_dark):
-        model = build_model(geo2_dark, make_bath(0.5, minimal=False))
+        model = build_model(geo2_dark, make_bath(0.5, m_abs=0.0))
         assert model.squeezed_jumps is None
         assert model.squeezed_rate is None
 

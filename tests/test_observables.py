@@ -27,7 +27,7 @@ def pair_variance(mu, nu, sign):
 
 class TestPolarizationMoments:
     def test_all_ground_four_atoms(self):
-        mom = polarization_moments(ground_state(4), 4)
+        mom = polarization_moments(ground_state(4))
         assert mom.mean_z == pytest.approx(-2.0, abs=1e-12)
         assert mom.mean_x == pytest.approx(0.0, abs=1e-12)
         # uncorrelated transverse fluctuations: N/4
@@ -36,7 +36,7 @@ class TestPolarizationMoments:
 
     def test_pair_state_moments(self, geo2_dark, bath088):
         psi = pair_state(geo2_dark, bath088, PairSpec(1, 2, "squeezed"))
-        mom = polarization_moments(psi, 2)
+        mom = polarization_moments(psi)
         mu, nu = bath088.mu, bath088.nu
         assert mom.mean_z == pytest.approx(-1.0 / (2 * 0.88 + 1.0), abs=1e-12)
         assert mom.mean_z == pytest.approx(-0.3623188405797, abs=1e-10)
@@ -50,7 +50,7 @@ class TestPolarizationMoments:
         for k0zc in (0.0, math.pi / 2):
             geo = make_geometry(2, math.pi / 4, k0zc)
             psi = pair_state(geo, bath088, PairSpec(1, 2, "squeezed"))
-            mom = polarization_moments(psi, 2)
+            mom = polarization_moments(psi)
             assert mom.var_x * mom.var_y == pytest.approx(
                 (mom.mean_z / 2.0) ** 2, abs=1e-10
             )
@@ -58,7 +58,7 @@ class TestPolarizationMoments:
     def test_chain_variance_adds_per_pair(self, bath088):
         geo = make_geometry(6, math.pi / 4, 0.0)
         psi = dimer_chain(geo, bath088)
-        mom = polarization_moments(psi, 6)
+        mom = polarization_moments(psi)
         mu, nu = bath088.mu, bath088.nu
         signs = np.exp(1j * (geo.k0z[0::2] + geo.k0z[1::2])).real.round()
         expected_x = sum(pair_variance(mu, nu, s) for s in signs)
@@ -70,7 +70,7 @@ class TestPolarizationMoments:
         rng = np.random.default_rng(1)
         psi = rng.normal(size=8) + 1j * rng.normal(size=8)
         psi /= np.linalg.norm(psi)
-        mom = polarization_moments(psi, 3)
+        mom = polarization_moments(psi)
         for v in (mom.var_x, mom.var_y, mom.var_z):
             assert v >= -1e-10
 
@@ -91,9 +91,9 @@ class TestStateRow:
     def test_series_columns_and_values(self, bath088):
         psi = dimer_chain(make_geometry(4, math.pi / 4, math.pi / 4), bath088)
         rho = 0.5 * (pure_to_density(psi) + pure_to_density(ground_state(4)))
-        row = state_row(rho, 4)
+        row = state_row(rho)
         assert list(row) == series_columns(4)[1:]
-        mom = polarization_moments(rho, 4)
+        mom = polarization_moments(rho)
         assert row["purity"] == purity(rho)
         assert [row[k] for k in ("mean_x", "mean_y", "mean_z", "var_x", "var_y")] == \
             [mom.mean_x, mom.mean_y, mom.mean_z, mom.var_x, mom.var_y]
@@ -102,14 +102,14 @@ class TestStateRow:
 
 class TestPairCorrelations:
     def test_product_ground_state(self):
-        c = pair_correlations(ground_state(3), 3)
+        c = pair_correlations(ground_state(3))
         assert_allclose(np.diag(c), 0.25)
         off = c - np.diag(np.diag(c))
         assert np.max(np.abs(off)) <= 1e-14
 
     def test_pair_state_golden(self, geo2_dark, bath088):
         psi = pair_state(geo2_dark, bath088, PairSpec(1, 2, "squeezed"))
-        c = pair_correlations(psi, 2)
+        c = pair_correlations(psi)
         mu, nu = bath088.mu.real, bath088.nu.real
         expected = mu * nu / (2.0 * (mu**2 + nu**2))
         assert c[0, 1] == pytest.approx(expected, abs=1e-12)
@@ -117,7 +117,7 @@ class TestPairCorrelations:
 
     def test_symmetric_and_bounded(self, bath088):
         geo = make_geometry(4, math.pi / 4, math.pi / 4)
-        c = pair_correlations(dimer_chain(geo, bath088), 4)
+        c = pair_correlations(dimer_chain(geo, bath088))
         assert_allclose(c, c.T)
         assert np.max(np.abs(c)) <= 0.25 + 1e-12
 

@@ -134,6 +134,16 @@ def test_product_state_and_excitation_counts():
     assert list(excitation_counts(2)) == [0, 1, 1, 2]
 
 
+@pytest.mark.parametrize("n_at", range(1, 9))
+def test_product_state_of_normalized_sites_is_normalized(n_at):
+    # product_state does not renormalize, so the norm is the sites' own
+    rng = np.random.default_rng(n_at)
+    sites = rng.normal(size=(n_at, 2)) + 1j * rng.normal(size=(n_at, 2))
+    plus = np.array([1.0, np.exp(1j * np.pi / 4)]) / np.sqrt(2.0)
+    for states in ([s / np.linalg.norm(s) for s in sites], [plus] * n_at):
+        assert abs(np.linalg.norm(product_state(states)) - 1.0) <= 1e-15
+
+
 def test_dicke_state_symmetric():
     psi = dicke_state(3, 1)
     expected = np.zeros(8)
