@@ -233,7 +233,7 @@ def initial_state_vector(cfg: ExperimentConfig) -> np.ndarray:
         single = np.array([1.0, np.exp(1j * math.pi / 4)]) / math.sqrt(2.0)
         return product_state([single] * cfg.n_at)
     try:
-        with open(cfg.initial, encoding="utf-8") as fh:
+        with open(cfg.initial, encoding="utf-8-sig") as fh:
             amps = [complex(line.strip()) for line in fh if line.strip()]
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read state file {cfg.initial}: {exc}") from exc

@@ -117,12 +117,23 @@ class TimeSeries:
 
 @dataclass
 class SteadyStateResult:
+    """What `steady_state` returns: the final `state` (unit trace), the
+    time it converged at (`t_converge`, nan if it did not), its `residual`
+    ||L(rho)||_F, the `converged` flag, the visited points as a `series`
+    (with record=True, else None), and `stats`, the one record of the walk,
+    built when it ends: the accepted site permutations (`symmetries`,
+    1-based images), each propagated block's full and reduced size
+    (`blocks`), the propagator `squarings`, the `visited_points`, the final
+    visit `stride` (the propagator's being dt * 2**squarings), and every
+    block-propagator x vector product, stride / propagator stride per
+    block and visit (`matvecs`)."""
+
     state: np.ndarray
     t_converge: float
     residual: float
     converged: bool
+    stats: Dict
     series: Optional[TimeSeries] = None
-    stats: Optional[Dict] = None
 
 
 # ---------------------------------------------------------------------------
@@ -534,12 +545,14 @@ def steady_state(
     record: bool = False,
 ) -> SteadyStateResult:
     """Integrate from rho0 until ||d rho/dt||_F <= convergence_tol or
-    the next stride would pass t_max.
+    the next stride would pass t_max; the SteadyStateResult says how it
+    went, and a non-converged one is left to the caller.
 
-    Uses the vectorized RK4 propagator, so the walk accelerates
-    geometrically while staying on the exact fixed-step RK4 trajectory;
-    the convergence time is resolved to ~t/4.  A stride doubling squares
-    the propagator (stride tau_P) while that saves rest / (2 tau_P) > n *
+    The walk stays on the exact fixed-step RK4 trajectory and accelerates
+    geometrically: every eighth visit the stride tau doubles if 2 tau <=
+    max(dt, t/4) and the doubled stride still fits before t_max, so the
+    convergence time is resolved to ~t/4.  A doubling squares the
+    propagator (stride tau_P) while that saves rest / (2 tau_P) > n *
     _PRODUCT_MATVECS matvecs on the largest block n, the rest of the walk
     being t_max - t or less, as the last two residuals decay.  It stays
     among the states sharing rho0's site symmetries (tests in
@@ -547,16 +560,8 @@ def steady_state(
     The parity-diagonal block is propagated always, the parity-off-
     diagonal one only when rho0 has coherences between the even and odd
     sectors; each has up to 16**n_at / 4 entries, so registers of more
-    than six atoms raise ValueError.  Returns a SteadyStateResult whose
-    `converged` flag is False (with the final residual attached) when
-    t_max is hit first; callers decide what a non-converged state means.
-    Positivity is checked on the full state at every visited point; with
-    record=True those points are returned as a TimeSeries.  `stats` names
-    the accepted site permutations (1-based images), each propagated
-    block's full and reduced size, the squarings, the visited points, the
-    final visit stride (`stride`; tau_P is dt * 2**squarings) and every
-    block-propagator x vector product, tau / tau_P per block and visit
-    (`matvecs`).
+    than six atoms raise ValueError.  Positivity is checked on the full
+    state at every visited point, and record=True returns those points.
     A walk whose largest propagated block has at most _THREADED_BLOCK
     coordinates runs on one BLAS thread, the count found on entry being
     restored on return or raise; set-up and larger walks run at the count
@@ -577,13 +582,9 @@ def steady_state(
     # propagated, unless rho0 has coherences between the parity sectors.
     ms = [gen.assemble(b) for b in range(1 + bool(np.any(rs[1] != 0.0)))]
     unit = gen.to_coords(np.eye(gen.dim))[gen.blocks[0]]
-    stats = {"symmetries": gen.symmetries, "squarings": 0, "visited_points": 0,
-             "blocks": [dict(full=f, reduced=len(m)) for f, m in zip(gen.full_dims, ms)],
-             "matvecs": 0}
 
     def visit(t):
         """Check (and record) the state; return its residual."""
-        stats["visited_points"] += 1
         rec.visit(t, gen.from_coords(np.concatenate(rs)))
         residual = float(np.linalg.norm(np.concatenate([m @ r for m, r in zip(ms, rs)])))
         if not math.isfinite(residual):  # at t = 0 the state passed its checks: L overflows
@@ -594,54 +595,50 @@ def steady_state(
     n = max(map(len, ms))
     entry_threads = _set_blas_threads(1) if n <= _THREADED_BLOCK else None
     try:
-        t = 0.0
+        # a visit takes `hops` propagator steps: tau / the propagator's stride
+        t, tau, hops, visits, squarings, matvecs = 0.0, cfg.dt, 1, 1, 0, 0
         residual = visit(t)
         converged = residual <= cfg.convergence_tol
         # no stride passes t_max (beyond the rounding of the summed strides)
         t_stop = cfg.t_max * (1.0 + 1e-12)
-        nzs = [(k, m.ravel()[k]) for m in ms for k in [np.flatnonzero(m).astype(np.int32)]]
-        # a visit takes `hops` propagator steps: tau / the propagator's stride
-        ps, tau, hops = None, cfg.dt, 1
+        if not converged and cfg.dt <= t_stop:
+            # each generator's buffer becomes its propagator; a second buffer
+            # takes back the generator's nonzeros (4-10% of a block)
+            nzs = [(k, m.ravel()[k]) for m in ms for k in [np.flatnonzero(m).astype(np.int32)]]
+            ps = [_rk4_step_matrix(m, cfg.dt) for m in ms]
+            ms = [np.zeros_like(m) for m in ms]
+            for m, (k, v) in zip(ms, nzs):
+                m.reshape(-1)[k] = v
         while not converged and t + tau <= t_stop:
-            if ps is None:
-                # each generator's buffer becomes its propagator
-                ps = [_rk4_step_matrix(m, cfg.dt) for m in ms]
-                ms = [np.zeros_like(m) for m in ms]
-                for m, (k, v) in zip(ms, nzs):
-                    m.reshape(-1)[k] = v
-            elif 2.0 * tau <= min(max(cfg.dt, t / 4.0), t_stop - t):
+            # every eighth visit; never at t = 0 (2 dt > max(dt, 0)), so r_prev is set
+            if visits % 8 == 1 and 2.0 * tau <= min(max(cfg.dt, t / 4.0), t_stop - t):
                 # the walk left, capped by the decay rate of the last two residuals
                 rest = t_stop - t
                 if residual < r_prev:
                     rest = min(rest, math.log(residual / cfg.convergence_tol) * tau
                                / math.log(r_prev / residual))
                 tau, hops = 2.0 * tau, 2 * hops
-                # square while it saves rest / (2 tau_P) matvecs, into the generator's
-                # buffer; the freed one takes back its nonzeros (4-10% of a block)
+                # square while it saves rest / (2 tau_P) matvecs, into the
+                # generator's buffer, which then takes back its nonzeros
                 while hops > 1 and rest * hops / (2.0 * tau) > n * _PRODUCT_MATVECS:
                     for p, m, (k, v) in zip(ps, ms, nzs):
                         np.matmul(p, p, out=m)
                         p.fill(0.0)
                         p.reshape(-1)[k] = v
-                    ps, ms, hops = ms, ps, hops // 2
-                    stats["squarings"] += 1
-            for _ in range(8):
-                for _ in range(hops):
-                    rs[: len(ps)] = [p @ r for p, r in zip(ps, rs)]
-                stats["matvecs"] += hops * len(ps)
-                t += tau
-                tr = unit @ rs[0]
-                rec.note_trace(t, tr)
-                for r in rs:
-                    r /= tr
-                r_prev, residual = residual, visit(t)
-                converged = residual <= cfg.convergence_tol
-                if converged or t + tau > t_stop:
-                    break
+                    ps, ms, hops, squarings = ms, ps, hops // 2, squarings + 1
+            for _ in range(hops):
+                rs[: len(ps)] = [p @ r for p, r in zip(ps, rs)]
+            matvecs += hops * len(ps)
+            t += tau
+            tr = unit @ rs[0]
+            rec.note_trace(t, tr)
+            for r in rs:
+                r /= tr
+            r_prev, residual, visits = residual, visit(t), visits + 1
+            converged = residual <= cfg.convergence_tol
     finally:
         if entry_threads is not None:
             _set_blas_threads(entry_threads)
-    stats["stride"] = tau
 
     rho = gen.from_coords(np.concatenate(rs))
     rho /= np.trace(rho).real
@@ -651,5 +648,7 @@ def steady_state(
         residual=residual,
         converged=converged,
         series=rec.series(),
-        stats=stats,
+        stats={"symmetries": gen.symmetries, "squarings": squarings, "visited_points": visits,
+               "blocks": [dict(full=f, reduced=len(m)) for f, m in zip(gen.full_dims, ms)],
+               "matvecs": matvecs, "stride": tau},
     )

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import astuple, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -125,11 +125,10 @@ class SweepCell:
     t_converge: float
     converged: bool
     error: Optional[str] = None  # why the cell has no steady state; not a CSV column
-    squarings: Optional[int] = None  # of the cell's solve; not a CSV column
-    matvecs: Optional[int] = None  # of the cell's solve; not a CSV column
+    stats: Optional[Dict] = None  # the `stats` of the cell's solve; not a CSV column
 
 
-SWEEP_COLUMNS = tuple(f.name for f in fields(SweepCell))[:-3]
+SWEEP_COLUMNS = tuple(f.name for f in fields(SweepCell))[:-2]
 
 
 def _sweep_cell(args) -> SweepCell:
@@ -143,8 +142,7 @@ def _sweep_cell(args) -> SweepCell:
         return SweepCell(k0zc, k0a, nan, nan, nan, nan, nan, False, str(exc))
     row = state_row(result.state)
     return SweepCell(k0zc, k0a, row["var_x"], row["var_y"], row["purity"], row["mean_z"],
-                     result.t_converge, result.converged, squarings=result.stats["squarings"],
-                     matvecs=result.stats["matvecs"])
+                     result.t_converge, result.converged, stats=result.stats)
 
 
 def run_sweep(cfg: ExperimentConfig) -> List[SweepCell]:
@@ -169,11 +167,12 @@ def write_sweep_csv(path: str, cells: Sequence[SweepCell], cfg: ExperimentConfig
                     extra: Optional[Dict] = None) -> List[str]:
     failed = {"non_converged": sum(not c.converged for c in cells), "cells": [
         {"k0zc": c.k0zc, "k0a": c.k0a, "error": c.error} for c in cells if c.error]}
-    solved = [c for c in cells if c.squarings is not None]
+    solved = [c.stats for c in cells if c.stats is not None]
     counts = {k: dict(zip(("p50", "p95", "max"), np.percentile(
-        [getattr(c, k) for c in solved], [50, 95, 100]).tolist())) if solved else None
+        [s[k] for s in solved], [50, 95, 100]).tolist())) if solved else None
         for k in ("squarings", "matvecs")}
-    return write_table(path, SWEEP_COLUMNS, (astuple(c)[:-3] for c in cells), cfg,
+    rows = ([getattr(c, k) for k in SWEEP_COLUMNS] for c in cells)
+    return write_table(path, SWEEP_COLUMNS, rows, cfg,
                        {**(extra or {}), "failed": failed, **counts,
                         "converged_cells": sum(c.converged for c in cells)})
 

@@ -186,6 +186,17 @@ class TestInitialState:
         psi = initial_state_vector(cfg)
         assert_allclose(psi, amps / np.linalg.norm(amps), atol=1e-15)
 
+    def test_state_file_with_byte_order_mark(self, tmp_path, capsys):
+        # a state file saved as "UTF-8 with BOM" solves as the plain one does
+        plain, bom = tmp_path / "plain.txt", tmp_path / "bom.txt"
+        plain.write_bytes(b"1\n0\n0\n0\n")
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        outs = []
+        for path in (plain, bom):
+            assert main(["steady", "--n-at", "2", "--initial", str(path)]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1] and "converged: True" in outs[0]
+
     def test_state_file_wrong_length(self, tmp_path):
         path = tmp_path / "state.txt"
         path.write_text("1\n0\n", encoding="utf-8")
@@ -265,7 +276,7 @@ class TestSweepPlumbing:
         assert aggregates[0] == aggregates[1]
         assert aggregates[0]["converged_cells"] == sum(c.converged for c in cells) > 0
         for key in ("squarings", "matvecs"):
-            counts = sorted(getattr(c, key) for c in cells)
+            counts = sorted(c.stats[key] for c in cells)
             assert aggregates[0][key] == {
                 "p50": counts[4], "p95": pytest.approx(np.percentile(counts, 95)),
                 "max": counts[-1]}

@@ -193,11 +193,34 @@ class TestSteadyState:
         assert math.isnan(res.t_converge)
         assert res.residual > 0
 
-    def test_dark_initial_state_converges_immediately(self, geo2_dark, bath088, model2):
+    @staticmethod
+    def _walk_without_a_step(monkeypatch, psi, model, cfg):
+        # a walk that takes no step forms no propagator and records one visit
+        calls, step = [], dynamics._rk4_step_matrix
+
+        def counting(m, dt):
+            calls.append(len(m))
+            return step(m, dt)
+
+        monkeypatch.setattr(dynamics, "_rk4_step_matrix", counting)
+        res = steady_state(psi, model, cfg)
+        assert calls == []
+        stats = res.stats
+        assert (stats["squarings"], stats["matvecs"], stats["visited_points"]) == (0, 0, 1)
+        assert stats["stride"] == cfg.dt
+        return res
+
+    def test_dark_initial_state_converges_immediately(self, geo2_dark, bath088, model2,
+                                                      monkeypatch):
         psi = pair_state(geo2_dark, bath088, PairSpec(1, 2, "squeezed"))
-        res = steady_state(psi, model2, EvolveConfig())
+        res = self._walk_without_a_step(monkeypatch, psi, model2, EvolveConfig())
         assert res.converged
         assert res.t_converge == 0.0
+
+    def test_horizon_below_one_step_forms_no_propagator(self, model2, monkeypatch):
+        res = self._walk_without_a_step(monkeypatch, ground_state(2), model2,
+                                        EvolveConfig(dt=0.005, t_max=0.001))
+        assert not res.converged and math.isnan(res.t_converge)
 
     @staticmethod
     def _propagator_vs_plain_loop(psi, bath088):
