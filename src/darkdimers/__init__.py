@@ -18,8 +18,7 @@ _EXPORTS = {
         "make_bath", "make_geometry", "squeezed_jumps", "standing_ops"), "model"),
     **dict.fromkeys((
         "EvolveConfig", "IntegrationInstabilityError", "SteadyStateResult", "TimeSeries",
-        "evolve", "lindblad_rhs_general", "lindblad_rhs_squeezed", "liouvillian_matrix",
-        "steady_state"), "dynamics"),
+        "evolve", "lindblad_rhs", "liouvillian_matrix", "steady_state"), "dynamics"),
     **dict.fromkeys((
         "PolarizationMoments", "dark_condition", "excitation_populations", "fidelity",
         "pair_correlations", "polarization_moments", "purity"), "observables"),

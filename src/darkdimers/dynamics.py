@@ -50,8 +50,7 @@ __all__ = [
     "TimeSeries",
     "SteadyStateResult",
     "IntegrationInstabilityError",
-    "lindblad_rhs_general",
-    "lindblad_rhs_squeezed",
+    "lindblad_rhs",
     "evolve",
     "steady_state",
     "liouvillian_matrix",
@@ -177,27 +176,26 @@ def _check_shape(rho: np.ndarray, model: ModelOperators) -> None:
 
 
 def _rhs_from_terms(terms, rho):
-    out = np.zeros(rho.shape, dtype=complex)
+    """L(rho) = K rho + rho K' + sum c A rho B over the two-sided terms, the
+    one-sided terms summed once, in term order, into K and K'; rho may be a
+    stack of matrices."""
+    left = sum(c * a for c, a, b in terms if b is None)
+    right = sum(c * b for c, a, b in terms if a is None)
+    out = left @ rho + rho @ right
     for c, a, b in terms:
-        x = rho if a is None else a @ rho
-        out += c * (x if b is None else x @ b)
+        if a is not None and b is not None:
+            out += c * (a @ rho @ b)
     return out
 
 
-def lindblad_rhs_general(rho: np.ndarray, model: ModelOperators) -> np.ndarray:
-    """d(rho)/dt of the travelling-wave master equation:
-    -i[H, rho] plus the eight signed channels
+def lindblad_rhs(rho: np.ndarray, model: ModelOperators, form: str = "auto") -> np.ndarray:
+    """d(rho)/dt: -i[H, rho] plus, with form "general", the eight signed channels
     (gamma/2)[(N+1) L[J_s] + N L[J_s^dag] + |M|/2 L[J_{-phi,s}]
-              - |M|/2 L[J_{pi-phi,s}]] for s = +/-."""
+              - |M|/2 L[J_{pi-phi,s}]] for s = +/-, or, with "squeezed", the
+    completely-positive two jumps 4 gamma |mu nu| (L[Jx] + L[Jy]); "auto"
+    is the squeezed form where the bath has one, else the general form."""
     _check_shape(rho, model)
-    return _rhs_from_terms(_generator_terms(model, "general"), rho)
-
-
-def lindblad_rhs_squeezed(rho: np.ndarray, model: ModelOperators) -> np.ndarray:
-    """d(rho)/dt of the manifestly completely-positive two-jump form:
-    -i[H, rho] + 4 gamma |mu nu| (L[Jx] + L[Jy]) rho."""
-    _check_shape(rho, model)
-    return _rhs_from_terms(_generator_terms(model, "squeezed"), rho)
+    return _rhs_from_terms(_generator_terms(model, form), rho)
 
 
 def _sandwich_entries(terms, d: int):
@@ -215,7 +213,7 @@ def _sandwich_entries(terms, d: int):
                    (c * a[p1, r1] * b_sq).ravel())
 
 
-def liouvillian_matrix(model: ModelOperators, form: str = "general") -> np.ndarray:
+def liouvillian_matrix(model: ModelOperators, form: str = "auto") -> np.ndarray:
     """Dense superoperator L with L vec(rho) = vec(d rho/dt), vec
     column-stacked.  Guarded to n_at <= 5 (the matrix has 16**n_at
     entries)."""
@@ -410,17 +408,13 @@ class _VectorizedGenerator:
         k = np.arange(2 * d * d)
         x = ((k * k * 0.5 * (1 + math.sqrt(5))) % 1.0 - 0.5).reshape(d, -1).view(complex)
         x = x + x.conj().T
-        # one-sided terms summed first
-        terms = [(1.0, sum(c * a for c, a, b in self.terms if b is None), None),
-                 (1.0, None, sum(c * b for c, a, b in self.terms if a is None))]
-        terms += [t for t in self.terms if t[1] is not None and t[2] is not None]
-        lx = _rhs_from_terms(terms, x)
+        lx = _rhs_from_terms(self.terms, x)
         ok, step = np.zeros(len(perms), dtype=bool), max(1, _PIECE_ENTRIES // (d * d))
         for i in range(0, len(perms), step):
             c = np.arange(i, min(i + step, len(perms)))
             g = perms[c, :, None], perms[c, None, :]  # a[g] stacks a[g][:, g] per candidate
             fix = abs(rho0[g] - rho0).max(axis=(1, 2)) <= 1e-12
-            ok[c[fix]] = (abs(_rhs_from_terms(terms, x[g][fix]) - lx[g][fix]).max(axis=(1, 2))
+            ok[c[fix]] = (abs(_rhs_from_terms(self.terms, x[g][fix]) - lx[g][fix]).max(axis=(1, 2))
                           <= 1e-14 * abs(lx).max())
         return sites[ok], perms[ok]
 

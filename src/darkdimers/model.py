@@ -109,6 +109,8 @@ def make_bath(n_ph: float, phi: float = 0.0, m_abs: Optional[float] = None) -> B
     """
     if n_ph < 0:
         raise ValueError(f"n_ph must be >= 0, got {n_ph}")
+    if not math.isfinite(phi):
+        raise ValueError(f"phi must be finite, got {phi}")
     bound = math.sqrt(n_ph * (n_ph + 1.0))
     if not math.isfinite(bound):  # n_ph above about 1.34e154
         raise ValueError(f"|M| = sqrt(N(N+1)) is not finite at n_ph = {n_ph:g}")
@@ -139,6 +141,8 @@ class ArrayGeometry:
 def make_geometry(n_at: int, k0a: float, k0zc: float = 0.0) -> ArrayGeometry:
     if n_at < 1:
         raise ValueError(f"n_at must be >= 1, got {n_at}")
+    if not (math.isfinite(k0a) and math.isfinite(k0zc)):
+        raise ValueError(f"k0a and k0zc must be finite, got k0a = {k0a}, k0zc = {k0zc}")
     n = np.arange(1, n_at + 1, dtype=float)
     k0z = k0zc + (n - (n_at + 1) / 2.0) * k0a
     return ArrayGeometry(n_at=int(n_at), k0a=float(k0a), k0zc=float(k0zc), k0z=k0z)
@@ -151,8 +155,8 @@ def hamiltonian_scatt(geo: ArrayGeometry, gamma: float = 1.0) -> np.ndarray:
     with hbar = 1.  Diagonal terms vanish (sin 0 = 0) and the double sum
     makes H Hermitian by construction.
     """
-    if gamma <= 0:
-        raise ValueError(f"gamma must be > 0, got {gamma}")
+    if not (math.isfinite(gamma) and gamma > 0):
+        raise ValueError(f"gamma must be finite and > 0, got {gamma}")
     lower = site_lowering(geo.n_at)
     coupling = 0.5 * gamma * np.sin(np.abs(geo.k0z[:, None] - geo.k0z[None, :]))
     # sum_n sigma_+^(n) (sum_m coupling[n, m] sigma_-^(m))

@@ -19,8 +19,7 @@ from darkdimers import (
     EvolveConfig,
     build_model,
     evolve,
-    lindblad_rhs_general,
-    lindblad_rhs_squeezed,
+    lindblad_rhs,
     make_bath,
     make_geometry,
     steady_state,
@@ -127,9 +126,8 @@ def test_criterion_01_generator_equivalence(bath):
             model = build_model(make_geometry(n_at, k0a, k0zc), bath)
             for _ in range(50):
                 rho = random_hermitian_unit_trace(rng, 2**n_at)
-                diff = lindblad_rhs_general(rho, model) - lindblad_rhs_squeezed(
-                    rho, model
-                )
+                diff = (lindblad_rhs(rho, model, "general")
+                        - lindblad_rhs(rho, model, "squeezed"))
                 worst = max(worst, float(np.linalg.norm(diff)))
     elapsed = time.perf_counter() - t0
     assert worst <= 1e-10

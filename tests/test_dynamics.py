@@ -14,8 +14,7 @@ from darkdimers import (
     IntegrationInstabilityError,
     build_model,
     evolve,
-    lindblad_rhs_general,
-    lindblad_rhs_squeezed,
+    lindblad_rhs,
     liouvillian_matrix,
     make_bath,
     make_geometry,
@@ -48,16 +47,15 @@ def model1_vacuum():
 class TestGenerators:
     def test_vacuum_decay_rhs(self, model1_vacuum):
         rho = np.diag([0.0, 1.0]).astype(complex)  # |e><e|
-        rhs = lindblad_rhs_general(rho, model1_vacuum)
+        rhs = lindblad_rhs(rho, model1_vacuum, "general")
         assert_allclose(rhs, np.diag([1.0, -1.0]), atol=1e-14)
 
     @pytest.mark.parametrize("form", ["general", "squeezed"])
     def test_trace_and_hermiticity_preserved(self, model2, form):
         rng = np.random.default_rng(11)
-        func = lindblad_rhs_general if form == "general" else lindblad_rhs_squeezed
         for _ in range(10):
             rho = random_hermitian_unit_trace(rng, 4)
-            rhs = func(rho, model2)
+            rhs = lindblad_rhs(rho, model2, form)
             assert abs(np.trace(rhs)) <= 1e-12
             assert is_hermitian(rhs, tol=1e-12)
 
@@ -68,18 +66,18 @@ class TestGenerators:
             model = build_model(geo, bath088)
             for _ in range(10):
                 rho = random_hermitian_unit_trace(rng, 2**n_at)
-                diff = lindblad_rhs_general(rho, model) - lindblad_rhs_squeezed(rho, model)
+                diff = lindblad_rhs(rho, model, "general") - lindblad_rhs(rho, model, "squeezed")
                 assert np.linalg.norm(diff) <= 1e-10
 
     def test_squeezed_form_requires_minimal_bath(self, geo2_dark):
         model = build_model(geo2_dark, make_bath(0.5, m_abs=0.0))
         rho = pure_to_density(ground_state(2))
         with pytest.raises(ValueError, match="minimal"):
-            lindblad_rhs_squeezed(rho, model)
+            lindblad_rhs(rho, model, "squeezed")
 
     def test_dimension_mismatch(self, model2):
         with pytest.raises(ValueError, match="mismatch"):
-            lindblad_rhs_general(np.eye(8, dtype=complex) / 8, model2)
+            lindblad_rhs(np.eye(8, dtype=complex) / 8, model2, "general")
         # one atom too few or too many, as a vector or a density matrix
         for rho in (ground_state(1), ground_state(3), np.eye(8, dtype=complex) / 8):
             for solve in (steady_state, evolve):
@@ -89,8 +87,8 @@ class TestGenerators:
     def test_dark_state_is_fixed_point(self, geo2_dark, bath088, model2):
         psi = pair_state(geo2_dark, bath088, PairSpec(1, 2, "squeezed"))
         rho = pure_to_density(psi)
-        assert np.linalg.norm(lindblad_rhs_general(rho, model2)) <= 1e-10
-        assert np.linalg.norm(lindblad_rhs_squeezed(rho, model2)) <= 1e-10
+        assert np.linalg.norm(lindblad_rhs(rho, model2, "general")) <= 1e-10
+        assert np.linalg.norm(lindblad_rhs(rho, model2, "squeezed")) <= 1e-10
         h = model2.hamiltonian
         assert np.linalg.norm(h @ rho - rho @ h) <= 1e-10
 
@@ -101,14 +99,14 @@ class TestGenerators:
         bath = make_bath(0.88, phi)
         model = build_model(geo2_dark, bath)
         rho = pure_to_density(pair_state(geo2_dark, bath, PairSpec(1, 2, "squeezed")))
-        assert np.linalg.norm(lindblad_rhs_squeezed(rho, model)) <= 1e-10
-        assert np.linalg.norm(lindblad_rhs_general(rho, model)) <= 1e-10
+        assert np.linalg.norm(lindblad_rhs(rho, model, "squeezed")) <= 1e-10
+        assert np.linalg.norm(lindblad_rhs(rho, model, "general")) <= 1e-10
 
     def test_dimer_chain_projector_is_fixed_point(self, bath088):
         geo = make_geometry(4, math.pi / 4, math.pi / 4)
         model = build_model(geo, bath088)
         rho = pure_to_density(dimer_chain(geo, bath088))
-        assert np.linalg.norm(lindblad_rhs_general(rho, model)) <= 1e-10
+        assert np.linalg.norm(lindblad_rhs(rho, model, "general")) <= 1e-10
         h = model.hamiltonian
         assert np.linalg.norm(h @ rho - rho @ h) <= 1e-10
 
@@ -234,7 +232,7 @@ class TestSteadyState:
         res = steady_state(psi, model,
                            EvolveConfig(dt=dt, t_max=n * dt, convergence_tol=1e-300))
         # the residual covers every propagated block: it is ||L(rho)||_F
-        direct = np.linalg.norm(lindblad_rhs_squeezed(res.state, model))
+        direct = np.linalg.norm(lindblad_rhs(res.state, model, "squeezed"))
         assert res.residual == pytest.approx(direct, rel=1e-10)
         return np.max(np.abs(res.state - rho_loop))
 
@@ -512,10 +510,9 @@ class TestLiouvillian:
     def test_matches_rhs_on_random_inputs(self, model2, form):
         rng = np.random.default_rng(3)
         lv = liouvillian_matrix(model2, form)
-        func = lindblad_rhs_general if form == "general" else lindblad_rhs_squeezed
         for _ in range(5):
             rho = random_hermitian_unit_trace(rng, 4)
-            direct = func(rho, model2)
+            direct = lindblad_rhs(rho, model2, form)
             via_l = (lv @ rho.reshape(-1, order="F")).reshape((4, 4), order="F")
             assert np.max(np.abs(direct - via_l)) <= 1e-12
 
@@ -527,19 +524,29 @@ class TestLiouvillian:
     def test_dark_geometry_null_space_contains_pair_projector(
         self, geo2_dark, bath088, model2
     ):
-        lv = liouvillian_matrix(model2)
-        sv = np.linalg.svd(lv, compute_uv=False)
-        assert int((sv <= 1e-10).sum()) >= 1
         psi = pair_state(geo2_dark, bath088, PairSpec(1, 2, "squeezed"))
         vec = pure_to_density(psi).reshape(-1, order="F")
-        assert np.linalg.norm(lv @ vec) <= 1e-10
+        for form in ("general", "squeezed"):
+            lv = liouvillian_matrix(model2, form)
+            sv = np.linalg.svd(lv, compute_uv=False)
+            assert int((sv <= 1e-10).sum()) >= 1
+            assert np.linalg.norm(lv @ vec) <= 1e-10
 
     def test_melted_pair_degenerate_null_space(self, bath088):
         geo = make_geometry(2, math.pi, 0.0)
         model = build_model(geo, bath088)
-        lv = liouvillian_matrix(model)
-        sv = np.linalg.svd(lv, compute_uv=False)
-        assert int((sv <= 1e-10).sum()) > 1
+        for form in ("general", "squeezed"):
+            sv = np.linalg.svd(liouvillian_matrix(model, form), compute_uv=False)
+            assert int((sv <= 1e-10).sum()) > 1
+
+    @pytest.mark.parametrize("n_ph,form", [(0.88, "squeezed"), (0.0, "general")])
+    def test_default_form_is_auto(self, geo2_dark, n_ph, form):
+        # liouvillian_matrix and lindblad_rhs pick the squeezed form where the
+        # bath has one, like evolve and steady_state
+        model = build_model(geo2_dark, make_bath(n_ph))
+        rho = random_hermitian_unit_trace(np.random.default_rng(4), 4)
+        assert np.array_equal(liouvillian_matrix(model), liouvillian_matrix(model, form))
+        assert np.array_equal(lindblad_rhs(rho, model), lindblad_rhs(rho, model, form))
 
 
 class TestVectorizedEngine:

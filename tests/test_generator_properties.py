@@ -15,8 +15,7 @@ from darkdimers.dynamics import (
     _generator_terms,
     _rhs_from_terms,
     _VectorizedGenerator,
-    lindblad_rhs_general,
-    lindblad_rhs_squeezed,
+    lindblad_rhs,
 )
 from darkdimers.operators import ground_state, product_state
 
@@ -123,9 +122,70 @@ def test_near_symmetry_is_rejected(form):
 def test_forms_agree_and_preserve_hermiticity_and_trace(model, seed):
     rho = random_hermitian_unit_trace(np.random.default_rng(seed),
                                       model.hamiltonian.shape[0])
-    lg = lindblad_rhs_general(rho, model)
-    ls = lindblad_rhs_squeezed(rho, model)
+    lg = lindblad_rhs(rho, model, "general")
+    ls = lindblad_rhs(rho, model, "squeezed")
     assert np.max(np.abs(lg - ls)) <= 1e-12 * max(1.0, np.max(np.abs(lg)))
     for lr in (lg, ls):
         assert np.max(np.abs(lr - lr.conj().T)) <= 1e-12
         assert abs(np.trace(lr)) <= 1e-12
+
+
+def _kernel_distance(m, r, u, residual):
+    """(k, distance, bound) for a block m and the part r of a trace-one state
+    (u the trace row) with ||m r|| <= residual: the dimension k of m's kernel
+    (singular values up to 1e-10 of the largest, 0 without a gap of 1e-8 above
+    them), r's distance from it and the bound that distance obeys.
+
+    Every y orthogonal to the kernel has ||m y|| >= s_{k+1} ||y||, so r's part
+    y off the kernel has ||y|| <= ||m r|| / s_{k+1}.  With k = 1 the kernel
+    holds one trace-one state r*, a density matrix (||r*|| <= 1): writing
+    r - r* = a r* + y, the traces give |a| = |u . y| <= ||u|| ||y||, so
+    ||r - r*|| <= (1 + ||u||) ||m r|| / s_2.  The computed kernel is m's up to
+    rounding, its own residual, which the bound adds to ||m r||."""
+    _, s, vt = np.linalg.svd(m)
+    k = int(np.sum(s <= 1e-10 * s[0]))
+    if k in (0, len(s)) or s[-k - 1] <= 1e-8 * s[0]:
+        return 0, None, None
+    if k == 1:
+        r_star = vt[-1] / (u @ vt[-1])
+        bound = (1.0 + np.linalg.norm(u)) * (residual + np.linalg.norm(m @ r_star)) / s[-2]
+        return k, np.linalg.norm(r - r_star), bound
+    y = r - vt[-k:].T @ (vt[-k:] @ r)
+    return k, np.linalg.norm(y), (residual + s[-k] * np.linalg.norm(r)) / s[-k - 1]
+
+
+@settings(max_examples=20, deadline=None)
+@given(model=symmetric_models, form=st.sampled_from(["general", "squeezed"]),
+       start=st.sampled_from(["ground", "plus-pi-4", "random"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_converged_state_is_the_kernel_state(model, form, start, seed):
+    # the oracle reads the unreduced parity-even block, which a start with no
+    # site symmetry gives, so a wrong reduction of the solve shows
+    cfg = EvolveConfig()
+    res = steady_state(_start(start, model.n_at, seed), model, cfg, form=form)
+    assume(res.converged)
+    d = model.hamiltonian.shape[0]
+    gen = _VectorizedGenerator(model, form, random_hermitian_unit_trace(
+        np.random.default_rng(seed), d))
+    assert gen.symmetries == []
+    b0 = gen.blocks[0]
+    k, distance, bound = _kernel_distance(gen.assemble(0), gen.to_coords(res.state)[b0],
+                                          gen.to_coords(np.eye(d))[b0], cfg.convergence_tol)
+    assume(k == 1)
+    assert distance <= bound
+
+
+def test_fig3_melted_state_lies_in_the_kernel(bath088):
+    # the walk's own reduced block; the melted chain's dark states leave it
+    # a kernel of several dimensions, so only the distance from it is bound
+    model = build_model(make_geometry(6, math.pi, 0.0), bath088)
+    psi, cfg = ground_state(6), EvolveConfig()
+    res = steady_state(psi, model, cfg)
+    assert res.converged
+    gen = _VectorizedGenerator(model, "auto", np.outer(psi, psi.conj()))
+    m, b0 = gen.assemble(0), gen.blocks[0]
+    assert len(m) == 110
+    k, distance, bound = _kernel_distance(m, gen.to_coords(res.state)[b0],
+                                          gen.to_coords(np.eye(64))[b0], cfg.convergence_tol)
+    assert k > 1
+    assert distance <= bound

@@ -98,6 +98,11 @@ class TestBath:
         assert bath.m_ph == pytest.approx(M_088 * np.exp(0.7j), abs=1e-12)
         assert bath.nu * bath.mu.conjugate() == pytest.approx(-bath.m_ph, abs=1e-12)
 
+    @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
+    def test_non_finite_phi(self, phi):
+        with pytest.raises(ValueError, match=f"phi must be finite, got {phi}"):
+            make_bath(0.88, phi=phi)
+
 
 class TestGeometry:
     def test_four_atoms(self):
@@ -123,6 +128,16 @@ class TestGeometry:
         with pytest.raises(ValueError):
             make_geometry(0, 1.0, 0.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_k0a(self, value):
+        with pytest.raises(ValueError, match=f"finite, got k0a = {value},"):
+            make_geometry(2, value)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_k0zc(self, value):
+        with pytest.raises(ValueError, match=f"finite, got k0a = 1.0, k0zc = {value}"):
+            make_geometry(2, 1.0, value)
+
 
 class TestHamiltonian:
     def test_vanishes_at_k0a_pi(self):
@@ -147,6 +162,12 @@ class TestHamiltonian:
     def test_gamma_validation(self):
         with pytest.raises(ValueError):
             hamiltonian_scatt(make_geometry(2, 1.0), gamma=0.0)
+
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf])
+    def test_non_finite_gamma(self, gamma):
+        # a NaN H would fill every entry and cross the parity blocks in assembly
+        with pytest.raises(ValueError, match=f"gamma must be finite and > 0, got {gamma}"):
+            build_model(make_geometry(2, 1.0), make_bath(0.88), gamma)
 
 
 class TestJumpOperators:
