@@ -104,7 +104,7 @@ def _cmd_darkstate(args) -> int:
         label, psi, collective = dark_state(geo, bath, args.sector)
     except ValueError as exc:  # no dark state at this geometry, or no such sector
         raise ConfigError(str(exc)) from None
-    jx, jy = model.squeezed_jumps
+    (_, jx), (_, jy) = model.squeezed_jumps
     print(f"state: {label}")
     print(f"jump annihilation |Jx psi|: {np.linalg.norm(jx @ psi):.3e}")
     print(f"jump annihilation |Jy psi|: {np.linalg.norm(jy @ psi):.3e}")

@@ -146,17 +146,14 @@ def _generator_terms(model: ModelOperators, form: str):
     is the squeezed form where the bath has one, else the general form."""
     if form == "auto":
         form = "squeezed" if model.squeezed_jumps is not None else "general"
-    if form == "squeezed":
-        if model.squeezed_jumps is None:
-            raise ValueError(
-                "the squeezed two-jump generator requires a minimal-uncertainty "
-                "bath with n_ph > 0"
-            )
-        ops = [(model.squeezed_rate, j) for j in model.squeezed_jumps]
-    elif form == "general":
-        ops = [(ch.coefficient, ch.operator) for ch in model.travelling_jumps]
-    else:
+    if form not in ("general", "squeezed"):
         raise ValueError(f"unknown generator form {form!r}")
+    ops = model.travelling_jumps if form == "general" else model.squeezed_jumps
+    if ops is None:
+        raise ValueError(
+            "the squeezed two-jump generator requires a minimal-uncertainty "
+            "bath with n_ph > 0"
+        )
     h = model.hamiltonian
     terms = [(-1j, h, None), (1j, None, h)]
     for c, op in ops:
@@ -175,17 +172,21 @@ def _check_shape(rho: np.ndarray, model: ModelOperators) -> None:
         )
 
 
-def _rhs_from_terms(terms, rho):
-    """L(rho) = K rho + rho K' + sum c A rho B over the two-sided terms, the
-    one-sided terms summed once, in term order, into K and K'; rho may be a
-    stack of matrices."""
+def _rhs(terms):
+    """rho -> L(rho) = K rho + rho K' + sum c A rho B over the two-sided
+    terms, the one-sided terms summed once per term list, in term order,
+    into K and K'; rho may be a stack of matrices."""
     left = sum(c * a for c, a, b in terms if b is None)
     right = sum(c * b for c, a, b in terms if a is None)
-    out = left @ rho + rho @ right
-    for c, a, b in terms:
-        if a is not None and b is not None:
+    sandwiches = [(c, a, b) for c, a, b in terms if a is not None and b is not None]
+
+    def rhs(rho):
+        out = left @ rho + rho @ right
+        for c, a, b in sandwiches:
             out += c * (a @ rho @ b)
-    return out
+        return out
+
+    return rhs
 
 
 def lindblad_rhs(rho: np.ndarray, model: ModelOperators, form: str = "auto") -> np.ndarray:
@@ -195,7 +196,7 @@ def lindblad_rhs(rho: np.ndarray, model: ModelOperators, form: str = "auto") -> 
     completely-positive two jumps 4 gamma |mu nu| (L[Jx] + L[Jy]); "auto"
     is the squeezed form where the bath has one, else the general form."""
     _check_shape(rho, model)
-    return _rhs_from_terms(_generator_terms(model, form), rho)
+    return _rhs(_generator_terms(model, form))(rho)
 
 
 def _sandwich_entries(terms, d: int):
@@ -235,8 +236,10 @@ def liouvillian_matrix(model: ModelOperators, form: str = "auto") -> np.ndarray:
 # Checks and recording at visited points
 
 
-def _unstable(what: str, t: float, why: str = "the integration is unstable, use a smaller dt"
-              ) -> IntegrationInstabilityError:
+def _unstable(what: str, t: float, why: Optional[str] = None) -> IntegrationInstabilityError:
+    if why is None:  # at t = 0 no step has been taken: the start state is at fault
+        why = ("the start state is not positive semidefinite" if t == 0.0
+               else "the integration is unstable, use a smaller dt")
     return IntegrationInstabilityError(f"{what} at t = {t:.4g}; {why}")
 
 
@@ -293,10 +296,17 @@ class _Recorder:
 
 
 def _as_density(rho0: np.ndarray) -> np.ndarray:
+    """rho0, or the projector of a state vector rho0, as a density matrix; a
+    non-finite entry or a trace that is not finite and > 0 raises ValueError."""
     rho0 = np.asarray(rho0, dtype=complex)
-    if rho0.ndim == 1:
-        return pure_to_density(rho0)
-    return rho0.copy()
+    with np.errstate(over="ignore", invalid="ignore"):  # what overflows fails below
+        rho = pure_to_density(rho0) if rho0.ndim == 1 else rho0.copy()
+        tr = np.trace(rho).real
+    if not np.isfinite(rho).all():
+        raise ValueError("the start state's density matrix has a non-finite entry")
+    if not (math.isfinite(tr) and tr > 0.0):
+        raise ValueError(f"the start state has trace {tr:.6g}; it must be finite and > 0")
+    return rho
 
 
 def evolve(
@@ -315,7 +325,7 @@ def evolve(
 
     Returns (TimeSeries, final density matrix).
     """
-    terms = _generator_terms(model, form)
+    rhs = _rhs(_generator_terms(model, form))
     rho = _as_density(rho0)
     _check_shape(rho, model)
     rec = _Recorder(True)
@@ -324,10 +334,10 @@ def evolve(
     n_steps = int(round(cfg.t_max / cfg.dt))
     dt = cfg.dt
     for step in range(1, n_steps + 1):
-        k1 = _rhs_from_terms(terms, rho)
-        k2 = _rhs_from_terms(terms, rho + 0.5 * dt * k1)
-        k3 = _rhs_from_terms(terms, rho + 0.5 * dt * k2)
-        k4 = _rhs_from_terms(terms, rho + dt * k3)
+        k1 = rhs(rho)
+        k2 = rhs(rho + 0.5 * dt * k1)
+        k3 = rhs(rho + 0.5 * dt * k2)
+        k4 = rhs(rho + dt * k3)
         rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         tr = np.trace(rho).real
         rec.note_trace(step * dt, tr)
@@ -408,13 +418,14 @@ class _VectorizedGenerator:
         k = np.arange(2 * d * d)
         x = ((k * k * 0.5 * (1 + math.sqrt(5))) % 1.0 - 0.5).reshape(d, -1).view(complex)
         x = x + x.conj().T
-        lx = _rhs_from_terms(self.terms, x)
+        rhs = _rhs(self.terms)
+        lx = rhs(x)
         ok, step = np.zeros(len(perms), dtype=bool), max(1, _PIECE_ENTRIES // (d * d))
         for i in range(0, len(perms), step):
             c = np.arange(i, min(i + step, len(perms)))
             g = perms[c, :, None], perms[c, None, :]  # a[g] stacks a[g][:, g] per candidate
             fix = abs(rho0[g] - rho0).max(axis=(1, 2)) <= 1e-12
-            ok[c[fix]] = (abs(_rhs_from_terms(self.terms, x[g][fix]) - lx[g][fix]).max(axis=(1, 2))
+            ok[c[fix]] = (abs(rhs(x[g][fix]) - lx[g][fix]).max(axis=(1, 2))
                           <= 1e-14 * abs(lx).max())
         return sites[ok], perms[ok]
 

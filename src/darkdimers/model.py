@@ -14,9 +14,10 @@ forms: the eight signed travelling-wave channels
 and, for a minimal-uncertainty bath, two squeezed standing-wave jumps
 Jx, Jy with a common rate 4 gamma |mu nu|.  The quadrature channels
 J_{-phi,s} put M^* = |M| e^{-i phi} on J_s rho J_s, which is what
-Jx, Jy (built from mu and nu = -M / mu^*) give.  Both sets are built here,
-each collective operator as one contraction of the cached per-site stack
-`operators.site_lowering`; `darkdimers.dynamics` turns them into generators.
+Jx, Jy (built from mu and nu = -M / mu^*) give.  Both sets are built here
+as (rate, operator) pairs, each operator one contraction of the cached
+per-site stack `operators.site_lowering`; `darkdimers.dynamics` turns them
+into generators.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ __all__ = [
     "BathParams",
     "ArrayGeometry",
     "ModelOperators",
-    "TravellingChannel",
     "StandingOps",
     "make_bath",
     "make_geometry",
@@ -230,29 +230,19 @@ def field_two_point(k0z_n: float, k0z_m: float, theta: float, bath: BathParams) 
     ) + 0.5 * (bath.n_ph + 0.5)
 
 
-class TravellingChannel(NamedTuple):
-    """One signed Lindblad channel of the travelling-wave unraveling."""
-
-    label: str
-    operator: np.ndarray
-    coefficient: float
-
-
 @dataclass(frozen=True)
 class ModelOperators:
-    """Hamiltonian plus both dissipator sets for one (geometry, bath).
-
-    travelling_jumps carries the eight signed channels of the
-    travelling-wave form (coefficient may be negative, so this set is a
-    valid generator but not a jump unraveling).  squeezed_jumps is the
-    two-operator minimal-uncertainty form with common rate
-    4 gamma |mu nu|, or None when that form does not exist.
+    """Hamiltonian plus both dissipator sets for one (geometry, bath), each
+    a tuple of (rate, operator) pairs: travelling_jumps the eight signed
+    channels, per direction s = +, -: J_s, J_s^dag, J_{-phi,s}, J_{pi-phi,s}
+    (the last rate is negative: a valid generator, not a jump unraveling),
+    and squeezed_jumps ((4 gamma |mu nu|, Jx), (4 gamma |mu nu|, Jy)), or
+    None when the bath has no squeezed form.
     """
 
     hamiltonian: np.ndarray
-    travelling_jumps: Tuple[TravellingChannel, ...]
-    squeezed_jumps: Optional[Tuple[np.ndarray, np.ndarray]]
-    squeezed_rate: Optional[float]
+    travelling_jumps: Tuple[Tuple[float, np.ndarray], ...]
+    squeezed_jumps: Optional[Tuple[Tuple[float, np.ndarray], ...]]
     n_at: int
 
 
@@ -260,25 +250,21 @@ def build_model(geo: ArrayGeometry, bath: BathParams, gamma: float = 1.0) -> Mod
     """Assemble all operators of the master equation for one setup."""
     h = hamiltonian_scatt(geo, gamma)
     channels = []
-    for s, tag in ((+1, "+"), (-1, "-")):
+    for s in (+1, -1):
         j = jump_travelling(geo, s)
         channels += [
-            TravellingChannel(f"J{tag}", j, 0.5 * gamma * (bath.n_ph + 1.0)),
-            TravellingChannel(f"J{tag}_dag", j.conj().T, 0.5 * gamma * bath.n_ph),
-            TravellingChannel(f"Jphi{tag}", jump_quadrature(geo, s, -bath.phi),
-                              0.25 * gamma * bath.m_abs),
-            TravellingChannel(f"Jphi+pi{tag}", jump_quadrature(geo, s, math.pi - bath.phi),
-                              -0.25 * gamma * bath.m_abs),
+            (0.5 * gamma * (bath.n_ph + 1.0), j),
+            (0.5 * gamma * bath.n_ph, j.conj().T),
+            (0.25 * gamma * bath.m_abs, jump_quadrature(geo, s, -bath.phi)),
+            (-0.25 * gamma * bath.m_abs, jump_quadrature(geo, s, math.pi - bath.phi)),
         ]
     sq = None
-    sq_rate = None
     if bath.is_minimal and bath.n_ph > 0.0:
-        sq = squeezed_jumps(geo, bath)
-        sq_rate = 4.0 * gamma * abs(bath.mu * bath.nu)
+        rate = 4.0 * gamma * abs(bath.mu * bath.nu)
+        sq = tuple((rate, j) for j in squeezed_jumps(geo, bath))
     return ModelOperators(
         hamiltonian=h,
         travelling_jumps=tuple(channels),
         squeezed_jumps=sq,
-        squeezed_rate=sq_rate,
         n_at=geo.n_at,
     )

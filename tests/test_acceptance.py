@@ -140,7 +140,7 @@ def test_criterion_02_pair_annihilation(bath):
     geo = make_geometry(2, math.pi / 4, 0.0)
     model = build_model(geo, bath)
     psi = pair_state(geo, bath, PairSpec(1, 2, "squeezed"))
-    jx, jy = model.squeezed_jumps
+    (_, jx), (_, jy) = model.squeezed_jumps
     nx = float(np.linalg.norm(jx @ psi))
     ny = float(np.linalg.norm(jy @ psi))
     assert nx <= 1e-12 and ny <= 1e-12

@@ -26,7 +26,7 @@ from darkdimers.operators import dicke_state
 
 
 def jump_norms(geo, bath, psi):
-    jx, jy = build_model(geo, bath).squeezed_jumps
+    (_, jx), (_, jy) = build_model(geo, bath).squeezed_jumps
     return np.linalg.norm(jx @ psi), np.linalg.norm(jy @ psi)
 
 

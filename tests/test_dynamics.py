@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import subprocess
@@ -83,6 +84,41 @@ class TestGenerators:
             for solve in (steady_state, evolve):
                 with pytest.raises(ValueError, match="mismatch"):
                     solve(rho, model2, EvolveConfig(t_max=0.02))
+
+    def test_unknown_form_raises(self, model2):
+        rho = pure_to_density(ground_state(2))
+        with pytest.raises(ValueError, match="unknown generator form 'bogus'"):
+            lindblad_rhs(rho, model2, "bogus")
+        for solve in (steady_state, evolve):
+            with pytest.raises(ValueError, match="unknown generator form 'bogus'"):
+                solve(rho, model2, EvolveConfig(t_max=0.02), form="bogus")
+
+    @pytest.mark.parametrize("solve", [steady_state, evolve])
+    @pytest.mark.parametrize("rho0,reason", [
+        (np.zeros(4), " has trace 0;"),
+        (np.zeros((4, 4)), " has trace 0;"),
+        (-np.eye(4) / 4, " has trace -1;"),
+        (np.array([np.nan, 1.0, 0.0, 0.0]), "'s density matrix has a non-finite entry"),
+        (np.array([1e200, 0.0, 0.0, 0.0]), "'s density matrix has a non-finite entry"),
+        (np.diag([np.inf, 0.0, 0.0, 0.0]), "'s density matrix has a non-finite entry"),
+    ], ids=["zero-vector", "zero-matrix", "negative-trace", "nan-vector", "overflowing-vector",
+            "inf-matrix"])
+    def test_invalid_start_state_raises(self, model2, solve, rho0, reason):
+        # a zero start once gave steady_state an all-NaN state flagged converged
+        with pytest.raises(ValueError, match=f"the start state{reason}"):
+            solve(rho0, model2, EvolveConfig(t_max=0.02))
+
+    @pytest.mark.parametrize("solve", [
+        steady_state, functools.partial(steady_state, record=True), evolve],
+        ids=["steady", "steady-recorded", "evolve"])
+    def test_non_positive_start_state_names_the_start(self, model2, solve):
+        # unit trace but a negative eigenvalue: the t = 0 positivity check
+        # blames the start state, not dt
+        rho0 = np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex)
+        with pytest.raises(IntegrationInstabilityError,
+                           match=r"^smallest eigenvalue -5\.000e-01 at t = 0; "
+                                 r"the start state is not positive semidefinite$"):
+            solve(rho0, model2, EvolveConfig(t_max=0.02))
 
     def test_dark_state_is_fixed_point(self, geo2_dark, bath088, model2):
         psi = pair_state(geo2_dark, bath088, PairSpec(1, 2, "squeezed"))
@@ -597,16 +633,17 @@ class TestVectorizedEngine:
                                                              start):
         # a symmetric block reads only its orbit roots' input elements; each
         # column must still be L of the whole orbit coordinate
-        from darkdimers.dynamics import _rhs_from_terms, _VectorizedGenerator
+        from darkdimers.dynamics import _rhs, _VectorizedGenerator
 
         model = build_model(make_geometry(6, k0a, k0zc), bath088)
         psi = _plus_pi_4(6) if start == "plus-pi-4" else ground_state(6)
         gen = _VectorizedGenerator(model, "squeezed", pure_to_density(psi))
         assert gen.symmetries
+        rhs = _rhs(gen.terms)
         for b, coords in enumerate(gen.blocks):
             m = gen.assemble(b)
             assert len(m) < gen.full_dims[b]
-            cols = np.stack([gen.to_coords(_rhs_from_terms(gen.terms, gen.from_coords(e)))
+            cols = np.stack([gen.to_coords(rhs(gen.from_coords(e)))
                              for e in np.eye(gen.blocks[1].stop)[coords]], axis=1)
             assert np.max(np.abs(m - cols[coords])) <= 1e-12 * np.max(np.abs(m))
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from darkdimers import EvolveConfig, build_model, evolve, make_bath, make_geometry, steady_state
 from darkdimers.dynamics import (
     _generator_terms,
-    _rhs_from_terms,
+    _rhs,
     _VectorizedGenerator,
     lindblad_rhs,
 )
@@ -59,14 +59,14 @@ def _start(kind, n_at, seed):
 def test_blocks_match_rhs_and_preserve_trace(model, form, start, seed):
     psi = _start(start, model.n_at, seed)
     gen = _VectorizedGenerator(model, form, np.outer(psi, psi.conj()))
-    terms = _generator_terms(model, form)
+    rhs = _rhs(_generator_terms(model, form))
     d = gen.dim
     for b, coords in enumerate(gen.blocks):
         m = gen.assemble(b)
         # column o is L(F_o) in coordinates: L(F_o) lies in the reduced
         # coordinates, with no weight outside the block
         for k, e in enumerate(np.eye(gen.blocks[1].stop)[coords]):
-            lf = _rhs_from_terms(terms, gen.from_coords(e))
+            lf = rhs(gen.from_coords(e))
             col = gen.to_coords(lf)
             assert np.max(np.abs(gen.from_coords(col) - lf)) <= 1e-12
             assert np.max(np.abs(m[:, k] - col[coords])) <= 1e-12
@@ -111,9 +111,9 @@ def test_near_symmetry_is_rejected(form):
     psi = ground_state(2)
     gen = _VectorizedGenerator(model, form, np.outer(psi, psi.conj()))
     assert gen.symmetries == []
-    terms = _generator_terms(model, form)
+    rhs = _rhs(_generator_terms(model, form))
     for e in np.eye(gen.blocks[1].stop):
-        lf = _rhs_from_terms(terms, gen.from_coords(e))
+        lf = rhs(gen.from_coords(e))
         assert np.max(np.abs(gen.from_coords(gen.to_coords(lf)) - lf)) <= 1e-12
 
 

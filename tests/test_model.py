@@ -289,14 +289,11 @@ class TestFieldTwoPoint:
 
 class TestBuildModel:
     def test_channel_coefficients(self, geo2_dark, bath088):
+        # per direction s = +, -: J_s, J_s^dag, J_{-phi,s}, J_{pi-phi,s}
         model = build_model(geo2_dark, bath088, gamma=1.0)
-        coeffs = {ch.label: ch.coefficient for ch in model.travelling_jumps}
-        assert coeffs["J+"] == pytest.approx(0.5 * 1.88)
-        assert coeffs["J+_dag"] == pytest.approx(0.5 * 0.88)
-        assert coeffs["Jphi+"] == pytest.approx(0.25 * M_088)
-        assert coeffs["Jphi+pi+"] == pytest.approx(-0.25 * M_088)
-        assert len(model.travelling_jumps) == 8
-        assert model.squeezed_rate == pytest.approx(4.0 * M_088)
+        per_direction = [0.5 * 1.88, 0.5 * 0.88, 0.25 * M_088, -0.25 * M_088]
+        assert [rate for rate, _ in model.travelling_jumps] == pytest.approx(2 * per_direction)
+        assert [rate for rate, _ in model.squeezed_jumps] == pytest.approx([4.0 * M_088] * 2)
 
     def test_hamiltonian_hermitian(self, geo2_dark, bath088):
         model = build_model(geo2_dark, bath088)
@@ -305,7 +302,6 @@ class TestBuildModel:
     def test_no_squeezed_form_for_thermal_bath(self, geo2_dark):
         model = build_model(geo2_dark, make_bath(0.5, m_abs=0.0))
         assert model.squeezed_jumps is None
-        assert model.squeezed_rate is None
 
 
 def _site_sum(coefficients, op2, n_at):
@@ -336,21 +332,23 @@ def test_collective_operators_equal_site_by_site_sums(n_at, k0a, k0zc, n_ph, phi
                     embed_single_site(SIGMA_PLUS, n + 1, n_at)
                     @ embed_single_site(SIGMA_MINUS, m + 1, n_at))
     assert _same(model.hamiltonian, h)
-    channels = dict((c.label, c.operator) for c in model.travelling_jumps)
-    for s, tag in ((1, "+"), (-1, "-")):
+    # per direction s = +, -: J_s, J_s^dag, J_{-phi,s}, J_{pi-phi,s}
+    channels = [op for _, op in model.travelling_jumps]
+    assert len(channels) == 8
+    for i, s in enumerate((1, -1)):
         j = _site_sum([cmath.exp(-1j * s * zn) for zn in z], SIGMA_MINUS, n_at)
-        assert _same(channels[f"J{tag}"], j)
-        assert _same(channels[f"J{tag}_dag"], j.conj().T)
-        for label, theta in ((f"Jphi{tag}", -phi), (f"Jphi+pi{tag}", math.pi - phi)):
-            quadrature = cmath.exp(1j * theta / 2) * j + cmath.exp(-1j * theta / 2) * j.conj().T
-            assert _same(channels[label], quadrature)
+        expected = [j, j.conj().T] + [
+            cmath.exp(1j * theta / 2) * j + cmath.exp(-1j * theta / 2) * j.conj().T
+            for theta in (-phi, math.pi - phi)]
+        for got, op in zip(channels[4 * i:4 * i + 4], expected):
+            assert _same(got, op)
     sp_r = _site_sum(np.cos(z), SIGMA_PLUS, n_at)
     sp_i = _site_sum(np.sin(z), SIGMA_PLUS, n_at)
     for got, want in zip(standing_ops(geo),
                          (sp_r, sp_r.conj().T, sp_i, sp_i.conj().T)):
         assert _same(got, want)
     norm = math.sqrt(abs(4 * bath.mu * bath.nu))
-    jx, jy = model.squeezed_jumps
+    (_, jx), (_, jy) = model.squeezed_jumps
     assert _same(jx, (bath.mu * sp_i.conj().T + bath.nu * sp_i) / norm)
     assert _same(jy, (bath.mu * sp_r.conj().T - bath.nu * sp_r) / norm)
     for label, sigma in (("x", SIGMA_X), ("y", SIGMA_Y), ("z", SIGMA_Z)):
