@@ -5,10 +5,8 @@ populations, experiment.  Exit codes: 0 success; 1 runtime error, or a
 non-converged solve once every file is written (a sweep, fig2 too, exits
 0 and reports such cells in its manifest); 2 usage/config error.
 
-Importing this module sets OPENBLAS_THREAD_TIMEOUT to 4 (2^4 cycles,
-OpenBLAS's shortest spin) unless the user set it, before numpy loads:
-an idle OpenBLAS worker then sleeps at once instead of spinning for about
-0.1 s after each threaded call, and sweep workers inherit the setting.
+The package sets the OpenBLAS spin timeout before this module loads
+numpy (see `darkdimers/__init__.py`).
 """
 
 from __future__ import annotations
@@ -18,8 +16,6 @@ import os
 import sys
 from pathlib import Path
 from typing import List, Optional
-
-os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")  # read once, when numpy loads
 
 import numpy as np
 

@@ -296,8 +296,9 @@ class _Recorder:
 
 
 def _as_density(rho0: np.ndarray) -> np.ndarray:
-    """rho0, or the projector of a state vector rho0, as a density matrix; a
-    non-finite entry or a trace that is not finite and > 0 raises ValueError."""
+    """rho0, or the projector of a state vector rho0, as a density matrix,
+    divided by its trace when that is more than 1e-12 from 1; a non-finite
+    entry or a trace that is not finite and > 0 raises ValueError."""
     rho0 = np.asarray(rho0, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):  # what overflows fails below
         rho = pure_to_density(rho0) if rho0.ndim == 1 else rho0.copy()
@@ -306,6 +307,8 @@ def _as_density(rho0: np.ndarray) -> np.ndarray:
         raise ValueError("the start state's density matrix has a non-finite entry")
     if not (math.isfinite(tr) and tr > 0.0):
         raise ValueError(f"the start state has trace {tr:.6g}; it must be finite and > 0")
+    if abs(tr - 1.0) > 1e-12:  # so the t = 0 record and max_trace_dev describe the run
+        rho /= tr
     return rho
 
 

@@ -450,17 +450,22 @@ class TestCli:
         assert _fresh(code) == "False"
 
     # pytest has loaded numpy already, so the import checks run in a fresh interpreter
-    def test_package_import_loads_no_numpy(self):
-        assert _fresh("import sys, darkdimers; print('numpy' in sys.modules)") == "False"
-
     def test_every_public_name_resolves_and_is_listed(self):
-        code = ("import darkdimers as d; names = [n for n in d.__all__ if n != '__version__']; "
-                "assert len(names) > 30 and set(d.__all__) <= set(dir(d)); "
-                "print(all(getattr(d, n).__module__.startswith('darkdimers.') for n in names))")
+        # the package re-exports each module's __all__ with a star import, where
+        # a name two modules export would silently shadow the other
+        code = (
+            "import darkdimers as d\n"
+            "mods = [d.darkstates, d.dynamics, d.model, d.observables]\n"
+            "assert d.__all__ == ['__version__', *(n for m in mods for n in m.__all__)]\n"
+            "assert len(set(d.__all__)) == len(d.__all__) > 30\n"
+            "print(all(getattr(d, n).__module__ == m.__name__ for m in mods for n in m.__all__))\n")
         assert _fresh(code) == "True"
 
-    @pytest.mark.parametrize("user,expected", [(None, "4"), ("28", "28")])
-    def test_cli_import_sets_the_openblas_spin_timeout(self, user, expected):
+    @pytest.mark.parametrize("module,user,expected", [
+        ("darkdimers.cli", None, "4"), ("darkdimers.cli", "28", "28"),
+        ("darkdimers", None, "4"), ("darkdimers", "28", "28"),
+    ], ids=["None-4", "28-28", "package-None-4", "package-28-28"])
+    def test_cli_import_sets_the_openblas_spin_timeout(self, module, user, expected):
         # OpenBLAS reads the variable when numpy loads it: print it at that import
         code = (
             "import os, sys\n"
@@ -469,7 +474,7 @@ class TestCli:
             "        if name == 'numpy':\n"
             "            print(os.environ.get('OPENBLAS_THREAD_TIMEOUT'))\n"
             "sys.meta_path.insert(0, Spy())\n"
-            "import darkdimers.cli\n"
+            f"import {module}\n"
             "print(os.environ['OPENBLAS_THREAD_TIMEOUT'])\n")
         assert _fresh(code, OPENBLAS_THREAD_TIMEOUT=user).split() == [expected, expected]
 

@@ -120,6 +120,21 @@ class TestGenerators:
                                  r"the start state is not positive semidefinite$"):
             solve(rho0, model2, EvolveConfig(t_max=0.02))
 
+    @pytest.mark.parametrize("solver", ["evolve", "steady-recorded"])
+    def test_start_state_off_unit_trace_is_normalized(self, model2, solver):
+        # a start of trace 2 is divided by it before the t = 0 record
+        def solve(rho0, cfg=EvolveConfig(t_max=0.5)):
+            if solver == "evolve":
+                return evolve(rho0, model2, cfg)
+            res = steady_state(rho0, model2, cfg, record=True)
+            return res.series, res.state
+
+        ee = pure_to_density(product_state([np.array([0.0, 1.0])] * 2))  # |ee><ee|
+        series, state = solve(2.0 * ee)
+        assert series.data["purity"][0] == 1.0
+        assert series.max_trace_dev <= 1e-10
+        assert np.array_equal(state, solve(ee)[1])
+
     def test_dark_state_is_fixed_point(self, geo2_dark, bath088, model2):
         psi = pair_state(geo2_dark, bath088, PairSpec(1, 2, "squeezed"))
         rho = pure_to_density(psi)
