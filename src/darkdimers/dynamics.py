@@ -517,11 +517,11 @@ def _blas_api():
     return ()
 
 
-def _set_blas_threads(n: int) -> Optional[int]:
+def _set_blas_threads(n: Optional[int]) -> Optional[int]:
     """Set OpenBLAS to n threads, calling the setter only if that changes the
-    count; return the count found, or None, setting nothing, without a setter.
-    With n = 1 also the initializer of a sweep worker, whose siblings fill
-    the other cores."""
+    count, and return the count found; without a setter set nothing, whatever
+    n is (a None returned before), and return None.  With n = 1 also the
+    initializer of a sweep worker, whose siblings fill the other cores."""
     api = _blas_api()
     if not api:
         return None
@@ -570,10 +570,10 @@ def steady_state(
     sectors; each has up to 16**n_at / 4 entries, so registers of more
     than six atoms raise ValueError.  Positivity is checked on the full
     state at every visited point, and record=True returns those points.
-    A walk whose largest propagated block has at most _THREADED_BLOCK
-    coordinates runs on one BLAS thread, the count found on entry being
-    restored on return or raise; set-up and larger walks run at the count
-    in force.
+    A solve runs on one BLAS thread, set-up and positivity checks
+    included; only the walk of a largest propagated block above
+    _THREADED_BLOCK coordinates runs at the count found on entry, which
+    is restored on return or raise.
     """
     if model.n_at > _STEADY_STATE_MAX_ATOMS:
         raise ValueError(
@@ -582,27 +582,30 @@ def steady_state(
         )
     rho0 = _as_density(rho0)
     _check_shape(rho0, model)
-    gen = _VectorizedGenerator(model, form, rho0)
-    rec = _Recorder(record)
-
-    rs = np.split(gen.to_coords(rho0), [gen.blocks[1].start])
-    # Block 0 holds the trace; block 1 stays exactly zero, and is not
-    # propagated, unless rho0 has coherences between the parity sectors.
-    ms = [gen.assemble(b) for b in range(1 + bool(np.any(rs[1] != 0.0)))]
-    unit = gen.to_coords(np.eye(gen.dim))[gen.blocks[0]]
-
-    def visit(t):
-        """Check (and record) the state; return its residual."""
-        rec.visit(t, gen.from_coords(np.concatenate(rs)))
-        residual = float(np.linalg.norm(np.concatenate([m @ r for m, r in zip(ms, rs)])))
-        if not math.isfinite(residual):  # at t = 0 the state passed its checks: L overflows
-            raise _unstable(f"residual {residual}", t) if t else _unstable(
-                f"residual {residual}", t, "the generator overflows (n_ph or gamma too large)")
-        return residual
-
-    n = max(map(len, ms))
-    entry_threads = _set_blas_threads(1) if n <= _THREADED_BLOCK else None
+    entry_threads = _set_blas_threads(1)
     try:
+        gen = _VectorizedGenerator(model, form, rho0)
+        rec = _Recorder(record)
+
+        rs = np.split(gen.to_coords(rho0), [gen.blocks[1].start])
+        # Block 0 holds the trace; block 1 stays exactly zero, and is not
+        # propagated, unless rho0 has coherences between the parity sectors.
+        ms = [gen.assemble(b) for b in range(1 + bool(np.any(rs[1] != 0.0)))]
+        unit = gen.to_coords(np.eye(gen.dim))[gen.blocks[0]]
+        n = max(map(len, ms))
+        wide = entry_threads if n > _THREADED_BLOCK else 1
+
+        def visit(t):
+            """Check (and record) the state on one thread; return its residual."""
+            _set_blas_threads(1)
+            rec.visit(t, gen.from_coords(np.concatenate(rs)))
+            _set_blas_threads(wide)
+            residual = float(np.linalg.norm(np.concatenate([m @ r for m, r in zip(ms, rs)])))
+            if not math.isfinite(residual):  # at t = 0 the state passed its checks: L overflows
+                raise _unstable(f"residual {residual}", t) if t else _unstable(
+                    f"residual {residual}", t, "the generator overflows (n_ph or gamma too large)")
+            return residual
+
         # a visit takes `hops` propagator steps: tau / the propagator's stride
         t, tau, hops, visits, squarings, matvecs = 0.0, cfg.dt, 1, 1, 0, 0
         residual = visit(t)
@@ -645,8 +648,7 @@ def steady_state(
             r_prev, residual, visits = residual, visit(t), visits + 1
             converged = residual <= cfg.convergence_tol
     finally:
-        if entry_threads is not None:
-            _set_blas_threads(entry_threads)
+        _set_blas_threads(entry_threads)
 
     rho = gen.from_coords(np.concatenate(rs))
     rho /= np.trace(rho).real

@@ -99,7 +99,7 @@ def pair_correlations(state: np.ndarray) -> np.ndarray:
     (0-indexed atoms).  Diagonal entries are exactly 1/4."""
     n_at = _n_atoms(state)
     lower = site_lowering(n_at)
-    sx = lower + lower.transpose(0, 2, 1)
+    sx = (lower + lower.transpose(0, 2, 1)).real  # 0/1 entries: exact real products
     c = np.empty((n_at, n_at))
     for n in range(n_at):
         c[n, n] = 0.25

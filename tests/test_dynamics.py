@@ -409,18 +409,35 @@ class TestSteadyState:
         assert products == [1]
         assert set(checks) == {1} and len(checks) > 1
 
-    @pytest.mark.parametrize("threshold,switches", [(None, False), (512, True), (511, False)])
+    @pytest.mark.parametrize("threshold,narrow", [(None, False), (512, True), (511, False)])
     def test_thread_rule_keys_on_the_largest_block(self, monkeypatch, bath088,
-                                                   threshold, switches):
-        # N = 5 at k0a 0.9, k0zc 0.3 from the ground state walks one block of
-        # 512 coordinates: above the default threshold nothing is switched
+                                                   threshold, narrow):
+        # entered at two threads, N = 5 at k0a 0.9, k0zc 0.3 from the ground
+        # state walks one block of 512 coordinates: set-up and the checks run on
+        # one thread, the propagator forms on two above the threshold only, and
+        # two are set again on return
         if threshold is not None:
             monkeypatch.setattr(dynamics, "_THREADED_BLOCK", threshold)
-        calls = _stand_in_blas(monkeypatch)
+        _stand_in_blas(monkeypatch)
+        generator = dynamics._VectorizedGenerator
+        probes = _thread_counts_of_calls(monkeypatch, generator, "_symmetries")
+        blocks = _thread_counts_of_calls(monkeypatch, generator, "assemble")
+        products = _thread_counts_of_calls(monkeypatch, dynamics, "_rk4_step_matrix")
+        checks = _thread_counts_of_calls(monkeypatch, dynamics._Recorder, "visit")
         model = build_model(make_geometry(5, 0.9, 0.3), bath088)
         res = steady_state(ground_state(5), model, EvolveConfig(t_max=1.0))
         assert [b["reduced"] for b in res.stats["blocks"]] == [512]
-        assert calls == ([1, 2] if switches else [])
+        assert probes == blocks == [1]
+        assert products == [1 if narrow else 2]
+        assert set(checks) == {1} and len(checks) > 1
+        assert dynamics._blas_api()[0]() == 2
+
+    def test_set_up_that_raises_restores_the_count(self, monkeypatch, model2):
+        # the unknown form raises while the generator is built, on one thread
+        calls = _stand_in_blas(monkeypatch)
+        with pytest.raises(ValueError, match="unknown generator form"):
+            steady_state(ground_state(2), model2, EvolveConfig(), form="bogus")
+        assert calls == [1, 2]
 
 
 def _stand_in_blas(monkeypatch):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -16,7 +17,7 @@ from darkdimers.observables import (
     purity,
     state_row,
 )
-from darkdimers.operators import ground_state, pure_to_density
+from darkdimers.operators import expectation, ground_state, pure_to_density, site_lowering
 from matrix_checks import basis_state
 
 
@@ -120,6 +121,20 @@ class TestPairCorrelations:
         c = pair_correlations(dimer_chain(geo, bath088))
         assert_allclose(c, c.T)
         assert np.max(np.abs(c)) <= 0.25 + 1e-12
+
+    @pytest.mark.parametrize("n_at", range(2, 7))
+    def test_equals_the_complex_product_definition(self, n_at):
+        # the real 0/1 sigma_x stack gives the complex stack's products exactly
+        rng = np.random.default_rng(n_at)
+        a = rng.normal(size=(2**n_at, 2**n_at)) + 1j * rng.normal(size=(2**n_at, 2**n_at))
+        rho = a @ a.conj().T
+        rho /= np.trace(rho).real
+        lower = site_lowering(n_at)
+        sx = lower + lower.transpose(0, 2, 1)
+        expected = np.full((n_at, n_at), 0.25)
+        for n, m in itertools.combinations(range(n_at), 2):
+            expected[n, m] = expected[m, n] = 0.25 * expectation(rho, sx[n] @ sx[m]).real
+        assert np.array_equal(pair_correlations(rho), expected)
 
 
 class TestExcitationPopulations:
