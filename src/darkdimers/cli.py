@@ -93,7 +93,8 @@ def _cmd_steady(args) -> int:
 
 def _cmd_darkstate(args) -> int:
     cfg = _resolve(args)
-    geo, bath, model, _ = setup_from_config(cfg)
+    model, _ = setup_from_config(cfg)
+    geo, bath = model.geometry, model.bath
     if model.squeezed_jumps is None:
         raise ConfigError("darkstate needs a minimal-uncertainty squeezed bath with n_ph > 0")
     try:

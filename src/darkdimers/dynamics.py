@@ -89,12 +89,12 @@ class EvolveConfig:
                 f"dt must be in (0, 0.1) for RK4 stability at gamma-scale "
                 f"rates, got {self.dt}"
             )
-        if self.t_max <= 0:
-            raise ValueError(f"t_max must be > 0, got {self.t_max}")
         if self.record_stride < 1:
             raise ValueError(f"record_stride must be >= 1, got {self.record_stride}")
-        if self.convergence_tol <= 0:
-            raise ValueError(f"convergence_tol must be > 0, got {self.convergence_tol}")
+        for name in ("t_max", "convergence_tol"):
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
 
 
 @dataclass
@@ -166,10 +166,9 @@ def _generator_terms(model: ModelOperators, form: str):
 
 
 def _check_shape(rho: np.ndarray, model: ModelOperators) -> None:
-    if rho.shape != model.hamiltonian.shape:
-        raise ValueError(
-            f"dimension mismatch: rho {rho.shape}, model dim {model.hamiltonian.shape}"
-        )
+    d = 2**model.n_at  # read from the geometry: no operator is built here
+    if rho.shape != (d, d):
+        raise ValueError(f"dimension mismatch: rho {rho.shape}, model dim {(d, d)}")
 
 
 def _rhs(terms):
@@ -223,7 +222,7 @@ def liouvillian_matrix(model: ModelOperators, form: str = "auto") -> np.ndarray:
             f"dense Liouvillian is guarded to n_at <= {_LIOUVILLIAN_MAX_ATOMS}; "
             f"got n_at = {model.n_at}"
         )
-    d = model.hamiltonian.shape[0]
+    d = 2**model.n_at
     col_stacked = np.arange(d * d).reshape(d, d).T.ravel()
     lv = np.zeros((d * d, d * d), dtype=complex)
     terms = _generator_terms(model, form)
@@ -375,7 +374,7 @@ class _VectorizedGenerator:
     """
 
     def __init__(self, model: ModelOperators, form: str, rho0: np.ndarray):
-        d = model.hamiltonian.shape[0]
+        d = 2**model.n_at
         self.dim = d
         self.terms = _generator_terms(model, form)
         par = excitation_counts(model.n_at) % 2
@@ -495,25 +494,21 @@ def _signed_orbits(basis, perms: np.ndarray, n0: int):
 @functools.cache
 def _blas_api():
     """The thread (getter, setter) of the OpenBLAS that numpy loaded, found
-    by ctypes among the symbols its bundled library exports, the only way
-    to change the count once numpy has loaded; () if none is found.  The
-    lookup runs on first use, never at import."""
-    import glob  # here, so that importing darkdimers does not pay for it
-
-    site = os.path.dirname(os.path.dirname(np.__file__))
-    for d in ("numpy.libs", os.path.join("numpy", ".dylibs")):
-        for path in sorted(glob.glob(os.path.join(site, d, "*openblas*"))):
-            try:  # only the copy already loaded, never a second one
-                lib = ctypes.CDLL(path, mode=getattr(os, "RTLD_NOLOAD", 0))
-            except OSError:
-                continue
-            for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
-                         "openblas_{}_num_threads"):
-                get, put = (getattr(lib, name.format(x), None) for x in ("get", "set"))
-                if get is not None and put is not None:
-                    get.argtypes, get.restype = [], ctypes.c_int
-                    put.argtypes, put.restype = [ctypes.c_int], None
-                    return get, put
+    by ctypes through numpy's linear-algebra extension, whose symbol lookup
+    searches the libraries it links: the only way to change the count once
+    numpy has loaded; () if none is found.  The lookup runs on first use,
+    never at import."""
+    try:  # only the copy already loaded, never a second one
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__, mode=getattr(os, "RTLD_NOLOAD", 0))
+    except OSError:
+        return ()
+    for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
+                 "openblas_{}_num_threads"):
+        get, put = (getattr(lib, name.format(x), None) for x in ("get", "set"))
+        if get is not None and put is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            return get, put
     return ()
 
 
@@ -570,10 +565,10 @@ def steady_state(
     sectors; each has up to 16**n_at / 4 entries, so registers of more
     than six atoms raise ValueError.  Positivity is checked on the full
     state at every visited point, and record=True returns those points.
-    A solve runs on one BLAS thread, set-up and positivity checks
-    included; only the walk of a largest propagated block above
-    _THREADED_BLOCK coordinates runs at the count found on entry, which
-    is restored on return or raise.
+    A solve runs on one BLAS thread, set-up (the model's operators too,
+    built on first read) and positivity checks included; only the walk
+    of a largest propagated block above _THREADED_BLOCK coordinates runs
+    at the count found on entry, which is restored on return or raise.
     """
     if model.n_at > _STEADY_STATE_MAX_ATOMS:
         raise ValueError(

@@ -30,14 +30,7 @@ from .config import (_EVOLVE_KEYS, ConfigError, ExperimentConfig, initial_state_
 from .darkstates import predicted_populations
 from .dynamics import (EvolveConfig, IntegrationInstabilityError, SteadyStateResult,
                        _set_blas_threads, steady_state)
-from .model import (
-    ArrayGeometry,
-    BathParams,
-    ModelOperators,
-    build_model,
-    make_bath,
-    make_geometry,
-)
+from .model import ModelOperators, build_model, make_bath, make_geometry
 from .observables import excitation_populations, pair_correlations, state_row
 
 __all__ = [
@@ -91,22 +84,19 @@ def write_table(path: str, columns: Sequence[str], rows, cfg: ExperimentConfig,
     return [path, manifest_path]
 
 
-def setup_from_config(
-    cfg: ExperimentConfig,
-) -> Tuple[ArrayGeometry, BathParams, ModelOperators, EvolveConfig]:
-    """The geometry, bath, model operators and integration parameters
-    that a resolved configuration describes."""
+def setup_from_config(cfg: ExperimentConfig) -> Tuple[ModelOperators, EvolveConfig]:
+    """The model (its operators built on first read) and the integration
+    parameters that a resolved configuration describes."""
     geo = make_geometry(cfg.n_at, cfg.k0a, cfg.k0zc)
-    bath = make_bath(cfg.n_ph, cfg.phi)
-    model = build_model(geo, bath, cfg.gamma)
+    model = build_model(geo, make_bath(cfg.n_ph, cfg.phi), cfg.gamma)
     ecfg = EvolveConfig(**{name: getattr(cfg, key) for key, name in _EVOLVE_KEYS.items()})
-    return geo, bath, model, ecfg
+    return model, ecfg
 
 
 def solve(cfg: ExperimentConfig, record: bool = False) -> SteadyStateResult:
     """The steady state that `cfg` describes, walked from its start state;
     with `record`, the visited points come back as `result.series`."""
-    _, _, model, ecfg = setup_from_config(cfg)
+    model, ecfg = setup_from_config(cfg)
     return steady_state(initial_state_vector(cfg), model, ecfg, record=record)
 
 

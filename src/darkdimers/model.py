@@ -15,14 +15,15 @@ and, for a minimal-uncertainty bath, two squeezed standing-wave jumps
 Jx, Jy with a common rate 4 gamma |mu nu|.  The quadrature channels
 J_{-phi,s} put M^* = |M| e^{-i phi} on J_s rho J_s, which is what
 Jx, Jy (built from mu and nu = -M / mu^*) give.  Both sets are built here
-as (rate, operator) pairs, each operator one contraction of the cached
-per-site stack `operators.site_lowering`; `darkdimers.dynamics` turns them
-into generators.
+as (rate, operator) pairs, each on first read and each operator one
+contraction of the cached per-site stack `operators.site_lowering`;
+`darkdimers.dynamics` turns them into generators.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Tuple
@@ -139,8 +140,8 @@ class ArrayGeometry:
 
 
 def make_geometry(n_at: int, k0a: float, k0zc: float = 0.0) -> ArrayGeometry:
-    if n_at < 1:
-        raise ValueError(f"n_at must be >= 1, got {n_at}")
+    if not n_at >= 1 or n_at % 1:  # n_at % 1 is nan at inf
+        raise ValueError(f"n_at must be an integer >= 1, got {n_at}")
     if not (math.isfinite(k0a) and math.isfinite(k0zc)):
         raise ValueError(f"k0a and k0zc must be finite, got k0a = {k0a}, k0zc = {k0zc}")
     n = np.arange(1, n_at + 1, dtype=float)
@@ -202,15 +203,15 @@ def squeezed_jumps(geo: ArrayGeometry, bath: BathParams) -> Tuple[np.ndarray, np
     Jx = (mu S_-^(I) + nu S_+^(I)) / |4 mu nu|^(1/2)
     Jy = (mu S_-^(R) - nu S_+^(R)) / |4 mu nu|^(1/2)
 
-    Raises for a non-minimal bath (mu, nu undefined) and for n_ph = 0,
-    where the normalization |4 mu nu| vanishes and the travelling-wave
-    form of the master equation must be used instead.
+    Raises for a non-minimal bath (mu, nu undefined) and where the
+    normalization |4 mu nu| vanishes (n_ph = 0 or |M| = 0), where the
+    travelling-wave form of the master equation must be used instead.
     """
     mu, nu = bath.mu, bath.nu
-    if bath.n_ph == 0.0:
+    if mu * nu == 0.0:
         raise ValueError(
-            "squeezed jump operators are undefined at n_ph = 0 "
-            "(|4 mu nu| = 0); use the travelling-wave channels"
+            "squeezed jump operators are undefined where |4 mu nu| = 0 "
+            "(n_ph = 0 or |M| = 0); use the travelling-wave channels"
         )
     ops = standing_ops(geo)
     norm = math.sqrt(abs(4 * mu * nu))
@@ -232,39 +233,51 @@ def field_two_point(k0z_n: float, k0z_m: float, theta: float, bath: BathParams) 
 
 @dataclass(frozen=True)
 class ModelOperators:
-    """Hamiltonian plus both dissipator sets for one (geometry, bath), each
-    a tuple of (rate, operator) pairs: travelling_jumps the eight signed
-    channels, per direction s = +, -: J_s, J_s^dag, J_{-phi,s}, J_{pi-phi,s}
-    (the last rate is negative: a valid generator, not a jump unraveling),
-    and squeezed_jumps ((4 gamma |mu nu|, Jx), (4 gamma |mu nu|, Jy)), or
-    None when the bath has no squeezed form.
+    """Hamiltonian and both dissipator sets of one (geometry, bath, gamma),
+    each built on first read; a set is a tuple of (rate, operator) pairs:
+    travelling_jumps the eight signed channels, per direction s = +, -:
+    J_s, J_s^dag, J_{-phi,s}, J_{pi-phi,s} (the last rate is negative: a
+    valid generator, not a jump unraveling), and squeezed_jumps
+    ((4 gamma |mu nu|, Jx), (4 gamma |mu nu|, Jy)), or None when the bath
+    has no squeezed form.
     """
 
-    hamiltonian: np.ndarray
-    travelling_jumps: Tuple[Tuple[float, np.ndarray], ...]
-    squeezed_jumps: Optional[Tuple[Tuple[float, np.ndarray], ...]]
-    n_at: int
+    geometry: ArrayGeometry
+    bath: BathParams
+    gamma: float
+
+    @property
+    def n_at(self) -> int:
+        return self.geometry.n_at
+
+    @functools.cached_property
+    def hamiltonian(self) -> np.ndarray:
+        return hamiltonian_scatt(self.geometry, self.gamma)
+
+    @functools.cached_property
+    def travelling_jumps(self) -> Tuple[Tuple[float, np.ndarray], ...]:
+        geo, bath, gamma = self.geometry, self.bath, self.gamma
+        channels = []
+        for s in (+1, -1):
+            j = jump_travelling(geo, s)
+            channels += [
+                (0.5 * gamma * (bath.n_ph + 1.0), j),
+                (0.5 * gamma * bath.n_ph, j.conj().T),
+                (0.25 * gamma * bath.m_abs, jump_quadrature(geo, s, -bath.phi)),
+                (-0.25 * gamma * bath.m_abs, jump_quadrature(geo, s, math.pi - bath.phi)),
+            ]
+        return tuple(channels)
+
+    @functools.cached_property
+    def squeezed_jumps(self) -> Optional[Tuple[Tuple[float, np.ndarray], ...]]:
+        if not (self.bath.is_minimal and self.bath.n_ph > 0.0 and self.bath.m_abs > 0.0):
+            return None
+        rate = 4.0 * self.gamma * abs(self.bath.mu * self.bath.nu)
+        return tuple((rate, j) for j in squeezed_jumps(self.geometry, self.bath))
 
 
 def build_model(geo: ArrayGeometry, bath: BathParams, gamma: float = 1.0) -> ModelOperators:
-    """Assemble all operators of the master equation for one setup."""
-    h = hamiltonian_scatt(geo, gamma)
-    channels = []
-    for s in (+1, -1):
-        j = jump_travelling(geo, s)
-        channels += [
-            (0.5 * gamma * (bath.n_ph + 1.0), j),
-            (0.5 * gamma * bath.n_ph, j.conj().T),
-            (0.25 * gamma * bath.m_abs, jump_quadrature(geo, s, -bath.phi)),
-            (-0.25 * gamma * bath.m_abs, jump_quadrature(geo, s, math.pi - bath.phi)),
-        ]
-    sq = None
-    if bath.is_minimal and bath.n_ph > 0.0:
-        rate = 4.0 * gamma * abs(bath.mu * bath.nu)
-        sq = tuple((rate, j) for j in squeezed_jumps(geo, bath))
-    return ModelOperators(
-        hamiltonian=h,
-        travelling_jumps=tuple(channels),
-        squeezed_jumps=sq,
-        n_at=geo.n_at,
-    )
+    """The master equation of one setup; its operators are built on first read."""
+    if not (math.isfinite(gamma) and gamma > 0):
+        raise ValueError(f"gamma must be finite and > 0, got {gamma}")
+    return ModelOperators(geo, bath, gamma)

@@ -22,6 +22,7 @@ from darkdimers import (
     steady_state,
 )
 from darkdimers import dynamics
+from darkdimers import model as model_module
 from darkdimers.darkstates import PairSpec, dimer_chain, pair_state
 from darkdimers.observables import fidelity, polarization_moments
 from darkdimers.operators import (
@@ -171,6 +172,14 @@ class TestEvolveConfig:
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             EvolveConfig(**kwargs)
+
+    @pytest.mark.parametrize("name", ["t_max", "convergence_tol"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values(self, name, value):
+        # an infinite tol used to report convergence at t = 0 with residual
+        # 2.95, a nan t_max to return after one visit
+        with pytest.raises(ValueError, match=f"{name} must be finite and > 0, got {value}"):
+            EvolveConfig(**{name: value})
 
 
 class TestEvolve:
@@ -431,6 +440,21 @@ class TestSteadyState:
         assert products == [1 if narrow else 2]
         assert set(checks) == {1} and len(checks) > 1
         assert dynamics._blas_api()[0]() == 2
+
+    @pytest.mark.parametrize("n_ph,built", [(0.88, "squeezed_jumps"), (0.0, "jump_travelling")])
+    def test_set_up_builds_what_the_form_reads_on_one_thread(self, monkeypatch, n_ph, built):
+        # entered at two threads, a solve builds the model's operators on one
+        # thread, and only the set that its form reads: at n_ph 0.88 H and the
+        # squeezed jumps, never a travelling channel; at n_ph 0 H and the eight
+        # channels (J_s, and J_s in each quadrature channel, per direction)
+        _stand_in_blas(monkeypatch)
+        logs = {name: _thread_counts_of_calls(monkeypatch, model_module, name)
+                for name in ("hamiltonian_scatt", "jump_travelling", "squeezed_jumps")}
+        model = build_model(make_geometry(2, 0.9, 0.3), make_bath(n_ph))
+        steady_state(ground_state(2), model, EvolveConfig(t_max=1.0))
+        assert logs.pop("hamiltonian_scatt") == [1]
+        assert logs.pop(built) == [1] * (6 if built == "jump_travelling" else 1)
+        assert list(logs.values()) == [[]]
 
     def test_set_up_that_raises_restores_the_count(self, monkeypatch, model2):
         # the unknown form raises while the generator is built, on one thread

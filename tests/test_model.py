@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from darkdimers import (
+    ModelOperators,
     build_model,
     field_two_point,
     hamiltonian_scatt,
@@ -18,6 +20,7 @@ from darkdimers import (
     squeezed_jumps,
     standing_ops,
 )
+from darkdimers import model as model_module
 from darkdimers.darkstates import PairSpec, pair_state
 from darkdimers.observables import _collective_spin
 from darkdimers.operators import (
@@ -127,6 +130,12 @@ class TestGeometry:
     def test_invalid_atom_count(self):
         with pytest.raises(ValueError):
             make_geometry(0, 1.0, 0.0)
+
+    @pytest.mark.parametrize("n_at", [2.5, math.nan, math.inf])
+    def test_non_integral_atom_count(self, n_at):
+        # 2.5 used to give n_at = 2 with three positions
+        with pytest.raises(ValueError, match=f"n_at must be an integer >= 1, got {n_at}"):
+            make_geometry(n_at, 1.0)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_k0a(self, value):
@@ -303,6 +312,39 @@ class TestBuildModel:
         model = build_model(geo2_dark, make_bath(0.5, m_abs=0.0))
         assert model.squeezed_jumps is None
 
+    def test_no_squeezed_form_without_pair_correlation(self, geo2_dark):
+        # at a tiny n_ph an uncorrelated bath passes the minimal test (|M|^2 is
+        # within 1e-9 of N(N+1)), but nu = 0: its jumps used to be 0 / 0
+        bath = make_bath(1e-189, m_abs=0.0)
+        assert bath.is_minimal
+        assert build_model(geo2_dark, bath).squeezed_jumps is None
+        with pytest.raises(ValueError, match=r"where \|4 mu nu\| = 0"):
+            squeezed_jumps(geo2_dark, bath)
+
+    def test_the_model_is_its_inputs(self, geo2_dark, bath088):
+        assert [f.name for f in dataclasses.fields(ModelOperators)] == [
+            "geometry", "bath", "gamma"]
+        model = build_model(geo2_dark, bath088, 0.7)
+        assert (model.geometry, model.bath, model.gamma) == (geo2_dark, bath088, 0.7)
+        assert model.n_at == geo2_dark.n_at
+
+    def test_build_model_builds_nothing(self, monkeypatch, geo2_dark, bath088):
+        # each operator set is built on its first read, and only then
+        calls = []
+        for name in ("hamiltonian_scatt", "jump_travelling", "jump_quadrature",
+                     "squeezed_jumps"):
+            monkeypatch.setattr(model_module, name,
+                                lambda *args, name=name: calls.append(name))
+        model = build_model(geo2_dark, bath088)
+        assert calls == []
+        model.hamiltonian
+        assert calls == ["hamiltonian_scatt"]
+
+    def test_a_second_read_returns_the_same_object(self, geo2_dark, bath088):
+        model = build_model(geo2_dark, bath088)
+        for name in ("hamiltonian", "travelling_jumps", "squeezed_jumps"):
+            assert getattr(model, name) is getattr(model, name)
+
 
 def _site_sum(coefficients, op2, n_at):
     """sum_n coefficients[n] op2^(n), embedded site by site."""
@@ -355,6 +397,42 @@ def test_collective_operators_equal_site_by_site_sums(n_at, k0a, k0zc, n_ph, phi
         s_j, s_j2 = _collective_spin(n_at)[label]
         assert _same(s_j, _site_sum([0.5] * n_at, sigma, n_at))
         assert _same(s_j2, s_j @ s_j)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_at=st.integers(1, 5), k0a=st.floats(0.0, 2.0 * math.pi),
+       k0zc=st.floats(0.0, 2.0 * math.pi), n_ph=st.floats(0.0, 2.0),
+       phi=st.floats(0.0, 2.0 * math.pi), squeezing=st.none() | st.floats(0.0, 1.0),
+       gamma=st.floats(0.1, 3.0))
+def test_model_operators_equal_their_direct_construction(n_at, k0a, k0zc, n_ph, phi,
+                                                         squeezing, gamma):
+    # built on first read, every operator has the bits of the functions that
+    # build it, called in turn; squeezing None is the minimal bath
+    geo = make_geometry(n_at, k0a, k0zc)
+    bound = math.sqrt(n_ph * (n_ph + 1.0))
+    bath = make_bath(n_ph, phi, None if squeezing is None else squeezing * bound)
+    model = build_model(geo, bath, gamma)
+    assert _same(model.hamiltonian, hamiltonian_scatt(geo, gamma))
+    channels = []
+    for s in (+1, -1):
+        j = jump_travelling(geo, s)
+        channels += [
+            (0.5 * gamma * (bath.n_ph + 1.0), j),
+            (0.5 * gamma * bath.n_ph, j.conj().T),
+            (0.25 * gamma * bath.m_abs, jump_quadrature(geo, s, -bath.phi)),
+            (-0.25 * gamma * bath.m_abs, jump_quadrature(geo, s, math.pi - bath.phi)),
+        ]
+    assert len(model.travelling_jumps) == 8
+    for (rate, op), (want_rate, want) in zip(model.travelling_jumps, channels):
+        assert rate == want_rate and _same(op, want)
+    if model.squeezed_jumps is None:
+        with pytest.raises(ValueError):  # no mu and nu, or |4 mu nu| = 0
+            squeezed_jumps(geo, bath)
+    else:
+        rate = 4.0 * gamma * abs(bath.mu * bath.nu)
+        assert [r for r, _ in model.squeezed_jumps] == [rate, rate]
+        for (_, op), want in zip(model.squeezed_jumps, squeezed_jumps(geo, bath)):
+            assert _same(op, want)
 
 
 def test_site_stack_is_cached_and_read_only():
