@@ -94,11 +94,10 @@ def _cmd_steady(args) -> int:
 def _cmd_darkstate(args) -> int:
     cfg = _resolve(args)
     model, _ = setup_from_config(cfg)
-    geo, bath = model.geometry, model.bath
     if model.squeezed_jumps is None:
         raise ConfigError("darkstate needs a minimal-uncertainty squeezed bath with n_ph > 0")
     try:
-        label, psi, collective = dark_state(geo, bath, args.sector)
+        label, psi, collective = dark_state(model.geometry, model.bath, args.sector)
     except ValueError as exc:  # no dark state at this geometry, or no such sector
         raise ConfigError(str(exc)) from None
     (_, jx), (_, jy) = model.squeezed_jumps
@@ -106,7 +105,7 @@ def _cmd_darkstate(args) -> int:
     print(f"jump annihilation |Jx psi|: {np.linalg.norm(jx @ psi):.3e}")
     print(f"jump annihilation |Jy psi|: {np.linalg.norm(jy @ psi):.3e}")
     print(f"hamiltonian stability residual: {stability_residual(psi, model):.3e}")
-    print(f"rate-weighted dark condition min eig: {dark_condition(geo, bath):.3e}")
+    print(f"rate-weighted dark condition min eig: {dark_condition(model):.3e}")
     print("populations: " + " ".join(f"{p:.6g}" for p in excitation_populations(psi)))
     if collective is not None:
         print(f"collective-form cross-check fidelity: {fidelity(collective, psi):.12g}")

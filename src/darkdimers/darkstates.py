@@ -276,12 +276,10 @@ def predicted_populations(kind: str, n_at: int, bath: BathParams) -> np.ndarray:
         if bath.n_ph == 0.0:
             raise ValueError("squeezed law undefined at n_ph = 0")
         l = n_at // 2
-        p = np.array(
-            [
-                sph_harm_equator(l, ne - l) ** 2 * x ** ((ne - l) / 2.0)
-                for ne in range(n_at + 1)
-            ]
-        )
+        # x^{n_e/2} = x^{l/2} x^{m/2}: the common factor goes in the
+        # normalization, and no power of a tiny x overflows
+        p = np.array([sph_harm_equator(l, ne - l) ** 2 * x ** (ne / 2.0)
+                      for ne in range(n_at + 1)])
         return p / p.sum()
     pairs = n_at // 2
     prefactor = ((bath.n_ph + 1.0) / (2.0 * bath.n_ph + 1.0)) ** pairs

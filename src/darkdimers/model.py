@@ -14,9 +14,9 @@ forms: the eight signed travelling-wave channels
 and, for a minimal-uncertainty bath, two squeezed standing-wave jumps
 Jx, Jy with a common rate 4 gamma |mu nu|.  The quadrature channels
 J_{-phi,s} put M^* = |M| e^{-i phi} on J_s rho J_s, which is what
-Jx, Jy (built from mu and nu = -M / mu^*) give.  Both sets are built here
-as (rate, operator) pairs, each on first read and each operator one
-contraction of the cached per-site stack `operators.site_lowering`;
+Jx, Jy (built from mu and nu = -M / mu^*) give.  `ModelOperators` alone
+builds H and both sets, as (rate, operator) pairs, each on first read by
+contracting the cached per-site stack `operators.site_lowering`;
 `darkdimers.dynamics` turns them into generators.
 """
 
@@ -26,7 +26,7 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -36,14 +36,8 @@ __all__ = [
     "BathParams",
     "ArrayGeometry",
     "ModelOperators",
-    "StandingOps",
     "make_bath",
     "make_geometry",
-    "hamiltonian_scatt",
-    "jump_travelling",
-    "jump_quadrature",
-    "standing_ops",
-    "squeezed_jumps",
     "field_two_point",
     "build_model",
 ]
@@ -87,10 +81,10 @@ class BathParams:
 
     @property
     def eta(self) -> float:
-        self._require_minimal()
-        if self.n_ph == 0.0:
-            raise ValueError("eta is undefined for n_ph = 0 (nu = 0)")
-        return 0.5 * math.log(abs(self.mu) / abs(self.nu))
+        nu = abs(self.nu)
+        if nu == 0.0:
+            raise ValueError("eta is undefined where nu = 0 (n_ph = 0 or |M| = 0)")
+        return 0.5 * math.log(abs(self.mu) / nu)
 
     def _require_minimal(self):
         if not self.is_minimal:
@@ -149,77 +143,6 @@ def make_geometry(n_at: int, k0a: float, k0zc: float = 0.0) -> ArrayGeometry:
     return ArrayGeometry(n_at=int(n_at), k0a=float(k0a), k0zc=float(k0zc), k0z=k0z)
 
 
-def hamiltonian_scatt(geo: ArrayGeometry, gamma: float = 1.0) -> np.ndarray:
-    """Waveguide-mediated hopping Hamiltonian.
-
-    H = (gamma/2) sum_{n,m} sin(k0 |z_n - z_m|) sigma_+^(n) sigma_-^(m)
-    with hbar = 1.  Diagonal terms vanish (sin 0 = 0) and the double sum
-    makes H Hermitian by construction.
-    """
-    if not (math.isfinite(gamma) and gamma > 0):
-        raise ValueError(f"gamma must be finite and > 0, got {gamma}")
-    lower = site_lowering(geo.n_at)
-    coupling = 0.5 * gamma * np.sin(np.abs(geo.k0z[:, None] - geo.k0z[None, :]))
-    # sum_n sigma_+^(n) (sum_m coupling[n, m] sigma_-^(m))
-    return np.tensordot(lower, np.tensordot(coupling, lower, axes=1), axes=([0, 1], [0, 1]))
-
-
-def jump_travelling(geo: ArrayGeometry, s: int) -> np.ndarray:
-    """Collective jump operator of the s = +/-1 propagating channel:
-    J_s = sum_n e^{-i s k0 z_n} sigma_-^(n)."""
-    if s not in (+1, -1):
-        raise ValueError(f"direction s must be +1 or -1, got {s}")
-    return np.tensordot(np.exp(-1j * s * geo.k0z), site_lowering(geo.n_at), axes=1)
-
-
-def jump_quadrature(geo: ArrayGeometry, s: int, theta: float) -> np.ndarray:
-    """Two-photon (phase) jump operator
-    J_{theta,s} = e^{i theta/2} J_s + e^{-i theta/2} J_s^dag.
-    Hermitian for real theta."""
-    j = jump_travelling(geo, s)
-    return cmath.exp(1j * theta / 2) * j + cmath.exp(-1j * theta / 2) * j.conj().T
-
-
-class StandingOps(NamedTuple):
-    s_plus_r: np.ndarray
-    s_minus_r: np.ndarray
-    s_plus_i: np.ndarray
-    s_minus_i: np.ndarray
-
-
-def standing_ops(geo: ArrayGeometry) -> StandingOps:
-    """Standing-wave collective operators
-    S_pm^(R) = sum_n cos(k0 z_n) sigma_pm^(n),
-    S_pm^(I) = sum_n sin(k0 z_n) sigma_pm^(n)."""
-    raising = site_lowering(geo.n_at).transpose(0, 2, 1)
-    sp_r = np.tensordot(np.cos(geo.k0z), raising, axes=1)
-    sp_i = np.tensordot(np.sin(geo.k0z), raising, axes=1)
-    return StandingOps(sp_r, sp_r.conj().T, sp_i, sp_i.conj().T)
-
-
-def squeezed_jumps(geo: ArrayGeometry, bath: BathParams) -> Tuple[np.ndarray, np.ndarray]:
-    """Squeezed standing-wave jump operators for a minimal bath:
-
-    Jx = (mu S_-^(I) + nu S_+^(I)) / |4 mu nu|^(1/2)
-    Jy = (mu S_-^(R) - nu S_+^(R)) / |4 mu nu|^(1/2)
-
-    Raises for a non-minimal bath (mu, nu undefined) and where the
-    normalization |4 mu nu| vanishes (n_ph = 0 or |M| = 0), where the
-    travelling-wave form of the master equation must be used instead.
-    """
-    mu, nu = bath.mu, bath.nu
-    if mu * nu == 0.0:
-        raise ValueError(
-            "squeezed jump operators are undefined where |4 mu nu| = 0 "
-            "(n_ph = 0 or |M| = 0); use the travelling-wave channels"
-        )
-    ops = standing_ops(geo)
-    norm = math.sqrt(abs(4 * mu * nu))
-    jx = (mu * ops.s_minus_i + nu * ops.s_plus_i) / norm
-    jy = (mu * ops.s_minus_r - nu * ops.s_plus_r) / norm
-    return jx, jy
-
-
 def field_two_point(k0z_n: float, k0z_m: float, theta: float, bath: BathParams) -> float:
     """Equal-time two-point correlation of the field quadrature A_theta
     between positions k0 z_n and k0 z_m:
@@ -252,28 +175,51 @@ class ModelOperators:
 
     @functools.cached_property
     def hamiltonian(self) -> np.ndarray:
-        return hamiltonian_scatt(self.geometry, self.gamma)
+        """Waveguide-mediated hopping, hbar = 1:
+        H = (gamma/2) sum_{n,m} sin(k0 |z_n - z_m|) sigma_+^(n) sigma_-^(m);
+        the diagonal vanishes (sin 0 = 0) and the double sum is Hermitian."""
+        lower, z = site_lowering(self.n_at), self.geometry.k0z
+        coupling = 0.5 * self.gamma * np.sin(np.abs(z[:, None] - z[None, :]))
+        # sum_n sigma_+^(n) (sum_m coupling[n, m] sigma_-^(m))
+        return np.tensordot(lower, np.tensordot(coupling, lower, axes=1), axes=([0, 1], [0, 1]))
 
     @functools.cached_property
     def travelling_jumps(self) -> Tuple[Tuple[float, np.ndarray], ...]:
-        geo, bath, gamma = self.geometry, self.bath, self.gamma
+        """J_s = sum_n e^{-i s k0 z_n} sigma_-^(n) and the Hermitian
+        quadratures J_{theta,s} = e^{i theta/2} J_s + e^{-i theta/2} J_s^dag."""
+        bath, gamma = self.bath, self.gamma
         channels = []
         for s in (+1, -1):
-            j = jump_travelling(geo, s)
+            j = np.tensordot(np.exp(-1j * s * self.geometry.k0z), site_lowering(self.n_at), axes=1)
+            jd = j.conj().T
+            quadrature = [cmath.exp(1j * theta / 2) * j + cmath.exp(-1j * theta / 2) * jd
+                          for theta in (-bath.phi, math.pi - bath.phi)]
             channels += [
                 (0.5 * gamma * (bath.n_ph + 1.0), j),
-                (0.5 * gamma * bath.n_ph, j.conj().T),
-                (0.25 * gamma * bath.m_abs, jump_quadrature(geo, s, -bath.phi)),
-                (-0.25 * gamma * bath.m_abs, jump_quadrature(geo, s, math.pi - bath.phi)),
+                (0.5 * gamma * bath.n_ph, jd),
+                (0.25 * gamma * bath.m_abs, quadrature[0]),
+                (-0.25 * gamma * bath.m_abs, quadrature[1]),
             ]
         return tuple(channels)
 
     @functools.cached_property
     def squeezed_jumps(self) -> Optional[Tuple[Tuple[float, np.ndarray], ...]]:
-        if not (self.bath.is_minimal and self.bath.n_ph > 0.0 and self.bath.m_abs > 0.0):
+        """Jx = (mu S_-^(I) + nu S_+^(I)) / |4 mu nu|^(1/2) and
+        Jy = (mu S_-^(R) - nu S_+^(R)) / |4 mu nu|^(1/2), from the standing
+        waves S_+^(R) = sum_n cos(k0 z_n) sigma_+^(n), S_+^(I) with sin,
+        S_- = S_+^dag; None unless the bath is minimal with n_ph > 0 and
+        |M| > 0 (mu >= 1, so then mu nu != 0)."""
+        bath = self.bath
+        if not (bath.is_minimal and bath.n_ph > 0.0 and bath.m_abs > 0.0):
             return None
-        rate = 4.0 * self.gamma * abs(self.bath.mu * self.bath.nu)
-        return tuple((rate, j) for j in squeezed_jumps(self.geometry, self.bath))
+        mu, nu, z = bath.mu, bath.nu, self.geometry.k0z
+        raising = site_lowering(self.n_at).transpose(0, 2, 1)
+        sp_r = np.tensordot(np.cos(z), raising, axes=1)
+        sp_i = np.tensordot(np.sin(z), raising, axes=1)
+        norm = math.sqrt(abs(4 * mu * nu))
+        rate = 4.0 * self.gamma * abs(mu * nu)
+        return ((rate, (mu * sp_i.conj().T + nu * sp_i) / norm),
+                (rate, (mu * sp_r.conj().T - nu * sp_r) / norm))
 
 
 def build_model(geo: ArrayGeometry, bath: BathParams, gamma: float = 1.0) -> ModelOperators:

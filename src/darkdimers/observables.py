@@ -9,7 +9,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .model import ArrayGeometry, BathParams, squeezed_jumps
+from .model import ModelOperators
 from .operators import excitation_counts, expectation, site_lowering
 
 __all__ = [
@@ -122,18 +122,22 @@ def excitation_populations(state: np.ndarray) -> np.ndarray:
     return np.array([diag[counts == k].sum() for k in range(n_at + 1)])
 
 
-def dark_condition(geo: ArrayGeometry, bath: BathParams) -> float:
+def dark_condition(model: ModelOperators) -> float:
     """Smallest eigenvalue of |4 mu nu| (Jx^dag Jx + Jy^dag Jy), the
-    squeezed jumps weighted by their common rate (in units of gamma).
+    model's squeezed jumps weighted by their common rate (in units of
+    gamma); ValueError where the model has no squeezed jumps.
 
     Zero (<= 1e-10 numerically) if and only if a state annihilated by
     both squeezed jump operators exists.  The weight cancels the
     |4 mu nu|^(-1/2) normalization of Jx, Jy, which grows as N_ph^(-1/4)
     and would scale the rounding error up with it at small N_ph.
     Preferred over the determinant of the same matrix for conditioning."""
-    jx, jy = squeezed_jumps(geo, bath)
+    if model.squeezed_jumps is None:
+        raise ValueError("the dark condition needs squeezed jumps: a minimal-uncertainty "
+                         "bath with n_ph > 0 and |M| > 0")
+    (_, jx), (_, jy) = model.squeezed_jumps
     k = jx.conj().T @ jx + jy.conj().T @ jy
-    return abs(4 * bath.mu * bath.nu) * float(np.linalg.eigvalsh(k)[0])
+    return abs(4 * model.bath.mu * model.bath.nu) * float(np.linalg.eigvalsh(k)[0])
 
 
 def fidelity(a: np.ndarray, b: np.ndarray) -> float:

@@ -721,6 +721,13 @@ class TestCli:
         out = capsys.readouterr().out
         assert "P(0)" in out and "dimer:" in out
 
+    def test_squeezed_law_at_a_tiny_n_ph(self, capsys):
+        # the law's weight x^{(n_e - l)/2} overflowed at n_e = 0: an escaping OverflowError
+        code = main(["populations", "--n-at", "6", "--k0a", "2pi", "--law", "squeezed",
+                     "--n-ph", "1e-300"])
+        assert code == 0
+        assert capsys.readouterr().out.splitlines()[0] == "P(0) = 1   squeezed: 1"
+
     def test_config_file_flow(self, tmp_path, capsys):
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text("n-at = 2\nt-max = 150\nk0a = pi/4\n", encoding="utf-8")

@@ -378,6 +378,13 @@ class TestPredictedPopulations:
             predicted_populations("squeezed", n_at, bath088), state_pops, atol=1e-10
         )
 
+    @pytest.mark.parametrize("n_at", [2, 4, 6, 8])
+    @pytest.mark.parametrize("n_ph", [1e-300, 5e-324])
+    def test_squeezed_law_at_tiny_n_ph(self, n_at, n_ph):
+        # x^{(n_e - l)/2} used to overflow at n_e = 0 for a tiny x
+        p = predicted_populations("squeezed", n_at, make_bath(n_ph))
+        assert p[0] == 1.0 and p.sum() == 1.0
+
     def test_dimer_matches_chain_populations(self, bath088):
         geo = make_geometry(6, math.pi / 4, 0.0)
         chain_pops = excitation_populations(dimer_chain(geo, bath088))
@@ -467,7 +474,7 @@ def test_dark_state_annihilated_wherever_geometry_is_stable(n_at, a_steps, zc_st
     k0zc = dimer_center(n_at, k0a) + zc_steps * math.pi / 2
     assume(stable_dark_geometry(n_at, k0a, k0zc))
     geo, bath = make_geometry(n_at, k0a, k0zc), make_bath(n_ph, phi)
-    assert abs(dark_condition(geo, bath)) <= 1e-10
+    assert abs(dark_condition(build_model(geo, bath))) <= 1e-10
     if abs(math.sin(k0a)) <= 1e-9:
         psi = melted_dark(geo, bath, n_at // 2)
     else:

@@ -441,20 +441,21 @@ class TestSteadyState:
         assert set(checks) == {1} and len(checks) > 1
         assert dynamics._blas_api()[0]() == 2
 
-    @pytest.mark.parametrize("n_ph,built", [(0.88, "squeezed_jumps"), (0.0, "jump_travelling")])
+    @pytest.mark.parametrize("n_ph,built", [(0.88, "squeezed_jumps"), (0.0, "travelling_jumps")])
     def test_set_up_builds_what_the_form_reads_on_one_thread(self, monkeypatch, n_ph, built):
         # entered at two threads, a solve builds the model's operators on one
         # thread, and only the set that its form reads: at n_ph 0.88 H and the
         # squeezed jumps, never a travelling channel; at n_ph 0 H and the eight
-        # channels (J_s, and J_s in each quadrature channel, per direction)
+        # channels.  H and the squeezed jumps each read the site stack once,
+        # the channels once per direction.
         _stand_in_blas(monkeypatch)
-        logs = {name: _thread_counts_of_calls(monkeypatch, model_module, name)
-                for name in ("hamiltonian_scatt", "jump_travelling", "squeezed_jumps")}
+        log = _thread_counts_of_calls(monkeypatch, model_module, "site_lowering")
         model = build_model(make_geometry(2, 0.9, 0.3), make_bath(n_ph))
         steady_state(ground_state(2), model, EvolveConfig(t_max=1.0))
-        assert logs.pop("hamiltonian_scatt") == [1]
-        assert logs.pop(built) == [1] * (6 if built == "jump_travelling" else 1)
-        assert list(logs.values()) == [[]]
+        assert log == [1] * (3 if built == "travelling_jumps" else 2)
+        assert {"hamiltonian", built} <= set(vars(model))
+        if built == "squeezed_jumps":
+            assert "travelling_jumps" not in vars(model)
 
     def test_set_up_that_raises_restores_the_count(self, monkeypatch, model2):
         # the unknown form raises while the generator is built, on one thread

@@ -12,16 +12,11 @@ from darkdimers import (
     ModelOperators,
     build_model,
     field_two_point,
-    hamiltonian_scatt,
-    jump_quadrature,
-    jump_travelling,
     make_bath,
     make_geometry,
-    squeezed_jumps,
-    standing_ops,
 )
 from darkdimers import model as model_module
-from darkdimers.darkstates import PairSpec, pair_state
+from darkdimers.darkstates import PairSpec, dark_state, pair_state
 from darkdimers.observables import _collective_spin
 from darkdimers.operators import (
     SIGMA_MINUS,
@@ -70,6 +65,17 @@ class TestBath:
     def test_eta_undefined_at_vacuum(self):
         with pytest.raises(ValueError, match="eta"):
             make_bath(0.0).eta
+
+    @pytest.mark.parametrize("bath", [make_bath(0.0), make_bath(1e-12, m_abs=0.0)])
+    def test_nu_zero_has_no_eta_and_no_collective_form(self, bath):
+        # the tiny uncorrelated bath passes the minimal test with nu = 0; its
+        # eta used to raise a bare ZeroDivisionError, which escaped dark_state
+        assert bath.is_minimal and bath.nu == 0.0
+        with pytest.raises(ValueError, match="eta is undefined where nu = 0"):
+            bath.eta
+        label, psi, collective = dark_state(make_geometry(4, 2 * math.pi, 0.0), bath)
+        assert (label, collective) == ("melted_dark(l=2)", None)
+        assert np.linalg.norm(psi) == pytest.approx(1.0)
 
     def test_mu_nu_undefined_off_minimal(self):
         bath = make_bath(0.88, m_abs=0.5)
@@ -151,26 +157,26 @@ class TestGeometry:
 class TestHamiltonian:
     def test_vanishes_at_k0a_pi(self):
         geo = make_geometry(2, math.pi, 0.0)
-        assert np.max(np.abs(hamiltonian_scatt(geo))) <= 1e-15
+        assert np.max(np.abs(build_model(geo, make_bath(0.88)).hamiltonian)) <= 1e-15
 
     def test_two_atom_coupling(self):
         geo = make_geometry(2, math.pi / 4, 0.0)
-        h = hamiltonian_scatt(geo, gamma=1.0)
+        h = build_model(geo, make_bath(0.88), gamma=1.0).hamiltonian
         # |ge> = index 1, |eg> = index 2
         assert h[2, 1] == pytest.approx(0.5 * math.sin(math.pi / 4), abs=1e-15)
         assert is_hermitian(h)
 
     def test_three_atom_couplings(self):
         geo = make_geometry(3, math.pi / 2, 0.0)
-        h = hamiltonian_scatt(geo)
+        h = build_model(geo, make_bath(0.88)).hamiltonian
         # atom 1-3 distance pi: sin = 0; |egg> = 4, |gge> = 1
         assert h[4, 1] == pytest.approx(0.0, abs=1e-15)
         # atom 1-2 distance pi/2: sin = 1; |geg> = 2
         assert h[4, 2] == pytest.approx(0.5, abs=1e-15)
 
     def test_gamma_validation(self):
-        with pytest.raises(ValueError):
-            hamiltonian_scatt(make_geometry(2, 1.0), gamma=0.0)
+        with pytest.raises(ValueError, match="gamma must be finite and > 0, got 0.0"):
+            build_model(make_geometry(2, 1.0), make_bath(0.88), gamma=0.0)
 
     @pytest.mark.parametrize("gamma", [math.nan, math.inf])
     def test_non_finite_gamma(self, gamma):
@@ -179,102 +185,74 @@ class TestHamiltonian:
             build_model(make_geometry(2, 1.0), make_bath(0.88), gamma)
 
 
+def _channels(geo, bath=None):
+    """The eight travelling channels' operators at bath (default N_ph 0.88,
+    phi 0): per direction s = +, -: J_s, J_s^dag, J_{-phi,s}, J_{pi-phi,s}."""
+    return [op for _, op in build_model(geo, bath or make_bath(0.88)).travelling_jumps]
+
+
 class TestJumpOperators:
     def test_single_atom_is_sigma_minus(self):
-        geo = make_geometry(1, math.pi / 4, 0.0)
-        for s in (+1, -1):
-            assert_allclose(jump_travelling(geo, s), SIGMA_MINUS)
+        channels = _channels(make_geometry(1, math.pi / 4, 0.0))
+        for j in channels[0::4]:  # J_+ and J_-
+            assert_allclose(j, SIGMA_MINUS)
 
     def test_two_atom_phases(self, geo2_dark):
-        j = jump_travelling(geo2_dark, +1)
+        j = _channels(geo2_dark)[0]
         expected = np.exp(1j * math.pi / 8) * np.kron(SIGMA_MINUS, np.eye(2)) + np.exp(
             -1j * math.pi / 8
         ) * np.kron(np.eye(2), SIGMA_MINUS)
         assert_allclose(j, expected, atol=1e-15)
-
-    def test_invalid_direction(self):
-        with pytest.raises(ValueError):
-            jump_travelling(make_geometry(2, 1.0), 2)
 
     @pytest.mark.parametrize("n_at,k0a,k0zc", [(1, 0.0, 0.0), (2, math.pi / 4, 0.0),
                                                (3, 0.9, 0.4), (4, math.pi, 0.7)])
     def test_travelling_standing_identity(self, n_at, k0a, k0zc):
         # J_s = S_-^(R) - i s S_-^(I) entrywise
         geo = make_geometry(n_at, k0a, k0zc)
-        ops = standing_ops(geo)
-        for s in (+1, -1):
-            j = jump_travelling(geo, s)
-            assert np.max(np.abs(j - (ops.s_minus_r - 1j * s * ops.s_minus_i))) <= 1e-14
+        s_minus_r = _site_sum(np.cos(geo.k0z), SIGMA_MINUS, n_at)
+        s_minus_i = _site_sum(np.sin(geo.k0z), SIGMA_MINUS, n_at)
+        channels = _channels(geo)
+        for s, j in zip((+1, -1), channels[0::4]):
+            assert np.max(np.abs(j - (s_minus_r - 1j * s * s_minus_i))) <= 1e-14
 
     def test_quadrature_theta_zero_hermitian(self, geo2_dark):
-        j = jump_travelling(geo2_dark, +1)
-        jq = jump_quadrature(geo2_dark, +1, 0.0)
+        j, _, jq, _ = _channels(geo2_dark)[:4]  # phi = 0: J_{0,+}
         assert_allclose(jq, j + j.conj().T, atol=1e-15)
         assert is_hermitian(jq)
 
     def test_quadrature_theta_pi(self, geo2_dark):
-        j = jump_travelling(geo2_dark, +1)
-        assert_allclose(jump_quadrature(geo2_dark, +1, math.pi), 1j * (j - j.conj().T),
-                        atol=1e-15)
+        j, _, _, jq = _channels(geo2_dark)[:4]  # phi = 0: J_{pi,+}
+        assert_allclose(jq, 1j * (j - j.conj().T), atol=1e-15)
 
     def test_quadrature_single_atom_sigma_x(self):
-        geo = make_geometry(1, 1.0, 0.0)
-        assert_allclose(jump_quadrature(geo, +1, 0.0), SIGMA_X, atol=1e-15)
-
-
-class TestStandingOps:
-    def test_single_atom_at_origin(self):
-        geo = make_geometry(1, 1.0, 0.0)
-        ops = standing_ops(geo)
-        assert_allclose(ops.s_plus_r, SIGMA_PLUS)
-        assert np.max(np.abs(ops.s_plus_i)) == 0.0
-
-    def test_two_atoms_at_half_pi(self):
-        geo = make_geometry(2, math.pi, 0.0)
-        ops = standing_ops(geo)
-        assert np.max(np.abs(ops.s_plus_r)) <= 1e-15
-        expected = -np.kron(SIGMA_PLUS, np.eye(2)) + np.kron(np.eye(2), SIGMA_PLUS)
-        assert_allclose(ops.s_plus_i, expected, atol=1e-15)
-
-    def test_adjoint_relation(self, geo2_dark):
-        ops = standing_ops(geo2_dark)
-        assert np.max(np.abs(ops.s_minus_r - ops.s_plus_r.conj().T)) == 0.0
-        assert np.max(np.abs(ops.s_minus_i - ops.s_plus_i.conj().T)) == 0.0
-
-    def test_coefficients(self, geo2_dark):
-        ops = standing_ops(geo2_dark)
-        s = math.sin(math.pi / 8)
-        expected = -s * np.kron(SIGMA_PLUS, np.eye(2)) + s * np.kron(np.eye(2), SIGMA_PLUS)
-        assert_allclose(ops.s_plus_i, expected, atol=1e-15)
+        assert_allclose(_channels(make_geometry(1, 1.0, 0.0))[2], SIGMA_X, atol=1e-15)
 
 
 class TestSqueezedJumps:
     def test_annihilate_pair_state(self, geo2_dark, bath088):
-        jx, jy = squeezed_jumps(geo2_dark, bath088)
+        (_, jx), (_, jy) = build_model(geo2_dark, bath088).squeezed_jumps
         psi = pair_state(geo2_dark, bath088, PairSpec(1, 2, "squeezed"))
         assert np.linalg.norm(jx @ psi) <= 1e-12
         assert np.linalg.norm(jy @ psi) <= 1e-12
 
     def test_not_hermitian(self, geo2_dark, bath088):
-        jx, jy = squeezed_jumps(geo2_dark, bath088)
+        (_, jx), (_, jy) = build_model(geo2_dark, bath088).squeezed_jumps
         assert not is_hermitian(jy)
         assert np.max(np.abs(jy - jy.conj().T)) > 0.1
 
     def test_single_atom_form(self, bath088):
-        geo = make_geometry(1, 1.0, 0.0)
-        jx, jy = squeezed_jumps(geo, bath088)
+        # one atom at the origin: S^(I) = 0 and S_+^(R) = sigma_+
+        (_, jx), (_, jy) = build_model(make_geometry(1, 1.0, 0.0), bath088).squeezed_jumps
         assert np.max(np.abs(jx)) == 0.0
         norm = math.sqrt(abs(4 * bath088.mu * bath088.nu))
         assert_allclose(jy, (bath088.mu * SIGMA_MINUS - bath088.nu * SIGMA_PLUS) / norm,
                         atol=1e-15)
 
     def test_vacuum_rejected(self, geo2_dark):
-        with pytest.raises(ValueError, match="n_ph = 0"):
-            squeezed_jumps(geo2_dark, make_bath(0.0))
+        assert build_model(geo2_dark, make_bath(0.0)).squeezed_jumps is None
 
     def test_non_minimal_rejected(self, geo2_dark):
-        with pytest.raises(ValueError):
-            squeezed_jumps(geo2_dark, make_bath(0.88, m_abs=0.2))
+        assert build_model(geo2_dark, make_bath(0.88, m_abs=0.2)).squeezed_jumps is None
 
 
 class TestFieldTwoPoint:
@@ -318,8 +296,6 @@ class TestBuildModel:
         bath = make_bath(1e-189, m_abs=0.0)
         assert bath.is_minimal
         assert build_model(geo2_dark, bath).squeezed_jumps is None
-        with pytest.raises(ValueError, match=r"where \|4 mu nu\| = 0"):
-            squeezed_jumps(geo2_dark, bath)
 
     def test_the_model_is_its_inputs(self, geo2_dark, bath088):
         assert [f.name for f in dataclasses.fields(ModelOperators)] == [
@@ -331,14 +307,13 @@ class TestBuildModel:
     def test_build_model_builds_nothing(self, monkeypatch, geo2_dark, bath088):
         # each operator set is built on its first read, and only then
         calls = []
-        for name in ("hamiltonian_scatt", "jump_travelling", "jump_quadrature",
-                     "squeezed_jumps"):
-            monkeypatch.setattr(model_module, name,
-                                lambda *args, name=name: calls.append(name))
+        monkeypatch.setattr(model_module, "site_lowering",
+                            lambda n_at: calls.append(n_at) or site_lowering(n_at))
         model = build_model(geo2_dark, bath088)
-        assert calls == []
+        assert calls == [] and set(vars(model)) == {"geometry", "bath", "gamma"}
         model.hamiltonian
-        assert calls == ["hamiltonian_scatt"]
+        assert calls == [2] and set(vars(model)) == {"geometry", "bath", "gamma",
+                                                     "hamiltonian"}
 
     def test_a_second_read_returns_the_same_object(self, geo2_dark, bath088):
         model = build_model(geo2_dark, bath088)
@@ -358,81 +333,57 @@ def _same(a, b):
     return a.dtype == b.dtype and np.array_equal(a, b)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(n_at=st.integers(1, 6), k0a=st.floats(0.0, 2.0 * math.pi),
-       k0zc=st.floats(0.0, 2.0 * math.pi), n_ph=st.floats(0.0, 2.0, exclude_min=True),
-       phi=st.floats(0.0, 2.0 * math.pi))
-def test_collective_operators_equal_site_by_site_sums(n_at, k0a, k0zc, n_ph, phi):
-    geo, bath = make_geometry(n_at, k0a, k0zc), make_bath(n_ph, phi)
-    model = build_model(geo, bath)
+       k0zc=st.floats(0.0, 2.0 * math.pi), n_ph=st.floats(0.0, 2.0),
+       phi=st.floats(0.0, 2.0 * math.pi), squeezing=st.none() | st.floats(0.0, 1.0),
+       gamma=st.floats(0.1, 3.0))
+def test_collective_operators_equal_site_by_site_sums(n_at, k0a, k0zc, n_ph, phi,
+                                                     squeezing, gamma):
+    # the model's operators and rates, to the bit; squeezing None is the minimal bath
+    geo = make_geometry(n_at, k0a, k0zc)
+    bound = math.sqrt(n_ph * (n_ph + 1.0))
+    bath = make_bath(n_ph, phi, None if squeezing is None else squeezing * bound)
+    model = build_model(geo, bath, gamma)
     z = geo.k0z
     h = np.zeros((2**n_at, 2**n_at), dtype=complex)
     for n in range(n_at):
         for m in range(n_at):
             if n != m:
-                h += 0.5 * math.sin(abs(z[n] - z[m])) * (
+                h += 0.5 * gamma * math.sin(abs(z[n] - z[m])) * (
                     embed_single_site(SIGMA_PLUS, n + 1, n_at)
                     @ embed_single_site(SIGMA_MINUS, m + 1, n_at))
     assert _same(model.hamiltonian, h)
     # per direction s = +, -: J_s, J_s^dag, J_{-phi,s}, J_{pi-phi,s}
+    rates = [0.5 * gamma * (n_ph + 1.0), 0.5 * gamma * n_ph,
+             0.25 * gamma * bath.m_abs, -0.25 * gamma * bath.m_abs]
+    assert [rate for rate, _ in model.travelling_jumps] == 2 * rates
     channels = [op for _, op in model.travelling_jumps]
-    assert len(channels) == 8
     for i, s in enumerate((1, -1)):
         j = _site_sum([cmath.exp(-1j * s * zn) for zn in z], SIGMA_MINUS, n_at)
         expected = [j, j.conj().T] + [
             cmath.exp(1j * theta / 2) * j + cmath.exp(-1j * theta / 2) * j.conj().T
             for theta in (-phi, math.pi - phi)]
-        for got, op in zip(channels[4 * i:4 * i + 4], expected):
+        for got, op in zip(channels[4 * i:4 * i + 4], expected, strict=True):
             assert _same(got, op)
-    sp_r = _site_sum(np.cos(z), SIGMA_PLUS, n_at)
-    sp_i = _site_sum(np.sin(z), SIGMA_PLUS, n_at)
-    for got, want in zip(standing_ops(geo),
-                         (sp_r, sp_r.conj().T, sp_i, sp_i.conj().T)):
-        assert _same(got, want)
-    norm = math.sqrt(abs(4 * bath.mu * bath.nu))
-    (_, jx), (_, jy) = model.squeezed_jumps
-    assert _same(jx, (bath.mu * sp_i.conj().T + bath.nu * sp_i) / norm)
-    assert _same(jy, (bath.mu * sp_r.conj().T - bath.nu * sp_r) / norm)
+    if model.squeezed_jumps is None:
+        assert not bath.is_minimal or n_ph == 0.0 or bath.m_abs == 0.0
+    else:
+        assert bath.is_minimal and (squeezing is None or squeezing > 0.0)
+        rate = 4.0 * gamma * abs(bath.mu * bath.nu)
+        assert [r for r, _ in model.squeezed_jumps] == [rate, rate]
+        sp_r = _site_sum(np.cos(z), SIGMA_PLUS, n_at)
+        sp_i = _site_sum(np.sin(z), SIGMA_PLUS, n_at)
+        norm = math.sqrt(abs(4 * bath.mu * bath.nu))
+        (_, jx), (_, jy) = model.squeezed_jumps
+        assert _same(jx, (bath.mu * sp_i.conj().T + bath.nu * sp_i) / norm)
+        assert _same(jy, (bath.mu * sp_r.conj().T - bath.nu * sp_r) / norm)
+    if squeezing is None and n_ph > 0.0:
+        assert model.squeezed_jumps is not None
     for label, sigma in (("x", SIGMA_X), ("y", SIGMA_Y), ("z", SIGMA_Z)):
         s_j, s_j2 = _collective_spin(n_at)[label]
         assert _same(s_j, _site_sum([0.5] * n_at, sigma, n_at))
         assert _same(s_j2, s_j @ s_j)
-
-
-@settings(max_examples=40, deadline=None)
-@given(n_at=st.integers(1, 5), k0a=st.floats(0.0, 2.0 * math.pi),
-       k0zc=st.floats(0.0, 2.0 * math.pi), n_ph=st.floats(0.0, 2.0),
-       phi=st.floats(0.0, 2.0 * math.pi), squeezing=st.none() | st.floats(0.0, 1.0),
-       gamma=st.floats(0.1, 3.0))
-def test_model_operators_equal_their_direct_construction(n_at, k0a, k0zc, n_ph, phi,
-                                                         squeezing, gamma):
-    # built on first read, every operator has the bits of the functions that
-    # build it, called in turn; squeezing None is the minimal bath
-    geo = make_geometry(n_at, k0a, k0zc)
-    bound = math.sqrt(n_ph * (n_ph + 1.0))
-    bath = make_bath(n_ph, phi, None if squeezing is None else squeezing * bound)
-    model = build_model(geo, bath, gamma)
-    assert _same(model.hamiltonian, hamiltonian_scatt(geo, gamma))
-    channels = []
-    for s in (+1, -1):
-        j = jump_travelling(geo, s)
-        channels += [
-            (0.5 * gamma * (bath.n_ph + 1.0), j),
-            (0.5 * gamma * bath.n_ph, j.conj().T),
-            (0.25 * gamma * bath.m_abs, jump_quadrature(geo, s, -bath.phi)),
-            (-0.25 * gamma * bath.m_abs, jump_quadrature(geo, s, math.pi - bath.phi)),
-        ]
-    assert len(model.travelling_jumps) == 8
-    for (rate, op), (want_rate, want) in zip(model.travelling_jumps, channels):
-        assert rate == want_rate and _same(op, want)
-    if model.squeezed_jumps is None:
-        with pytest.raises(ValueError):  # no mu and nu, or |4 mu nu| = 0
-            squeezed_jumps(geo, bath)
-    else:
-        rate = 4.0 * gamma * abs(bath.mu * bath.nu)
-        assert [r for r, _ in model.squeezed_jumps] == [rate, rate]
-        for (_, op), want in zip(model.squeezed_jumps, squeezed_jumps(geo, bath)):
-            assert _same(op, want)
 
 
 def test_site_stack_is_cached_and_read_only():

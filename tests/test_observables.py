@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from darkdimers import make_bath, make_geometry
+from darkdimers import build_model, make_bath, make_geometry
 from darkdimers.darkstates import PairSpec, dimer_chain, pair_state
 from darkdimers.experiments import series_columns
 from darkdimers.observables import (
@@ -158,24 +158,39 @@ class TestExcitationPopulations:
 
 class TestDarkCondition:
     def test_dark_pair_geometry(self, geo2_dark, bath088):
-        assert dark_condition(geo2_dark, bath088) <= 1e-12
+        assert dark_condition(build_model(geo2_dark, bath088)) <= 1e-12
 
     def test_single_atom_always_positive(self, bath088):
         for k0zc in (0.0, 0.4, math.pi / 2):
             geo = make_geometry(1, 1.0, k0zc)
-            assert dark_condition(geo, bath088) > 1e-3
+            assert dark_condition(build_model(geo, bath088)) > 1e-3
 
     def test_uncorrelated_quadrature_point(self, bath088):
         # cos k0(z1+z2) = 0 with sin k0a != 0: no dark state
         geo = make_geometry(2, math.pi / 4, math.pi / 4)
-        assert dark_condition(geo, bath088) > 1e-3
+        assert dark_condition(build_model(geo, bath088)) > 1e-3
 
     @pytest.mark.parametrize("n_ph", [5e-324, 1e-300, 1e-100, 1e-10, 1e-3])
     @pytest.mark.parametrize("k0a", [0.0, math.pi / 4])
     def test_dark_pair_at_tiny_n_ph(self, n_ph, k0a):
         # the normalization of Jx, Jy grows as N_ph^(-1/4); the condition
         # must not scale the rounding error up with it
-        assert abs(dark_condition(make_geometry(2, k0a, 0.0), make_bath(n_ph))) <= 1e-10
+        model = build_model(make_geometry(2, k0a, 0.0), make_bath(n_ph))
+        assert abs(dark_condition(model)) <= 1e-10
+
+    def test_reads_the_model_and_is_in_units_of_gamma(self, bath088):
+        # the model's own squeezed jumps, weighted by |4 mu nu|, not rate/gamma
+        geo = make_geometry(2, 0.9, 0.3)
+        model = build_model(geo, bath088, 0.7)
+        value = dark_condition(model)
+        assert "squeezed_jumps" in vars(model)
+        assert value > 1e-3 and value == dark_condition(build_model(geo, bath088))
+
+    @pytest.mark.parametrize("bath", [make_bath(0.0), make_bath(0.88, m_abs=0.2),
+                                      make_bath(1e-12, m_abs=0.0)])
+    def test_no_squeezed_jumps_raises(self, geo2_dark, bath):
+        with pytest.raises(ValueError, match="the dark condition needs squeezed jumps"):
+            dark_condition(build_model(geo2_dark, bath))
 
 
 class TestFidelity:
