@@ -338,9 +338,10 @@ def _same(a, b):
        k0zc=st.floats(0.0, 2.0 * math.pi), n_ph=st.floats(0.0, 2.0),
        phi=st.floats(0.0, 2.0 * math.pi), squeezing=st.none() | st.floats(0.0, 1.0),
        gamma=st.floats(0.1, 3.0))
-def test_collective_operators_equal_site_by_site_sums(n_at, k0a, k0zc, n_ph, phi,
-                                                     squeezing, gamma):
-    # the model's operators and rates, to the bit; squeezing None is the minimal bath
+def test_model_operators_equal_their_direct_construction(n_at, k0a, k0zc, n_ph, phi,
+                                                         squeezing, gamma):
+    # built on first read, every rate and operator has the bits of its site-by-site
+    # sum; squeezing None is the minimal bath
     geo = make_geometry(n_at, k0a, k0zc)
     bound = math.sqrt(n_ph * (n_ph + 1.0))
     bath = make_bath(n_ph, phi, None if squeezing is None else squeezing * bound)
@@ -380,10 +381,14 @@ def test_collective_operators_equal_site_by_site_sums(n_at, k0a, k0zc, n_ph, phi
         assert _same(jy, (bath.mu * sp_r.conj().T - bath.nu * sp_r) / norm)
     if squeezing is None and n_ph > 0.0:
         assert model.squeezed_jumps is not None
-    for label, sigma in (("x", SIGMA_X), ("y", SIGMA_Y), ("z", SIGMA_Z)):
-        s_j, s_j2 = _collective_spin(n_at)[label]
-        assert _same(s_j, _site_sum([0.5] * n_at, sigma, n_at))
-        assert _same(s_j2, s_j @ s_j)
+
+
+def test_collective_operators_equal_site_by_site_sums():
+    for n_at in range(1, 7):
+        for label, sigma in (("x", SIGMA_X), ("y", SIGMA_Y), ("z", SIGMA_Z)):
+            s_j, s_j2 = _collective_spin(n_at)[label]
+            assert _same(s_j, _site_sum([0.5] * n_at, sigma, n_at))
+            assert _same(s_j2, s_j @ s_j)
 
 
 def test_site_stack_is_cached_and_read_only():
