@@ -179,22 +179,15 @@ def melted_dark(geo: ArrayGeometry, bath: BathParams, l: int) -> np.ndarray:
 
 def collective_amplitudes(n_at: int, n_e: int) -> float:
     """Statistical weight of the n_e-excitation sector in the
-    all-squeezed (l = n_at/2) melted state:
-
-        c = sqrt(n_g! n_e!) / (2^(n_at/2) (n_g/2)! (n_e/2)!)
-
-    with n_g = n_at - n_e; zero for odd n_e.
+    all-squeezed (l = n_at/2) melted state, sqrt(4 pi / (2l + 1))
+    |Y_{l,m}(pi/2, 0)| with m = n_e - l; zero for odd n_e.
     """
     if n_at % 2:
         raise ValueError(f"even atom number required, got {n_at}")
     if not 0 <= n_e <= n_at:
         raise ValueError(f"n_e must be in 0..{n_at}, got {n_e}")
-    if n_e % 2:
-        return 0.0
-    n_g = n_at - n_e
-    return math.sqrt(math.factorial(n_g) * math.factorial(n_e)) / (
-        2 ** (n_at // 2) * math.factorial(n_g // 2) * math.factorial(n_e // 2)
-    )
+    l = n_at // 2
+    return math.sqrt(4.0 * math.pi / (2 * l + 1)) * abs(sph_harm_equator(l, n_e - l))
 
 
 def sph_harm_equator(l: int, m: int) -> float:
@@ -222,10 +215,11 @@ def sph_harm_equator(l: int, m: int) -> float:
 def collective_dark_state(geo: ArrayGeometry, bath: BathParams) -> np.ndarray:
     """Closed-form dark state in the symmetric (Dicke) sector,
 
-        sum_m e^{-eta m} s_m Y_{l,m}(pi/2, 0) |l, m>,
+        sum_m e^{-eta m} e^{i phi (l+m)/2} s_m Y_{l,m}(pi/2, 0) |l, m>,
 
     valid for k0 a = 0 (mod 2pi) and k0 z_c in {0, pi/2} (mod pi), with
-    l = n_at/2 and |l, m> the Dicke state with l + m excitations.  The
+    l = n_at/2 and |l, m> the Dicke state with l + m excitations, so
+    (l+m)/2 excited pairs, each with the phase e^{i phi} of nu.  The
     sign gauge s_m is (-1)^((l+m)/2) when e^{2 i k0 zc} = -1 (centers at
     pi/2) and 1 otherwise; both choices are verified against the
     matching-sum constructor and the jump-annihilation oracle.
@@ -241,14 +235,12 @@ def collective_dark_state(geo: ArrayGeometry, bath: BathParams) -> np.ndarray:
         )
     if geo.n_at % 2:
         raise ValueError(f"collective form needs an even n_at (sector l = n_at/2), got {geo.n_at}")
-    l, eta = geo.n_at // 2, bath.eta
+    l, eta, phase = geo.n_at // 2, bath.eta, cmath.exp(0.5j * bath.phi)
     signed = math.cos(2.0 * geo.k0zc) < 0.0
     psi = np.zeros(2**geo.n_at, dtype=complex)
     for m in range(-l, l + 1):
-        y = sph_harm_equator(l, m)
-        if y == 0.0:
-            continue
-        amp = math.exp(-eta * m) * y
+        # at most |Y|, zero for odd l + m: e^{-eta m} alone may overflow
+        amp = math.exp(-eta * (m + l)) * sph_harm_equator(l, m) * phase ** (l + m)
         if signed:
             amp *= (-1.0) ** ((l + m) // 2)
         psi += amp * dicke_state(geo.n_at, l + m)
@@ -272,9 +264,12 @@ def predicted_populations(kind: str, n_at: int, bath: BathParams) -> np.ndarray:
         return p / p.sum()
     if n_at % 2:
         raise ValueError(f"{kind} law needs an even atom number, got {n_at}")
+    if kind == "dimer" and not bath.is_minimal:
+        raise ValueError("dimer law needs a minimal-uncertainty bath (|M|^2 = N(N+1))")
     if kind == "squeezed":
-        if bath.n_ph == 0.0:
-            raise ValueError("squeezed law undefined at n_ph = 0")
+        if not bath.is_squeezed:
+            raise ValueError("squeezed law needs a squeezed bath "
+                             "(|M|^2 = N(N+1), n_ph > 0 and |M| > 0)")
         l = n_at // 2
         # x^{n_e/2} = x^{l/2} x^{m/2}: the common factor goes in the
         # normalization, and no power of a tiny x overflows
@@ -328,7 +323,7 @@ def dark_state(geo: ArrayGeometry, bath: BathParams, l: Optional[int] = None):
             raise ValueError(f"the dimer chain has only sector l = {geo.n_at // 2}, got l = {l}")
         return "dimer_chain", dimer_chain(geo, bath), None
     psi = melted_dark(geo, bath, l)
-    try:  # the closed form needs k0 a = 0 (mod 2pi) and k0 zc in {0, pi/2} (mod pi)
+    try:  # needs k0 a = 0 (mod 2pi), k0 zc in {0, pi/2} (mod pi) and a squeezed bath
         collective = collective_dark_state(geo, bath)
     except ValueError:
         collective = None

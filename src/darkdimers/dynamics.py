@@ -2,7 +2,7 @@
 
 Two equivalent generators are available for every model: the
 travelling-wave form with eight signed channels ("general") and, for
-minimal-uncertainty baths with n_ph > 0, the two-jump standing-wave form
+squeezed baths (`BathParams.is_squeezed`), the two-jump standing-wave form
 ("squeezed").  Either form is written once, as a list of sandwich terms
 (c, A, B): rho -> c A rho B, from which the right-hand side and, through
 their sparse entries, both generator matrices are built.  Integration is
@@ -67,6 +67,7 @@ _PANEL = 64  # bracket columns per product while the RK4 polynomial forms
 # one gains nothing on products up to n = 256 and takes 2.94 -> 1.33 ms at 384
 _THREADED_BLOCK = 256
 # an n^2 block product costs n / 6 block x vector products: 38 against 0.21 ms at n = 1056
+# with the OpenBLAS worker on the main thread's CPU, 16-28 ms with it on the other (README)
 _PRODUCT_MATVECS = 1.0 / 6.0
 
 
@@ -150,10 +151,8 @@ def _generator_terms(model: ModelOperators, form: str):
         raise ValueError(f"unknown generator form {form!r}")
     ops = model.travelling_jumps if form == "general" else model.squeezed_jumps
     if ops is None:
-        raise ValueError(
-            "the squeezed two-jump generator requires a minimal-uncertainty "
-            "bath with n_ph > 0"
-        )
+        raise ValueError("the squeezed two-jump generator requires a minimal-uncertainty "
+                         "bath with n_ph > 0 and |M| > 0")
     h = model.hamiltonian
     terms = [(-1j, h, None), (1j, None, h)]
     for c, op in ops:
@@ -586,6 +585,7 @@ def steady_state(
         # Block 0 holds the trace; block 1 stays exactly zero, and is not
         # propagated, unless rho0 has coherences between the parity sectors.
         ms = [gen.assemble(b) for b in range(1 + bool(np.any(rs[1] != 0.0)))]
+        del gen.terms, gen._basis_in, gen._live  # the walk reads the coordinate tables only
         unit = gen.to_coords(np.eye(gen.dim))[gen.blocks[0]]
         n = max(map(len, ms))
         wide = entry_threads if n > _THREADED_BLOCK else 1

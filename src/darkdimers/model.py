@@ -51,9 +51,9 @@ class BathParams:
     correlation |M_ph| e^{i phi}.
 
     The derived squeezing amplitudes mu, nu (with mu chosen real
-    positive and nu = -M_ph / mu*) and the Lorentz parameter
-    eta = ln(|mu|/|nu|)/2 exist only for minimal-uncertainty baths,
-    |M|^2 = N(N+1); accessing them otherwise raises ValueError.
+    positive and nu = -M_ph / mu*) exist only for minimal-uncertainty
+    baths, |M|^2 = N(N+1), and the Lorentz parameter eta = ln(|mu|/|nu|)/2
+    only for squeezed ones (`is_squeezed`); otherwise they raise ValueError.
     """
 
     n_ph: float
@@ -70,29 +70,30 @@ class BathParams:
         return abs(self.m_abs**2 - bound) <= _MINIMAL_RTOL * max(1.0, bound)
 
     @property
+    def is_squeezed(self) -> bool:
+        """Minimal with n_ph > 0 and |M| > 0, so mu nu != 0: the one test for
+        the squeezed jumps, eta (and so the collective form) and the squeezed law."""
+        return self.is_minimal and self.n_ph > 0.0 and self.m_abs > 0.0
+
+    @property
     def mu(self) -> complex:
-        self._require_minimal()
+        if not self.is_minimal:
+            raise ValueError(
+                "mu and nu are defined only for minimal-uncertainty baths "
+                f"(|M|^2 = N(N+1)); got |M|^2 = {self.m_abs**2:.6g}, "
+                f"N(N+1) = {self.n_ph * (self.n_ph + 1):.6g}"
+            )
         return complex(math.sqrt(self.n_ph + 1.0))
 
     @property
     def nu(self) -> complex:
-        self._require_minimal()
         return -self.m_ph / self.mu.conjugate()
 
     @property
     def eta(self) -> float:
-        nu = abs(self.nu)
-        if nu == 0.0:
-            raise ValueError("eta is undefined where nu = 0 (n_ph = 0 or |M| = 0)")
-        return 0.5 * math.log(abs(self.mu) / nu)
-
-    def _require_minimal(self):
-        if not self.is_minimal:
-            raise ValueError(
-                "mu/nu/eta are defined only for minimal-uncertainty baths "
-                f"(|M|^2 = N(N+1)); got |M|^2 = {self.m_abs**2:.6g}, "
-                f"N(N+1) = {self.n_ph * (self.n_ph + 1):.6g}"
-            )
+        if not self.is_squeezed:
+            raise ValueError("eta needs a squeezed bath (|M|^2 = N(N+1), n_ph > 0 and |M| > 0)")
+        return 0.5 * (math.log(abs(self.mu)) - math.log(abs(self.nu)))  # |mu/nu| may overflow
 
 
 def make_bath(n_ph: float, phi: float = 0.0, m_abs: Optional[float] = None) -> BathParams:
@@ -111,7 +112,7 @@ def make_bath(n_ph: float, phi: float = 0.0, m_abs: Optional[float] = None) -> B
         raise ValueError(f"|M| = sqrt(N(N+1)) is not finite at n_ph = {n_ph:g}")
     if m_abs is None:
         m_abs = bound
-    elif not 0.0 <= m_abs <= bound * (1.0 + 1e-12) + 1e-15:
+    elif not 0.0 <= m_abs <= bound * (1.0 + 1e-12):
         raise ValueError(
             f"m_abs = {m_abs} violates the uncertainty bound "
             f"sqrt(N(N+1)) = {bound:.12g}"
@@ -207,12 +208,10 @@ class ModelOperators:
         """Jx = (mu S_-^(I) + nu S_+^(I)) / |4 mu nu|^(1/2) and
         Jy = (mu S_-^(R) - nu S_+^(R)) / |4 mu nu|^(1/2), from the standing
         waves S_+^(R) = sum_n cos(k0 z_n) sigma_+^(n), S_+^(I) with sin,
-        S_- = S_+^dag; None unless the bath is minimal with n_ph > 0 and
-        |M| > 0 (mu >= 1, so then mu nu != 0)."""
-        bath = self.bath
-        if not (bath.is_minimal and bath.n_ph > 0.0 and bath.m_abs > 0.0):
+        S_- = S_+^dag; None unless `BathParams.is_squeezed`."""
+        if not self.bath.is_squeezed:
             return None
-        mu, nu, z = bath.mu, bath.nu, self.geometry.k0z
+        mu, nu, z = self.bath.mu, self.bath.nu, self.geometry.k0z
         raising = site_lowering(self.n_at).transpose(0, 2, 1)
         sp_r = np.tensordot(np.cos(z), raising, axes=1)
         sp_i = np.tensordot(np.sin(z), raising, axes=1)

@@ -694,13 +694,13 @@ class TestCli:
         (["populations", "--n-at", "3", "--law", "squeezed"], "p.csv",
          "squeezed law needs an even atom number, got 3"),
         (["populations", "--n-at", "2", "--n-ph", "0", "--law", "squeezed"], "p.csv",
-         "squeezed law undefined at n_ph = 0"),
-        (["experiment", "fig5", "--n-ph", "0"], "fig5", "squeezed law undefined at n_ph = 0"),
+         "squeezed law needs a squeezed bath"),
+        (["experiment", "fig5", "--n-ph", "0"], "fig5", "squeezed law needs a squeezed bath"),
         # the directories of out appear with its first file, so none is left
         (["populations", "--n-at", "3", "--law", "squeezed"], "new/sub/p.csv",
          "squeezed law needs an even atom number, got 3"),
         (["experiment", "fig5", "--n-ph", "0"], "new/sub/figs",
-         "squeezed law undefined at n_ph = 0"),
+         "squeezed law needs a squeezed bath"),
     ], ids=["odd-n-at", "vacuum", "fig5-vacuum", "odd-n-at-new-dirs", "fig5-vacuum-new-dirs"])
     def test_law_that_cannot_apply_exits_2_before_any_solve(self, tmp_path, capsys,
                                                              monkeypatch, args, out_name,

@@ -332,6 +332,16 @@ class TestCollectiveDarkState:
         mel = melted_dark(geo, bath088, n_at // 2)
         assert fidelity(col, mel) >= 1.0 - 1e-9
 
+    @pytest.mark.parametrize("zc", [0.0, math.pi / 2])
+    def test_matches_melted_dark_at_squeezing_phase(self, zc):
+        # each excited pair carries the phase e^{i phi} of nu; without it the
+        # four-atom closed form read fidelity 0.586 at phi = 1
+        bath = make_bath(0.88, phi=1.0)
+        geo = make_geometry(4, 2 * math.pi, zc)
+        col = collective_dark_state(geo, bath)
+        assert fidelity(col, melted_dark(geo, bath, 2)) >= 1.0 - 1e-9
+        assert max(jump_norms(geo, bath, col)) <= 1e-12
+
     def test_no_weight_on_odd_sectors(self, bath088):
         geo = make_geometry(2, 2 * math.pi, 0.0)
         psi = collective_dark_state(geo, bath088)

@@ -4,11 +4,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from darkdimers import (
+    BathParams,
     ModelOperators,
     build_model,
     field_two_point,
@@ -16,8 +17,14 @@ from darkdimers import (
     make_geometry,
 )
 from darkdimers import model as model_module
-from darkdimers.darkstates import PairSpec, dark_state, pair_state
-from darkdimers.observables import _collective_spin
+from darkdimers.darkstates import (
+    PairSpec,
+    dark_state,
+    dimer_chain,
+    pair_state,
+    predicted_populations,
+)
+from darkdimers.observables import _collective_spin, dark_condition, fidelity
 from darkdimers.operators import (
     SIGMA_MINUS,
     SIGMA_PLUS,
@@ -71,7 +78,7 @@ class TestBath:
         # the tiny uncorrelated bath passes the minimal test with nu = 0; its
         # eta used to raise a bare ZeroDivisionError, which escaped dark_state
         assert bath.is_minimal and bath.nu == 0.0
-        with pytest.raises(ValueError, match="eta is undefined where nu = 0"):
+        with pytest.raises(ValueError, match="eta needs a squeezed bath"):
             bath.eta
         label, psi, collective = dark_state(make_geometry(4, 2 * math.pi, 0.0), bath)
         assert (label, collective) == ("melted_dark(l=2)", None)
@@ -111,6 +118,60 @@ class TestBath:
     def test_non_finite_phi(self, phi):
         with pytest.raises(ValueError, match=f"phi must be finite, got {phi}"):
             make_bath(0.88, phi=phi)
+
+
+def _answers(read) -> bool:
+    """Whether read() returns; a ValueError is its refusal."""
+    try:
+        read()
+    except ValueError:
+        return False
+    return True
+
+
+@st.composite
+def _bath_inputs(draw):
+    """(n_ph, |M|, phi): |M| from [0, bound], the bound itself or 1e-15."""
+    n_ph = draw(st.sampled_from([0.0, 1e-300, 1e-12]) | st.floats(0.0, 3.0))
+    bound = math.sqrt(n_ph * (n_ph + 1.0))
+    m_abs = draw(st.floats(0.0, bound) | st.sampled_from([bound, 1e-15]))
+    return n_ph, m_abs, draw(st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=80, deadline=None)
+@given(inputs=_bath_inputs())
+@example(inputs=(0.0, 1e-15, 0.0))  # make_bath once built it, with eta 17.27
+@example(inputs=(0.88, 0.0, 0.0))  # thermal: the squeezed law once answered
+@example(inputs=(0.88, 0.5, 0.0))  # the dimer law once answered, dimer_chain not
+def test_every_squeezed_form_follows_is_squeezed(inputs):
+    # one rule, BathParams.is_squeezed: the squeezed jumps, eta, the collective
+    # closed form, the squeezed law and the dark condition answer exactly for a
+    # squeezed bath, and then with finite values; the dimer law and the dimer
+    # chain answer exactly for a minimal one
+    n_ph, m_abs, phi = inputs
+    baths = [BathParams(n_ph, m_abs, phi)]
+    if m_abs <= math.sqrt(n_ph * (n_ph + 1.0)):
+        baths.append(make_bath(n_ph, phi, m_abs))
+    else:
+        with pytest.raises(ValueError, match="violates the uncertainty bound"):
+            make_bath(n_ph, phi, m_abs)
+    melted = make_geometry(4, 2 * math.pi, 0.0)
+    for bath in baths:
+        model = build_model(melted, bath)
+        try:
+            _, psi, collective = dark_state(melted, bath)
+        except ValueError:
+            collective = None
+        assert [model.squeezed_jumps is not None, _answers(lambda: bath.eta),
+                collective is not None,
+                _answers(lambda: predicted_populations("squeezed", 4, bath)),
+                _answers(lambda: dark_condition(model))] == [bath.is_squeezed] * 5
+        assert (_answers(lambda: predicted_populations("dimer", 4, bath))
+                == _answers(lambda: dimer_chain(make_geometry(4, math.pi / 4, math.pi / 4), bath))
+                == bath.is_minimal)
+        if bath.is_squeezed:
+            assert math.isfinite(bath.eta) and fidelity(collective, psi) >= 1.0 - 1e-9
+            assert abs(dark_condition(model)) <= 1e-10
 
 
 class TestGeometry:
