@@ -42,23 +42,39 @@ __all__ = [
     "build_model",
 ]
 
-_MINIMAL_RTOL = 1e-9
+_MINIMAL_RTOL = 1e-9  # at the bound: | |M|^2 - N(N+1) | <= _MINIMAL_RTOL N(N+1)
+# the same for |M| / sqrt(N(N+1)): no square underflows at a tiny n_ph
+_M_RANGE = (math.sqrt(1.0 - _MINIMAL_RTOL), math.sqrt(1.0 + _MINIMAL_RTOL))
 
 
 @dataclass(frozen=True)
 class BathParams:
     """Broadband squeezed reservoir: N_ph photons per mode, pair
-    correlation |M_ph| e^{i phi}.
+    correlation |M_ph| e^{i phi}, admitted only within the uncertainty
+    bound |M|^2 <= N(N+1) (1 + _MINIMAL_RTOL), else ValueError.
 
     The derived squeezing amplitudes mu, nu (with mu chosen real
     positive and nu = -M_ph / mu*) exist only for minimal-uncertainty
-    baths, |M|^2 = N(N+1), and the Lorentz parameter eta = ln(|mu|/|nu|)/2
-    only for squeezed ones (`is_squeezed`); otherwise they raise ValueError.
+    baths, at the bound, and the Lorentz parameter eta = ln(|mu|/|nu|)/2
+    only for squeezed ones (`is_squeezed`), whose |nu| = sqrt(N) is at
+    least 2.2e-162; otherwise they raise ValueError.
     """
 
     n_ph: float
     m_abs: float
     phi: float = 0.0
+
+    def __post_init__(self):
+        if self.n_ph < 0:
+            raise ValueError(f"n_ph must be >= 0, got {self.n_ph}")
+        if not math.isfinite(self.phi):
+            raise ValueError(f"phi must be finite, got {self.phi}")
+        bound = math.sqrt(self.n_ph * (self.n_ph + 1.0))
+        if not math.isfinite(bound):  # n_ph above about 1.34e154
+            raise ValueError(f"|M| = sqrt(N(N+1)) is not finite at n_ph = {self.n_ph:g}")
+        if not 0.0 <= self.m_abs <= bound * _M_RANGE[1]:
+            raise ValueError(f"m_abs = {self.m_abs} violates the uncertainty bound "
+                             f"sqrt(N(N+1)) = {bound:.12g}")
 
     @property
     def m_ph(self) -> complex:
@@ -66,14 +82,14 @@ class BathParams:
 
     @property
     def is_minimal(self) -> bool:
-        bound = self.n_ph * (self.n_ph + 1.0)
-        return abs(self.m_abs**2 - bound) <= _MINIMAL_RTOL * max(1.0, bound)
+        bound = math.sqrt(self.n_ph * (self.n_ph + 1.0))
+        return bound * _M_RANGE[0] <= self.m_abs <= bound * _M_RANGE[1]
 
     @property
     def is_squeezed(self) -> bool:
-        """Minimal with n_ph > 0 and |M| > 0, so mu nu != 0: the one test for
+        """Minimal with n_ph > 0, so |M| > 0 and mu nu != 0: the one test for
         the squeezed jumps, eta (and so the collective form) and the squeezed law."""
-        return self.is_minimal and self.n_ph > 0.0 and self.m_abs > 0.0
+        return self.is_minimal and self.n_ph > 0.0
 
     @property
     def mu(self) -> complex:
@@ -93,30 +109,16 @@ class BathParams:
     def eta(self) -> float:
         if not self.is_squeezed:
             raise ValueError("eta needs a squeezed bath (|M|^2 = N(N+1), n_ph > 0 and |M| > 0)")
-        return 0.5 * (math.log(abs(self.mu)) - math.log(abs(self.nu)))  # |mu/nu| may overflow
+        # |nu| = sqrt(N) >= 2.2e-162 on a squeezed bath, so both logarithms are finite
+        return 0.5 * (math.log(abs(self.mu)) - math.log(abs(self.nu)))
 
 
 def make_bath(n_ph: float, phi: float = 0.0, m_abs: Optional[float] = None) -> BathParams:
-    """Build bath parameters.
-
-    m_abs=None sets |M| to the uncertainty bound sqrt(N(N+1)), the
-    minimal-uncertainty squeezed vacuum; an explicit m_abs must satisfy
-    0 <= m_abs <= sqrt(N(N+1)), and m_abs=0.0 gives a plain thermal bath.
-    """
-    if n_ph < 0:
-        raise ValueError(f"n_ph must be >= 0, got {n_ph}")
-    if not math.isfinite(phi):
-        raise ValueError(f"phi must be finite, got {phi}")
-    bound = math.sqrt(n_ph * (n_ph + 1.0))
-    if not math.isfinite(bound):  # n_ph above about 1.34e154
-        raise ValueError(f"|M| = sqrt(N(N+1)) is not finite at n_ph = {n_ph:g}")
+    """Bath parameters as floats, checked by `BathParams`.  m_abs=None sets |M|
+    to the uncertainty bound sqrt(N(N+1)), the minimal-uncertainty squeezed
+    vacuum, and m_abs=0.0 gives a plain thermal bath."""
     if m_abs is None:
-        m_abs = bound
-    elif not 0.0 <= m_abs <= bound * (1.0 + 1e-12):
-        raise ValueError(
-            f"m_abs = {m_abs} violates the uncertainty bound "
-            f"sqrt(N(N+1)) = {bound:.12g}"
-        )
+        m_abs = math.sqrt(abs(n_ph * (n_ph + 1.0)))  # abs: BathParams refuses n_ph < 0
     return BathParams(n_ph=float(n_ph), m_abs=float(m_abs), phi=float(phi))
 
 

@@ -3,7 +3,6 @@ the dark-state condition, and fidelities."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
@@ -136,13 +135,11 @@ def dark_condition(model: ModelOperators) -> float:
     if model.squeezed_jumps is None:
         raise ValueError("the dark condition needs squeezed jumps: a minimal-uncertainty "
                          "bath with n_ph > 0 and |M| > 0")
-    # J ~ weight^(-1/2): below weight 1/2 scaled exactly by a power of two
-    # s ~ weight^(1/2), so J^dag J stays finite at a subnormal |nu|
-    weight = abs(4 * model.bath.mu * model.bath.nu)
-    s = math.ldexp(1.0, min(0, math.frexp(weight)[1] // 2))
-    jx, jy = (s * j for _, j in model.squeezed_jumps)
+    # every squeezed bath has |nu| >= 2.2e-162, so the entries of J ~ weight^(-1/2)
+    # stay below about 1e81 and J^dag J is finite
+    (_, jx), (_, jy) = model.squeezed_jumps
     k = jx.conj().T @ jx + jy.conj().T @ jy
-    return weight / s**2 * float(np.linalg.eigvalsh(k)[0])
+    return abs(4 * model.bath.mu * model.bath.nu) * float(np.linalg.eigvalsh(k)[0])
 
 
 def fidelity(a: np.ndarray, b: np.ndarray) -> float:

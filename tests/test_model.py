@@ -1,6 +1,7 @@
 import cmath
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from darkdimers import (
     ModelOperators,
     build_model,
     field_two_point,
+    lindblad_rhs,
     make_bath,
     make_geometry,
 )
@@ -32,6 +34,8 @@ from darkdimers.operators import (
     SIGMA_Y,
     SIGMA_Z,
     embed_single_site,
+    product_state,
+    pure_to_density,
     site_lowering,
 )
 
@@ -75,12 +79,19 @@ class TestBath:
 
     @pytest.mark.parametrize("bath", [make_bath(0.0), make_bath(1e-12, m_abs=0.0)])
     def test_nu_zero_has_no_eta_and_no_collective_form(self, bath):
-        # the tiny uncorrelated bath passes the minimal test with nu = 0; its
-        # eta used to raise a bare ZeroDivisionError, which escaped dark_state
-        assert bath.is_minimal and bath.nu == 0.0
+        # the vacuum is minimal with nu = 0 and has the melted state alone; the tiny
+        # uncorrelated bath once passed the minimal test too (its eta raised a bare
+        # ZeroDivisionError), and off the bound it has no dark state at all
         with pytest.raises(ValueError, match="eta needs a squeezed bath"):
             bath.eta
-        label, psi, collective = dark_state(make_geometry(4, 2 * math.pi, 0.0), bath)
+        melted = make_geometry(4, 2 * math.pi, 0.0)
+        if bath.n_ph > 0.0:
+            assert not bath.is_minimal
+            with pytest.raises(ValueError, match="defined only for minimal-uncertainty baths"):
+                dark_state(melted, bath)
+            return
+        assert bath.is_minimal and bath.nu == 0.0
+        label, psi, collective = dark_state(melted, bath)
         assert (label, collective) == ("melted_dark(l=2)", None)
         assert np.linalg.norm(psi) == pytest.approx(1.0)
 
@@ -92,6 +103,35 @@ class TestBath:
     def test_uncertainty_bound_enforced(self):
         with pytest.raises(ValueError, match="uncertainty"):
             make_bath(0.88, m_abs=1.5)
+
+    @pytest.mark.parametrize("n_ph, m_abs", [(1e-12, 3e-5), (0.0, 1e-15)])
+    def test_bath_params_refuses_a_bath_above_the_bound(self, n_ph, m_abs):
+        # |M|^2 = 900 N(N+1) once counted as squeezed under an absolute 1e-9
+        # floor, and its squeezed generator differed from the general one
+        with pytest.raises(ValueError, match="violates the uncertainty bound"):
+            BathParams(n_ph, m_abs)
+
+    def test_a_subnormal_m_is_no_squeezed_bath(self):
+        # its nu would be subnormal, and its squeezed generator was nan
+        bath = BathParams(1e-12, 5e-324)
+        assert not bath.is_minimal
+        model = build_model(make_geometry(2, math.pi / 4), bath)
+        assert model.squeezed_jumps is None
+        plus = np.array([1.0, cmath.exp(1j * math.pi / 4)]) / math.sqrt(2.0)
+        rho = pure_to_density(product_state([plus] * 2))
+        rhs = lindblad_rhs(rho, model)
+        assert np.all(np.isfinite(rhs))
+        assert np.array_equal(rhs, lindblad_rhs(rho, model, "general"))
+
+    @pytest.mark.parametrize("n_at, k0a", [(4, 2 * math.pi), (6, math.pi / 4),
+                                           (8, 2 * math.pi)])
+    def test_the_smallest_squeezed_nu_needs_no_rescaling(self, n_at, k0a):
+        # every squeezed bath has |nu| = sqrt(N) >= sqrt(5e-324), so the dark
+        # condition forms J^dag J with no overflow (pytest errors on the warning)
+        bath = make_bath(5e-324)
+        assert bath.is_squeezed and abs(bath.nu) >= 2.2e-162
+        value = dark_condition(build_model(make_geometry(n_at, k0a), bath))
+        assert math.isfinite(value) and abs(value) <= 1e-10
 
     def test_negative_n_ph(self):
         with pytest.raises(ValueError):
@@ -138,6 +178,32 @@ def _bath_inputs(draw):
     return n_ph, m_abs, draw(st.floats(allow_nan=False, allow_infinity=False))
 
 
+def _within_the_bound(n_ph, m_abs, two_sided):
+    """|M|^2 <= N(N+1) (1 + rtol), or | |M|^2 - N(N+1) | <= rtol N(N+1) when
+    two-sided, in exact arithmetic."""
+    bound_sq = Fraction(n_ph) * (Fraction(n_ph) + 1)
+    excess = Fraction(m_abs) ** 2 - bound_sq
+    rtol = Fraction(model_module._MINIMAL_RTOL)
+    return (abs(excess) if two_sided else excess) <= rtol * bound_sq
+
+
+@settings(max_examples=80, deadline=None)
+@given(inputs=_bath_inputs())
+@example(inputs=(1e-12, 3e-5, 0.0))  # once squeezed, at |M|^2 = 900 N(N+1)
+@example(inputs=(1e-12, 5e-324, 0.0))  # once squeezed, with a subnormal nu
+@example(inputs=(5e-324, math.sqrt(5e-324), 0.0))  # the smallest squeezed bath
+@example(inputs=(5e-324, 1.9e-162, 0.0))  # |M|^2 rounds to N(N+1) in floats
+def test_the_bound_is_one_relative_rule(inputs):
+    # BathParams admits a bath exactly when |M|^2 <= N(N+1)(1 + rtol), and
+    # is_minimal holds exactly when |M|^2 is within rtol N(N+1)
+    n_ph, m_abs, phi = inputs
+    admitted = _answers(lambda: BathParams(n_ph, m_abs, phi))
+    assert admitted == _within_the_bound(n_ph, m_abs, two_sided=False)
+    if admitted:
+        assert (BathParams(n_ph, m_abs, phi).is_minimal
+                == _within_the_bound(n_ph, m_abs, two_sided=True))
+
+
 @settings(max_examples=80, deadline=None)
 @given(inputs=_bath_inputs())
 @example(inputs=(0.0, 1e-15, 0.0))  # make_bath once built it, with eta 17.27
@@ -147,14 +213,15 @@ def test_every_squeezed_form_follows_is_squeezed(inputs):
     # one rule, BathParams.is_squeezed: the squeezed jumps, eta, the collective
     # closed form, the squeezed law and the dark condition answer exactly for a
     # squeezed bath, and then with finite values; the dimer law and the dimer
-    # chain answer exactly for a minimal one
+    # chain answer exactly for a minimal one.  A bath above the bound is refused
+    # by BathParams itself.
     n_ph, m_abs, phi = inputs
-    baths = [BathParams(n_ph, m_abs, phi)]
-    if m_abs <= math.sqrt(n_ph * (n_ph + 1.0)):
-        baths.append(make_bath(n_ph, phi, m_abs))
-    else:
-        with pytest.raises(ValueError, match="violates the uncertainty bound"):
-            make_bath(n_ph, phi, m_abs)
+    if not _within_the_bound(n_ph, m_abs, two_sided=False):
+        for build in (BathParams, lambda n, m, p: make_bath(n, p, m)):
+            with pytest.raises(ValueError, match="violates the uncertainty bound"):
+                build(n_ph, m_abs, phi)
+        return
+    baths = [BathParams(n_ph, m_abs, phi), make_bath(n_ph, phi, m_abs)]
     melted = make_geometry(4, 2 * math.pi, 0.0)
     for bath in baths:
         model = build_model(melted, bath)
@@ -352,10 +419,10 @@ class TestBuildModel:
         assert model.squeezed_jumps is None
 
     def test_no_squeezed_form_without_pair_correlation(self, geo2_dark):
-        # at a tiny n_ph an uncorrelated bath passes the minimal test (|M|^2 is
-        # within 1e-9 of N(N+1)), but nu = 0: its jumps used to be 0 / 0
+        # at a tiny n_ph an uncorrelated bath once passed the minimal test (|M|^2
+        # within an absolute 1e-9 of N(N+1)) with nu = 0: its jumps were 0 / 0
         bath = make_bath(1e-189, m_abs=0.0)
-        assert bath.is_minimal
+        assert not bath.is_minimal
         assert build_model(geo2_dark, bath).squeezed_jumps is None
 
     def test_the_model_is_its_inputs(self, geo2_dark, bath088):
