@@ -20,7 +20,8 @@ from typing import List, Optional
 import numpy as np
 
 from . import __version__
-from .config import CONFIG_KEYS, ConfigError, load_config_file, resolve_config
+from .config import (CONFIG_KEYS, ConfigError, load_config_file, resolve_config,
+                     setup_from_config)
 from .darkstates import dark_state, stability_residual
 from .dynamics import _STEADY_STATE_MAX_ATOMS, IntegrationInstabilityError
 from .experiments import (
@@ -29,7 +30,6 @@ from .experiments import (
     population_rows,
     run_experiment,
     run_sweep,
-    setup_from_config,
     solve_case,
     write_sweep_csv,
 )

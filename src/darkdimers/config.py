@@ -12,12 +12,12 @@ import math
 import os
 from dataclasses import asdict, dataclass, field, fields
 from types import MappingProxyType
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from .dynamics import EvolveConfig
-from .model import make_bath
+from .model import ModelOperators, build_model, make_bath, make_geometry
 from .operators import ground_state, product_state
 
 __all__ = [
@@ -28,6 +28,7 @@ __all__ = [
     "parse_grid",
     "load_config_file",
     "resolve_config",
+    "setup_from_config",
     "initial_state_vector",
 ]
 
@@ -193,27 +194,24 @@ def resolve_config(
     return cfg
 
 
-# the integration keys, each with its EvolveConfig keyword
-_EVOLVE_KEYS = {"dt": "dt", "t_max": "t_max", "tol": "convergence_tol",
-                "record_stride": "record_stride"}
+def setup_from_config(cfg: ExperimentConfig) -> Tuple[ModelOperators, EvolveConfig]:
+    """The model (its operators built on first read) and the integration
+    parameters of `cfg`; each constructor raises ValueError at a bad value."""
+    geo = make_geometry(cfg.n_at, cfg.k0a, cfg.k0zc)
+    model = build_model(geo, make_bath(cfg.n_ph, cfg.phi), cfg.gamma)
+    return model, EvolveConfig(dt=cfg.dt, t_max=cfg.t_max, convergence_tol=cfg.tol,
+                               record_stride=cfg.record_stride)
 
 
 def _validate(cfg: ExperimentConfig):
-    """Range checks; the bath and integration limits are those of
-    `make_bath` and `EvolveConfig`, raised as the field's ConfigError."""
+    """The config's own limits, then those of the constructors that
+    `setup_from_config` calls, raised as a ConfigError with their message."""
     if not 1 <= cfg.n_at <= 8:
         raise ConfigError(f"n_at must be in 1..8, got {cfg.n_at}")
     try:
-        make_bath(cfg.n_ph, cfg.phi)
+        setup_from_config(cfg)
     except ValueError as exc:
-        raise ConfigError(f"bad value for n_ph: {exc}") from None
-    if cfg.gamma <= 0:
-        raise ConfigError(f"gamma must be > 0, got {cfg.gamma}")
-    for key, name in _EVOLVE_KEYS.items():
-        try:
-            EvolveConfig(**{name: getattr(cfg, key)})
-        except ValueError as exc:
-            raise ConfigError(f"bad value for {key}: {exc}") from None
+        raise ConfigError(str(exc)) from None
     cpus = os.cpu_count() or 1
     if not 1 <= cfg.workers <= cpus:
         raise ConfigError(f"workers must be in 1..{cpus} (the CPU count), got {cfg.workers}")

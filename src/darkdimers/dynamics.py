@@ -90,12 +90,12 @@ class EvolveConfig:
                 f"dt must be in (0, 0.1) for RK4 stability at gamma-scale "
                 f"rates, got {self.dt}"
             )
-        if self.record_stride < 1:
-            raise ValueError(f"record_stride must be >= 1, got {self.record_stride}")
         for name in ("t_max", "convergence_tol"):
             value = getattr(self, name)
             if not (value > 0 and math.isfinite(value)):
                 raise ValueError(f"{name} must be finite and > 0, got {value}")
+        if not self.record_stride >= 1 or self.record_stride % 1:  # % 1 is nan at inf
+            raise ValueError(f"record_stride must be an integer >= 1, got {self.record_stride}")
 
 
 @dataclass

@@ -25,16 +25,15 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import __version__
-from .config import (_EVOLVE_KEYS, ConfigError, ExperimentConfig, initial_state_vector,
-                     parse_grid)
+from .config import (ConfigError, ExperimentConfig, initial_state_vector, parse_grid,
+                     setup_from_config)
 from .darkstates import predicted_populations
-from .dynamics import (EvolveConfig, IntegrationInstabilityError, SteadyStateResult,
-                       _set_blas_threads, steady_state)
-from .model import ModelOperators, build_model, make_bath, make_geometry
+from .dynamics import (IntegrationInstabilityError, SteadyStateResult, _set_blas_threads,
+                       steady_state)
+from .model import make_bath
 from .observables import excitation_populations, pair_correlations, state_row
 
 __all__ = [
-    "setup_from_config",
     "solve",
     "solve_record",
     "SweepCell",
@@ -82,15 +81,6 @@ def write_table(path: str, columns: Sequence[str], rows, cfg: ExperimentConfig,
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return [path, manifest_path]
-
-
-def setup_from_config(cfg: ExperimentConfig) -> Tuple[ModelOperators, EvolveConfig]:
-    """The model (its operators built on first read) and the integration
-    parameters that a resolved configuration describes."""
-    geo = make_geometry(cfg.n_at, cfg.k0a, cfg.k0zc)
-    model = build_model(geo, make_bath(cfg.n_ph, cfg.phi), cfg.gamma)
-    ecfg = EvolveConfig(**{name: getattr(cfg, key) for key, name in _EVOLVE_KEYS.items()})
-    return model, ecfg
 
 
 def solve(cfg: ExperimentConfig, record: bool = False) -> SteadyStateResult:

@@ -124,26 +124,32 @@ def make_bath(n_ph: float, phi: float = 0.0, m_abs: Optional[float] = None) -> B
 
 @dataclass(frozen=True)
 class ArrayGeometry:
-    """Equidistant chain, dimensionless positions k0 z_n symmetric about
-    the center: k0z[n] = k0zc + (n - (n_at+1)/2) k0a for n = 1..n_at."""
+    """Equidistant chain, dimensionless positions k0 z_n symmetric about the
+    center: k0z[n] = k0zc + (n - (n_at+1)/2) k0a for n = 1..n_at, read-only and
+    derived from an integral n_at >= 1 and finite k0a, k0zc (else ValueError)."""
 
     n_at: int
     k0a: float
-    k0zc: float
-    k0z: np.ndarray = field(repr=False)
+    k0zc: float = 0.0
+    k0z: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.k0z.setflags(write=False)
+        n_at, k0a, k0zc = self.n_at, self.k0a, self.k0zc
+        if not n_at >= 1 or n_at % 1:  # n_at % 1 is nan at inf
+            raise ValueError(f"n_at must be an integer >= 1, got {n_at}")
+        if not (math.isfinite(k0a) and math.isfinite(k0zc)):
+            raise ValueError(f"k0a and k0zc must be finite, got k0a = {k0a}, k0zc = {k0zc}")
+        n = np.arange(1, n_at + 1, dtype=float)
+        k0z = k0zc + (n - (n_at + 1) / 2.0) * k0a
+        k0z.setflags(write=False)
+        for name, value in (("n_at", int(n_at)), ("k0a", float(k0a)), ("k0zc", float(k0zc)),
+                            ("k0z", k0z)):
+            object.__setattr__(self, name, value)
 
 
 def make_geometry(n_at: int, k0a: float, k0zc: float = 0.0) -> ArrayGeometry:
-    if not n_at >= 1 or n_at % 1:  # n_at % 1 is nan at inf
-        raise ValueError(f"n_at must be an integer >= 1, got {n_at}")
-    if not (math.isfinite(k0a) and math.isfinite(k0zc)):
-        raise ValueError(f"k0a and k0zc must be finite, got k0a = {k0a}, k0zc = {k0zc}")
-    n = np.arange(1, n_at + 1, dtype=float)
-    k0z = k0zc + (n - (n_at + 1) / 2.0) * k0a
-    return ArrayGeometry(n_at=int(n_at), k0a=float(k0a), k0zc=float(k0zc), k0z=k0z)
+    """The chain that `ArrayGeometry` checks and derives."""
+    return ArrayGeometry(n_at, k0a, k0zc)
 
 
 def field_two_point(k0z_n: float, k0z_m: float, theta: float, bath: BathParams) -> float:
@@ -160,17 +166,21 @@ def field_two_point(k0z_n: float, k0z_m: float, theta: float, bath: BathParams) 
 @dataclass(frozen=True)
 class ModelOperators:
     """Hamiltonian and both dissipator sets of one (geometry, bath, gamma),
-    each built on first read; a set is a tuple of (rate, operator) pairs:
-    travelling_jumps the eight signed channels, per direction s = +, -:
-    J_s, J_s^dag, J_{-phi,s}, J_{pi-phi,s} (the last rate is negative: a
-    valid generator, not a jump unraveling), and squeezed_jumps
-    ((4 gamma |mu nu|, Jx), (4 gamma |mu nu|, Jy)), or None when the bath
-    has no squeezed form.
+    gamma finite and > 0 (else ValueError), each set built on first read;
+    a set is a tuple of (rate, operator) pairs: travelling_jumps the eight
+    signed channels, per direction s = +, -: J_s, J_s^dag, J_{-phi,s},
+    J_{pi-phi,s} (the last rate is negative: a valid generator, not a jump
+    unraveling), and squeezed_jumps ((4 gamma |mu nu|, Jx),
+    (4 gamma |mu nu|, Jy)), or None when the bath has no squeezed form.
     """
 
     geometry: ArrayGeometry
     bath: BathParams
     gamma: float
+
+    def __post_init__(self):
+        if not (math.isfinite(self.gamma) and self.gamma > 0):
+            raise ValueError(f"gamma must be finite and > 0, got {self.gamma}")
 
     @property
     def n_at(self) -> int:
@@ -224,7 +234,5 @@ class ModelOperators:
 
 
 def build_model(geo: ArrayGeometry, bath: BathParams, gamma: float = 1.0) -> ModelOperators:
-    """The master equation of one setup; its operators are built on first read."""
-    if not (math.isfinite(gamma) and gamma > 0):
-        raise ValueError(f"gamma must be finite and > 0, got {gamma}")
+    """The master equation of one setup; `ModelOperators` checks gamma."""
     return ModelOperators(geo, bath, gamma)

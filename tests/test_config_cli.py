@@ -2,9 +2,11 @@ import argparse
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -138,6 +140,16 @@ class TestResolveConfig:
     )
     def test_range_errors_name_the_field(self, field, value, fragment):
         with pytest.raises(ConfigError, match=fragment):
+            resolve_config(flag_values={field: value})
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("gamma", "-2", "gamma must be finite and > 0, got -2.0"),
+        ("n_ph", "-1", "n_ph must be >= 0, got -1.0"),
+        ("tol", "0", "convergence_tol must be finite and > 0, got 0.0"),
+        ("record_stride", "0", "record_stride must be an integer >= 1, got 0")])
+    def test_the_gate_raises_the_constructors_message(self, field, value, message):
+        # the bath, gamma and integration rules live in the constructors alone
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             resolve_config(flag_values={field: value})
 
     def test_workers_bounded_by_cpu_count(self, monkeypatch):
@@ -727,6 +739,18 @@ class TestCli:
                      "--n-ph", "1e-300"])
         assert code == 0
         assert capsys.readouterr().out.splitlines()[0] == "P(0) = 1   squeezed: 1"
+
+    @pytest.mark.parametrize("n_at,k0a", [("6", "pi/4"), ("8", "2pi")])
+    def test_darkstate_at_the_smallest_squeezed_bath(self, capsys, n_at, k0a):
+        # |nu| = sqrt(5e-324): the dark condition forms J^dag J of the unscaled
+        # jumps with no overflow; a divide, invalid or overflow warning fails
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["darkstate", "--n-at", n_at, "--k0a", k0a, "--n-ph", "5e-324"])
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        if n_at == "8":
+            assert "collective-form cross-check fidelity: 1" in captured.out.splitlines()
 
     def test_config_file_flow(self, tmp_path, capsys):
         cfg_file = tmp_path / "run.cfg"

@@ -181,6 +181,13 @@ class TestEvolveConfig:
         with pytest.raises(ValueError, match=f"{name} must be finite and > 0, got {value}"):
             EvolveConfig(**{name: value})
 
+    @pytest.mark.parametrize("value", [0, 2.5, math.nan, math.inf, -math.inf])
+    def test_record_stride_is_an_integer(self, value):
+        # 2.5 once recorded every 5 steps, and nan only the last step
+        with pytest.raises(ValueError,
+                           match=f"record_stride must be an integer >= 1, got {value}"):
+            EvolveConfig(record_stride=value)
+
 
 class TestEvolve:
     def test_analytic_single_atom_decay(self, model1_vacuum):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from darkdimers import (
+    ArrayGeometry,
     BathParams,
     ModelOperators,
     build_model,
@@ -281,6 +282,72 @@ class TestGeometry:
         with pytest.raises(ValueError, match=f"finite, got k0a = 1.0, k0zc = {value}"):
             make_geometry(2, 1.0, value)
 
+    @pytest.mark.parametrize("args,fragment", [
+        ((2, math.nan), "finite, got k0a = nan, k0zc = 0.0"),
+        ((0, 1.0), "n_at must be an integer >= 1, got 0"),
+        ((2.5, 1.0), "n_at must be an integer >= 1, got 2.5")])
+    def test_the_constructor_refuses(self, args, fragment):
+        # a NaN geometry once constructed, and its solve raised an IndexError
+        with pytest.raises(ValueError, match=fragment):
+            ArrayGeometry(*args)
+
+    def test_positions_are_derived(self):
+        # positions once were an input: three of them at n_at = 2 constructed
+        with pytest.raises(TypeError, match="k0z"):
+            ArrayGeometry(2, 1.0, 0.0, k0z=np.array([5.0, 7.0]))
+        geo = ArrayGeometry(2.0, 1, 0)
+        assert (type(geo.n_at), type(geo.k0a), type(geo.k0zc)) == (int, float, float)
+        assert geo.k0z.tolist() == [-0.5, 0.5] and not geo.k0z.flags.writeable
+        assert dataclasses.replace(geo, k0zc=1.0).k0z.tolist() == [0.5, 1.5]
+
+    def test_equal_inputs_give_equal_hashable_geometries_and_models(self, bath088):
+        # comparing two geometries once compared their position arrays, which
+        # raised "truth value ... ambiguous", and hash() raised TypeError
+        geos = [make_geometry(2, 1.0), ArrayGeometry(2.0, 1, 0)]
+        assert geos[0] == geos[1] and hash(geos[0]) == hash(geos[1])
+        assert geos[0] != make_geometry(2, 1.0, 0.5)
+        models = [build_model(geo, bath088, 0.7) for geo in geos]
+        assert models[0] == models[1] and hash(models[0]) == hash(models[1])
+        assert models[0] != build_model(geos[0], bath088)
+
+
+def _positions_by_make_geometry(n_at, k0a, k0zc):
+    """The checks and positions of `make_geometry` from when `ArrayGeometry`
+    took k0z as an input."""
+    if not n_at >= 1 or n_at % 1:
+        raise ValueError(f"n_at must be an integer >= 1, got {n_at}")
+    if not (math.isfinite(k0a) and math.isfinite(k0zc)):
+        raise ValueError(f"k0a and k0zc must be finite, got k0a = {k0a}, k0zc = {k0zc}")
+    n = np.arange(1, n_at + 1, dtype=float)
+    return k0zc + (n - (n_at + 1) / 2.0) * k0a
+
+
+def _outcome(build):
+    """The positions that build() gives as bytes, or its refusal's message."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # both sides overflow alike
+            return build().tobytes()
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n_at=st.integers(-2, 12) | st.floats(-2.0, 12.0)
+       | st.sampled_from([math.nan, math.inf, -math.inf]),
+       k0a=st.floats(), k0zc=st.floats())
+@example(n_at=2, k0a=math.nan, k0zc=0.0)
+@example(n_at=2.5, k0a=1.0, k0zc=0.0)
+@example(n_at=4.0, k0a=math.pi / 4, k0zc=0.0)
+def test_the_geometry_refuses_what_make_geometry_refused(n_at, k0a, k0zc):
+    # the constructor refuses exactly those inputs, with the same message, and
+    # where it admits them its positions keep every bit
+    made = _outcome(lambda: _positions_by_make_geometry(n_at, k0a, k0zc))
+    assert _outcome(lambda: ArrayGeometry(n_at, k0a, k0zc).k0z) == made
+    assert _outcome(lambda: make_geometry(n_at, k0a, k0zc).k0z) == made
+    if isinstance(made, bytes):
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert ArrayGeometry(n_at, k0a, k0zc).n_at == n_at
+
 
 class TestHamiltonian:
     def test_vanishes_at_k0a_pi(self):
@@ -442,6 +509,12 @@ class TestBuildModel:
         model.hamiltonian
         assert calls == [2] and set(vars(model)) == {"geometry", "bath", "gamma",
                                                      "hamiltonian"}
+
+    @pytest.mark.parametrize("gamma", [-1.0, 0.0, math.nan, math.inf])
+    def test_the_model_refuses_gamma(self, geo2_dark, bath088, gamma):
+        # gamma -1 once constructed, and its solve blamed dt for the instability
+        with pytest.raises(ValueError, match=f"gamma must be finite and > 0, got {gamma}"):
+            ModelOperators(geo2_dark, bath088, gamma)
 
     def test_a_second_read_returns_the_same_object(self, geo2_dark, bath088):
         model = build_model(geo2_dark, bath088)
