@@ -126,7 +126,8 @@ def make_bath(n_ph: float, phi: float = 0.0, m_abs: Optional[float] = None) -> B
 class ArrayGeometry:
     """Equidistant chain, dimensionless positions k0 z_n symmetric about the
     center: k0z[n] = k0zc + (n - (n_at+1)/2) k0a for n = 1..n_at, read-only and
-    derived from an integral n_at >= 1 and finite k0a, k0zc (else ValueError)."""
+    derived from an integral n_at >= 1 and finite k0a, k0zc whose positions
+    keep 2 max|k0z|, and so every z_n +/- z_m, finite (else ValueError)."""
 
     n_at: int
     k0a: float
@@ -140,7 +141,11 @@ class ArrayGeometry:
         if not (math.isfinite(k0a) and math.isfinite(k0zc)):
             raise ValueError(f"k0a and k0zc must be finite, got k0a = {k0a}, k0zc = {k0zc}")
         n = np.arange(1, n_at + 1, dtype=float)
-        k0z = k0zc + (n - (n_at + 1) / 2.0) * k0a
+        with np.errstate(over="ignore"):
+            k0z = k0zc + (n - (n_at + 1) / 2.0) * k0a
+        if not math.isfinite(2.0 * float(np.max(np.abs(k0z)))):
+            raise ValueError(f"positions and their differences must be finite, got k0a = {k0a}, "
+                             f"k0zc = {k0zc} at n_at = {n_at}")
         k0z.setflags(write=False)
         for name, value in (("n_at", int(n_at)), ("k0a", float(k0a)), ("k0zc", float(k0zc)),
                             ("k0z", k0z)):

@@ -23,7 +23,7 @@ VALUES = {
     "n-at": ["1", "2", "4", "7", "9", "0", "x", "2.5"],
     "n-ph": ["0.88", "0", "-1", "nan", "1e300", "1e400", "x"],
     "phi": ["0", "pi/4", "pi/0", "x"],
-    "k0a": ["pi/4", "pi", "2pi", "-1e300", "inf", "pie"],
+    "k0a": ["pi/4", "pi", "2pi", "-1e300", "1e308", "inf", "pie"],
     "k0zc": ["0", "pi/2", "1e-6", "x"],
     "gamma": ["1", "0", "-2"],
     "dt": ["0.005", "0.1", "0", "nan"],

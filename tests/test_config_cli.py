@@ -370,23 +370,41 @@ class TestSweepPlumbing:
         # thread either way; the N = 5 blocks (272 and 512 coordinates) are
         # above the one-thread threshold, so the second run walks them on two.
         # Given two CPUs, a third run puts the N = 5 cells in two workers,
-        # which the pool's initializer sets to one thread each
+        # which the pool's initializer sets to one thread each.  fig3 walks
+        # the 1056 dimer block, its visits on one thread, and writes the
+        # correlations report; fig4 walks blocks on both sides of the
+        # one-thread threshold in one process (N = 2 and 4 and the melted
+        # chain below, the 1056 dimer above): at OpenBLAS's own count and
+        # on one thread, and fig3 also at OpenBLAS's own spin timeout (28)
+        # in place of the package's 4.  A divide, invalid or overflow
+        # warning fails a run, even one that exits 0
         two_cpus = (os.cpu_count() or 1) >= 2
-        for n_at, grid_zc, grid_a, rows in (("3", "0:pi:4", "0:pi:4", 16),
-                                            ("5", "0,0.3", "pi/4,0.9", 4)):
+        own, one, two = {}, {"OPENBLAS_NUM_THREADS": "1"}, {"OPENBLAS_NUM_THREADS": "2"}
+        rows = [  # (command, CSV rows or None, runs as (environment, workers))
+            (["sweep", "--n-at", "3", "--grid-zc", "0:pi:4", "--grid-a", "0:pi:4"], 16,
+             [(one, "1"), (two, "1")]),
+            (["sweep", "--n-at", "5", "--grid-zc", "0,0.3", "--grid-a", "pi/4,0.9"], 4,
+             [(one, "1"), (two, "1")] + [(two, "2")] * two_cpus),
+            (["experiment", "fig3"], None,
+             [(own, "1"), (one, "1"), ({"OPENBLAS_THREAD_TIMEOUT": "28"}, "1")]),
+            (["experiment", "fig4"], None, [(own, "1"), (one, "1")]),
+        ]
+        base = {key: value for key, value in os.environ.items()
+                if key not in ("OPENBLAS_NUM_THREADS", "OPENBLAS_THREAD_TIMEOUT")}
+        base.update(PYTHONPATH=os.pathsep.join(sys.path), PYTHONWARNINGS="error::RuntimeWarning")
+        for number, (command, rows_of_csv, runs) in enumerate(rows):
             blobs = []
-            runs = [("1", "1"), ("2", "1")] + [("2", "2")] * (n_at == "5" and two_cpus)
-            for threads, workers in runs:
-                out = tmp_path / f"sweep_{n_at}_{threads}_{workers}.csv"
-                env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                           PYTHONPATH=os.pathsep.join(sys.path))
-                subprocess.run([sys.executable, "-m", "darkdimers", "sweep", "--n-at", n_at,
-                                "--grid-zc", grid_zc, "--grid-a", grid_a,
-                                "--workers", workers, "--out", str(out)],
-                               env=env, check=True, capture_output=True, timeout=300)
-                blobs.append(out.read_bytes())
-            assert len(set(blobs)) == 1
-            assert len(blobs[0].splitlines()) == rows + 1
+            for run, (env, workers) in enumerate(runs):
+                out = tmp_path / f"{number}_{run}"
+                target = out / "sweep.csv" if command[0] == "sweep" else out
+                subprocess.run([sys.executable, "-m", "darkdimers", *command,
+                                "--workers", workers, "--out", str(target)],
+                               env={**base, **env}, check=True, capture_output=True,
+                               timeout=300)
+                blobs.append({csv.name: csv.read_bytes() for csv in out.glob("*.csv")})
+            assert blobs[0] and all(blob == blobs[0] for blob in blobs), command
+            if rows_of_csv is not None:
+                assert len(blobs[0]["sweep.csv"].splitlines()) == rows_of_csv + 1
 
     def test_csv_schema_and_manifest(self, small_cfg, tmp_path):
         cells = run_sweep(small_cfg)
@@ -545,11 +563,28 @@ class TestCli:
         assert code == 0
         assert out.exists() and out.with_suffix(".json").exists()
 
-    @pytest.mark.parametrize("field,value", _NON_FINITE)
+    # and an n_ph whose |M| = sqrt(N(N+1)) overflows
+    @pytest.mark.parametrize("field,value", _NON_FINITE + [("n_ph", "1e300")])
     def test_non_finite_value_exits_2(self, capsys, field, value):
         code = main(["steady", "--n-at", "2", "--" + field.replace("_", "-"), value])
         err = capsys.readouterr().err
         assert code == 2 and field in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("args,fragment", [
+        # positions whose differences, or the positions themselves, overflow
+        # once passed the gate, and their solve raised an IndexError
+        (["steady", "--n-at", "4", "--k0a", "1e308"],
+         "positions and their differences must be finite, got k0a = 1e+308, k0zc = 0.0"),
+        (["steady", "--n-at", "2", "--k0a", "1e308", "--k0zc", "1.7e308"],
+         "got k0a = 1e+308, k0zc = 1.7e+308"),
+        # an off-center pair: sin k0(z_1+z_2) = 2e-6
+        (["darkstate", "--n-at", "2", "--k0zc", "1e-6"], "no stable dark state"),
+    ], ids=["overflowing-differences", "overflowing-positions", "off-center-pair"])
+    def test_geometry_refusal_exits_2(self, capsys, args, fragment):
+        code = main(args)  # an overflow warning is an error here (pyproject.toml)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert fragment in captured.err and "Traceback" not in captured.err
 
     @pytest.mark.parametrize("command", ["evolve", "steady", "correlations",
                                          "populations", "sweep", "experiment"])
@@ -737,20 +772,30 @@ class TestCli:
         # the law's weight x^{(n_e - l)/2} overflowed at n_e = 0: an escaping OverflowError
         code = main(["populations", "--n-at", "6", "--k0a", "2pi", "--law", "squeezed",
                      "--n-ph", "1e-300"])
-        assert code == 0
-        assert capsys.readouterr().out.splitlines()[0] == "P(0) = 1   squeezed: 1"
-
-    @pytest.mark.parametrize("n_at,k0a", [("6", "pi/4"), ("8", "2pi")])
-    def test_darkstate_at_the_smallest_squeezed_bath(self, capsys, n_at, k0a):
-        # |nu| = sqrt(5e-324): the dark condition forms J^dag J of the unscaled
-        # jumps with no overflow; a divide, invalid or overflow warning fails
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            code = main(["darkstate", "--n-at", n_at, "--k0a", k0a, "--n-ph", "5e-324"])
         captured = capsys.readouterr()
         assert code == 0 and captured.err == ""
-        if n_at == "8":
-            assert "collective-form cross-check fidelity: 1" in captured.out.splitlines()
+        assert captured.out.splitlines()[0] == "P(0) = 1   squeezed: 1"
+
+    @pytest.mark.parametrize("n_at,k0a,n_ph", [
+        pytest.param("6", "pi/4", ["--n-ph", "5e-324"], id="6-pi/4"),
+        pytest.param("8", "2pi", ["--n-ph", "5e-324"], id="8-2pi"),
+        pytest.param("6", "pi/4", [], id="6-pi/4-default-n_ph"),
+        pytest.param("8", "2pi", [], id="8-2pi-default-n_ph")])
+    def test_darkstate_at_the_smallest_squeezed_bath(self, capsys, n_at, k0a, n_ph):
+        # |nu| = sqrt(5e-324): the dark condition forms J^dag J of the unscaled
+        # jumps with no overflow; a divide, invalid or overflow warning fails.
+        # Six atoms make the dimer chain, eight the melted state (the
+        # 105-matching sum), checked against the collective closed form
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["darkstate", "--n-at", n_at, "--k0a", k0a, "--k0zc", "0", *n_ph])
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        lines = captured.out.splitlines()
+        if n_at == "6":
+            assert "state: dimer_chain" in lines
+        else:
+            assert "collective-form cross-check fidelity: 1" in lines
 
     def test_config_file_flow(self, tmp_path, capsys):
         cfg_file = tmp_path / "run.cfg"

@@ -24,12 +24,13 @@ from darkdimers import (
 from darkdimers import dynamics
 from darkdimers import model as model_module
 from darkdimers.darkstates import PairSpec, dimer_chain, pair_state
-from darkdimers.observables import fidelity, polarization_moments
+from darkdimers.observables import _collective_spin, fidelity, polarization_moments
 from darkdimers.operators import (
     excitation_counts,
     ground_state,
     product_state,
     pure_to_density,
+    site_lowering,
 )
 
 from conftest import random_hermitian_unit_trace
@@ -44,6 +45,23 @@ def model2(geo2_dark, bath088):
 @pytest.fixture(scope="module")
 def model1_vacuum():
     return build_model(make_geometry(1, 1.0, 0.0), make_bath(0.0))
+
+
+@pytest.fixture
+def traced_peak():
+    """run(fn) -> (fn(), the traced peak in bytes).  The process-wide caches
+    a solve fills, the site stacks of `operators.site_lowering` and the
+    collective spins of `observables`, are emptied before tracing starts, so
+    a bound counts them whichever tests ran before in the process."""
+    def run(fn):
+        site_lowering.cache_clear()
+        _collective_spin.cache_clear()
+        tracemalloc.start()
+        try:
+            return fn(), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return run
 
 
 class TestGenerators:
@@ -674,20 +692,19 @@ class TestVectorizedEngine:
         for b, s in enumerate(gen.blocks):
             assert np.max(np.abs(gen.assemble(b) - m[s, s])) <= 1e-13
 
-    def test_assembly_stays_below_one_complex_superoperator(self, bath088):
+    def test_assembly_stays_below_one_complex_superoperator(self, bath088, traced_peak):
         # the blocks are accumulated from sparse sandwich entries; the old
         # kron assembly held several dense d^2 x d^2 complex buffers
         from darkdimers.dynamics import _VectorizedGenerator
 
         model = build_model(make_geometry(5, 0.9, 0.3), bath088)
         rho0 = random_hermitian_unit_trace(np.random.default_rng(2), 32)
-        tracemalloc.start()
-        try:
+
+        def set_up():
             gen = _VectorizedGenerator(model, "general", rho0)
-            blocks = [gen.assemble(b) for b in (0, 1)]
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+            return [gen.assemble(b) for b in (0, 1)]
+
+        blocks, peak = traced_peak(set_up)
         assert [m.shape for m in blocks] == [(512, 512)] * 2
         assert peak < 16**5 * 16
 
@@ -711,10 +728,11 @@ class TestVectorizedEngine:
                              for e in np.eye(gen.blocks[1].stop)[coords]], axis=1)
             assert np.max(np.abs(m - cols[coords])) <= 1e-12 * np.max(np.abs(m))
 
-    @pytest.mark.parametrize("k0a,k0zc,start,over_blocks", [
-        (2 * math.pi, math.pi / 4, "plus-pi-4", False),  # thermal: 44 + 40 coordinates
-        (math.pi / 4, 0.0, "ground", True)])  # fig3 dimer: 1056 + 1024
-    def test_setup_holds_tables_and_one_piece(self, bath088, k0a, k0zc, start, over_blocks):
+    @pytest.mark.parametrize("k0a,k0zc,start,over_blocks,symmetries,sizes", [
+        (2 * math.pi, math.pi / 4, "plus-pi-4", False, 16, [44, 40]),  # thermal
+        (math.pi / 4, 0.0, "ground", True, 1, [1056, 1024])])  # fig3 dimer
+    def test_setup_holds_tables_and_one_piece(self, bath088, traced_peak, k0a, k0zc, start,
+                                              over_blocks, symmetries, sizes):
         # besides the blocks, construction and both assemblies hold d^2-entry
         # tables and one piece of entries or moved candidates; whole terms
         # (1.5e5 entries each) and all 16 candidates' element images at once
@@ -724,14 +742,13 @@ class TestVectorizedEngine:
         model = build_model(make_geometry(6, k0a, k0zc), bath088)
         psi = _plus_pi_4(6) if start == "plus-pi-4" else ground_state(6)
         rho0 = pure_to_density(psi)
-        tracemalloc.start()
-        try:
+
+        def set_up():
             gen = _VectorizedGenerator(model, "squeezed", rho0)
-            blocks = [gen.assemble(b) for b in (0, 1)]
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert gen.symmetries
+            return gen, [gen.assemble(b) for b in (0, 1)]
+
+        (gen, blocks), peak = traced_peak(set_up)
+        assert len(gen.symmetries) == symmetries and [len(m) for m in blocks] == sizes
         assert peak <= 2.5 * 2**20 + over_blocks * sum(m.nbytes for m in blocks)
 
     @pytest.mark.parametrize("n_at,k0a,k0zc", [(6, 2 * math.pi, math.pi / 4), (4, 0.9, 0.3)])
@@ -760,19 +777,14 @@ class TestVectorizedEngine:
                                   (wo[eo].conj() * v * wi[ei]).real)
             assert np.array_equal(gen.assemble(b), ref.reshape(n, n))
 
-    def test_rk4_step_matrix_is_the_polynomial_in_two_buffers(self):
+    def test_rk4_step_matrix_is_the_polynomial_in_two_buffers(self, traced_peak):
         from darkdimers.dynamics import _rk4_step_matrix
 
         n, dt = 1024, 0.05
         rng = np.random.default_rng(4)
         m = rng.normal(size=(n, n)) / math.sqrt(n)
         a = dt * m
-        tracemalloc.start()
-        try:
-            p = _rk4_step_matrix(m, dt)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        p, peak = traced_peak(lambda: _rk4_step_matrix(m, dt))
         # two products in m's own buffer: besides it only a^2 and two panels
         # of the bracket and its product are alive, never a whole bracket
         assert np.shares_memory(p, m)
@@ -781,34 +793,34 @@ class TestVectorizedEngine:
         assert np.max(np.abs(p - plain)) <= 1e-14 * np.max(np.abs(plain))
         assert peak <= 1.2 * p.nbytes
 
-    def test_squaring_walk_holds_generator_propagator_and_one_buffer(self, bath088):
-        # no symmetry at N = 5: two 512^2 blocks, each with its propagator and
-        # one work buffer that holds the generator between squarings, plus
-        # the generators' nonzeros (10% of each block); a squaring allocates
-        # nothing (generator, propagator and product took 5.07 blocks); the
-        # horizon is long enough for squaring to pay
-        model = build_model(make_geometry(5, 0.9, 0.3), bath088)
-        tracemalloc.start()
-        try:
-            res = steady_state(_plus_pi_4(5), model, EvolveConfig(t_max=2.0))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert res.stats["symmetries"] == [] and res.stats["squarings"] >= 1
-        assert [b["reduced"] for b in res.stats["blocks"]] == [512, 512]
-        assert peak <= 4.5 * 512**2 * 8
+    @pytest.mark.parametrize("n_at,t_max,squarings", [
+        (5, 2.0, (1, math.inf)),
+        # two 2048^2 blocks; the squaring rule must keep pricing two
+        # squarings as paying at this horizon
+        (6, 8.0, (2, 2))], ids=["n5", "n6"])
+    def test_squaring_walk_holds_generator_propagator_and_one_buffer(self, bath088, traced_peak,
+                                                                     n_at, t_max, squarings):
+        # no symmetry at k0a 0.9, k0zc 0.3: two blocks, each with its
+        # propagator and one work buffer that holds the generator between
+        # squarings, plus the generators' nonzeros (10% of each block at
+        # N = 5, 4% at N = 6); a squaring allocates nothing (generator,
+        # propagator and product took 5.07 blocks at N = 5, 5.02 at N = 6);
+        # the horizon is long enough for squaring to pay
+        model = build_model(make_geometry(n_at, 0.9, 0.3), bath088)
+        res, peak = traced_peak(
+            lambda: steady_state(_plus_pi_4(n_at), model, EvolveConfig(t_max=t_max)))
+        n = 2 ** (2 * n_at - 1)
+        assert res.stats["symmetries"] == []
+        assert squarings[0] <= res.stats["squarings"] <= squarings[1]
+        assert [b["reduced"] for b in res.stats["blocks"]] == [n, n]
+        assert peak <= 4.5 * n**2 * 8
 
-    def test_fig3_dimer_walk_holds_two_buffers(self, bath088):
+    def test_fig3_dimer_walk_holds_two_buffers(self, bath088, traced_peak):
         # the fig3 dimer walks one symmetric 1056-coordinate block: set-up,
         # the propagator, one work buffer and the generator's nonzeros (7%);
         # generator, propagator and product took 3.08 block sizes
         model = build_model(make_geometry(6, math.pi / 4, 0.0), bath088)
-        tracemalloc.start()
-        try:
-            res = steady_state(ground_state(6), model, EvolveConfig())
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        res, peak = traced_peak(lambda: steady_state(ground_state(6), model, EvolveConfig()))
         assert res.converged and res.stats["squarings"] >= 1
         assert [b["reduced"] for b in res.stats["blocks"]] == [1056]
         assert peak <= 2.6 * 1056**2 * 8

@@ -313,13 +313,18 @@ class TestGeometry:
 
 def _positions_by_make_geometry(n_at, k0a, k0zc):
     """The checks and positions of `make_geometry` from when `ArrayGeometry`
-    took k0z as an input."""
+    took k0z as an input, and the refusal of positions whose sums or
+    differences overflow, which then passed to the solve."""
     if not n_at >= 1 or n_at % 1:
         raise ValueError(f"n_at must be an integer >= 1, got {n_at}")
     if not (math.isfinite(k0a) and math.isfinite(k0zc)):
         raise ValueError(f"k0a and k0zc must be finite, got k0a = {k0a}, k0zc = {k0zc}")
     n = np.arange(1, n_at + 1, dtype=float)
-    return k0zc + (n - (n_at + 1) / 2.0) * k0a
+    k0z = k0zc + (n - (n_at + 1) / 2.0) * k0a
+    if not np.all(np.isfinite(k0z[:, None] - k0z[None, :]) & np.isfinite(2 * k0z)):
+        raise ValueError(f"positions and their differences must be finite, got k0a = {k0a}, "
+                         f"k0zc = {k0zc} at n_at = {n_at}")
+    return k0z
 
 
 def _outcome(build):
@@ -338,6 +343,7 @@ def _outcome(build):
 @example(n_at=2, k0a=math.nan, k0zc=0.0)
 @example(n_at=2.5, k0a=1.0, k0zc=0.0)
 @example(n_at=4.0, k0a=math.pi / 4, k0zc=0.0)
+@example(n_at=4, k0a=1e308, k0zc=0.0)  # its solve once raised an IndexError
 def test_the_geometry_refuses_what_make_geometry_refused(n_at, k0a, k0zc):
     # the constructor refuses exactly those inputs, with the same message, and
     # where it admits them its positions keep every bit
