@@ -43,14 +43,12 @@ _MAX_GRID_POINTS = 1024
 
 
 def parse_angle(text) -> float:
-    """Parse a float or a pi expression like 'pi/4', '2pi', '-pi'; the
-    angle must be finite."""
+    """Parse the text of a float or of a pi expression like 'pi/4', '2pi',
+    '-pi'; the angle must be finite."""
     s = str(text).strip().lower().replace(" ", "")
     head, pi, tail = s.partition("pi")
     try:
-        if isinstance(text, (int, float)):
-            value = float(text)
-        elif not pi:
+        if not pi:
             value = float(s)
         elif head in ("", "+", "-"):
             value = -math.pi if head == "-" else math.pi
@@ -205,13 +203,18 @@ def setup_from_config(cfg: ExperimentConfig) -> Tuple[ModelOperators, EvolveConf
 
 def _validate(cfg: ExperimentConfig):
     """The config's own limits, then those of the constructors that
-    `setup_from_config` calls, raised as a ConfigError with their message."""
+    `setup_from_config` calls and of the sweep grids' geometries, raised
+    as a ConfigError with their message."""
     if not 1 <= cfg.n_at <= 8:
         raise ConfigError(f"n_at must be in 1..8, got {cfg.n_at}")
     try:
         setup_from_config(cfg)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    try:  # the cell at the largest |k0a| and |k0zc| bounds every sweep cell's positions
+        make_geometry(cfg.n_at, *(np.abs(parse_grid(g)).max() for g in (cfg.grid_a, cfg.grid_zc)))
+    except ValueError as exc:
+        raise ConfigError(f"sweep grid: {exc}") from None
     cpus = os.cpu_count() or 1
     if not 1 <= cfg.workers <= cpus:
         raise ConfigError(f"workers must be in 1..{cpus} (the CPU count), got {cfg.workers}")
@@ -243,7 +246,13 @@ def initial_state_vector(cfg: ExperimentConfig) -> np.ndarray:
     psi = np.array(amps, dtype=complex)
     if not np.all(np.isfinite(psi)):
         raise ConfigError(f"state file {cfg.initial} holds a non-finite amplitude")
-    norm = np.linalg.norm(psi)
-    if norm < 1e-12:
-        raise ConfigError(f"state file {cfg.initial} holds a zero vector")
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(psi)
+    if not 1e-12 <= norm < math.inf:  # the squares over- or underflow: rescale first
+        parts = psi.view(float)  # real and imaginary parts: a real division cannot overflow
+        scale = np.abs(parts).max()
+        if scale == 0.0:
+            raise ConfigError(f"state file {cfg.initial} holds a zero vector")
+        parts /= scale
+        norm = np.linalg.norm(psi)
     return psi / norm

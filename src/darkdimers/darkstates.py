@@ -41,7 +41,6 @@ __all__ = [
     "dimer_chain",
     "stability_residual",
     "melted_dark",
-    "collective_amplitudes",
     "collective_dark_state",
     "predicted_populations",
     "stable_dark_geometry",
@@ -175,19 +174,6 @@ def melted_dark(geo: ArrayGeometry, bath: BathParams, l: int) -> np.ndarray:
     if norm < 1e-12:
         raise ValueError(f"matching sum vanished for l = {l}")
     return psi / norm
-
-
-def collective_amplitudes(n_at: int, n_e: int) -> float:
-    """Statistical weight of the n_e-excitation sector in the
-    all-squeezed (l = n_at/2) melted state, sqrt(4 pi / (2l + 1))
-    |Y_{l,m}(pi/2, 0)| with m = n_e - l; zero for odd n_e.
-    """
-    if n_at % 2:
-        raise ValueError(f"even atom number required, got {n_at}")
-    if not 0 <= n_e <= n_at:
-        raise ValueError(f"n_e must be in 0..{n_at}, got {n_e}")
-    l = n_at // 2
-    return math.sqrt(4.0 * math.pi / (2 * l + 1)) * abs(sph_harm_equator(l, n_e - l))
 
 
 def sph_harm_equator(l: int, m: int) -> float:

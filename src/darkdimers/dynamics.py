@@ -298,9 +298,8 @@ def _as_density(rho0: np.ndarray) -> np.ndarray:
     divided by its trace when that is more than 1e-12 from 1; a non-finite
     entry or a trace that is not finite and > 0 raises ValueError."""
     rho0 = np.asarray(rho0, dtype=complex)
-    with np.errstate(over="ignore", invalid="ignore"):  # what overflows fails below
-        rho = pure_to_density(rho0) if rho0.ndim == 1 else rho0.copy()
-        tr = np.trace(rho).real
+    rho = pure_to_density(rho0) if rho0.ndim == 1 else rho0.copy()
+    tr = np.trace(rho).real
     if not np.isfinite(rho).all():
         raise ValueError("the start state's density matrix has a non-finite entry")
     if not (math.isfinite(tr) and tr > 0.0):
@@ -310,6 +309,8 @@ def _as_density(rho0: np.ndarray) -> np.ndarray:
     return rho
 
 
+# the trace, state and residual checks report what overflows, without a warning
+@np.errstate(over="ignore", invalid="ignore")
 def evolve(
     rho0: np.ndarray,
     model: ModelOperators,
@@ -539,6 +540,7 @@ def _rk4_step_matrix(m: np.ndarray, dt: float) -> np.ndarray:
     return m
 
 
+@np.errstate(over="ignore", invalid="ignore")  # as for evolve
 def steady_state(
     rho0: np.ndarray,
     model: ModelOperators,

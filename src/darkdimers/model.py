@@ -38,7 +38,6 @@ __all__ = [
     "ModelOperators",
     "make_bath",
     "make_geometry",
-    "field_two_point",
     "build_model",
 ]
 
@@ -155,17 +154,6 @@ class ArrayGeometry:
 def make_geometry(n_at: int, k0a: float, k0zc: float = 0.0) -> ArrayGeometry:
     """The chain that `ArrayGeometry` checks and derives."""
     return ArrayGeometry(n_at, k0a, k0zc)
-
-
-def field_two_point(k0z_n: float, k0z_m: float, theta: float, bath: BathParams) -> float:
-    """Equal-time two-point correlation of the field quadrature A_theta
-    between positions k0 z_n and k0 z_m:
-
-    <A A> = |M| cos(theta - phi) cos(k0 (z_n + z_m)) / 2 + (N_ph + 1/2) / 2
-    """
-    return 0.5 * bath.m_abs * math.cos(theta - bath.phi) * math.cos(
-        k0z_n + k0z_m
-    ) + 0.5 * (bath.n_ph + 0.5)
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,6 @@ __all__ = [
     "SIGMA_Y",
     "SIGMA_Z",
     "IDENTITY_2",
-    "kron",
     "embed_single_site",
     "site_lowering",
     "expectation",
@@ -45,11 +44,6 @@ SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[-1.0, 0.0], [0.0, 1.0]], dtype=complex)     # +1 on |e>
 IDENTITY_2 = np.eye(2, dtype=complex)
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Tensor product with `a` as the more significant factor."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
 def embed_single_site(op2: np.ndarray, site: int, n_at: int) -> np.ndarray:

@@ -18,7 +18,7 @@ from darkdimers import experiments
 from darkdimers.cli import main
 from darkdimers.dynamics import IntegrationInstabilityError
 
-GRIDS = ["0", "0:pi:2", "pi/4,pi/2", ",", "0:pi", "0:pi:0", "0:pi:1025", "pi/x"]
+GRIDS = ["0", "0:pi:2", "pi/4,pi/2", ",", "0:pi", "0:pi:0", "0:pi:1025", "pi/x", "0:1e308:2"]
 VALUES = {
     "n-at": ["1", "2", "4", "7", "9", "0", "x", "2.5"],
     "n-ph": ["0.88", "0", "-1", "nan", "1e300", "1e400", "x"],

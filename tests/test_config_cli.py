@@ -58,6 +58,13 @@ class TestParseAngle:
         with pytest.raises(ConfigError):
             parse_angle(text)
 
+    # a number is parsed by its text: an int too large for a float is not finite
+    @pytest.mark.parametrize("value,fragment", [(10**400, "not finite"), (True, "cannot parse")],
+                             ids=["int-1e400", "True"])
+    def test_non_text_edge_values_are_config_errors(self, value, fragment):
+        with pytest.raises(ConfigError, match=fragment):
+            parse_angle(value)
+
 
 class TestParseGrid:
     def test_linspace(self):
@@ -197,6 +204,15 @@ class TestInitialState:
         cfg = ExperimentConfig(n_at=2, initial=str(path))
         psi = initial_state_vector(cfg)
         assert_allclose(psi, amps / np.linalg.norm(amps), atol=1e-15)
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-13, 1e-320])
+    def test_state_file_at_any_scale(self, tmp_path, scale):
+        # the plain norm overflowed at 1e200 (a warning, then "trace 0") and
+        # fell below 1e-12 at 1e-13 and 1e-320 ("zero vector")
+        path = tmp_path / "state.txt"
+        path.write_text(f"{scale!r}\n{scale!r}j\n0\n{-scale!r}\n", encoding="utf-8")
+        psi = initial_state_vector(ExperimentConfig(n_at=2, initial=str(path)))
+        assert_allclose(psi, np.array([1, 1j, 0, -1]) / math.sqrt(3), atol=1e-15)
 
     def test_state_file_with_byte_order_mark(self, tmp_path, capsys):
         # a state file saved as "UTF-8 with BOM" solves as the plain one does
@@ -357,8 +373,7 @@ class TestSweepPlumbing:
     def test_non_finite_cell_carries_its_reason(self, tmp_path):
         # at gamma 1e200 the residual overflows at t = 0: a NaN row with a reason
         cfg = ExperimentConfig(n_at=2, gamma=1e200, t_max=1.0, grid_zc="0", grid_a="pi/4")
-        with np.errstate(all="ignore"):
-            cells = run_sweep(cfg)
+        cells = run_sweep(cfg)
         files = write_sweep_csv(str(tmp_path / "sweep.csv"), cells, cfg)
         (entry,) = json.load(open(files[1], encoding="utf-8"))["failed"]["cells"]
         assert entry["error"] == ("residual inf at t = 0; "
@@ -525,13 +540,22 @@ class TestCli:
     def test_overflowing_solve_exits_1_with_its_reason(self, tmp_path, capsys, command):
         # the RK4 polynomial overflows: no NaN observables, no LinAlgError
         out = tmp_path / "out.csv"
-        with np.errstate(all="ignore"):
-            code = main([command, "--n-at", "2", "--n-ph", "1e100", "--t-max", "1",
-                         "--out", str(out)])
+        code = main([command, "--n-at", "2", "--n-ph", "1e100", "--t-max", "1",
+                     "--out", str(out)])
         captured = capsys.readouterr()
         assert code == 1 and "nan" not in captured.out
         assert captured.err.startswith("error: trace nan at t = 0.005;")
         assert not out.exists()
+
+    @pytest.mark.parametrize("args,fragment", [
+        (["steady", "--n-at", "2", "--gamma", "1e200"], "error: residual inf at t = 0;"),
+        (["experiment", "fig3", "--n-ph", "1e100"], "error: trace nan at t = 0.005;"),
+    ], ids=["steady-gamma-1e200", "fig3-n-ph-1e100"])
+    def test_overflowing_solve_prints_one_error_line(self, tmp_path, capsys, args, fragment):
+        # an overflow warning is an error here (pyproject.toml) and escaped main
+        code = main([*args, "--t-max", "1", "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1 and err.startswith(fragment) and err.count("\n") == 1
 
     @pytest.mark.parametrize("command", ["correlations", "populations", "experiment"])
     def test_solve_commands_reject_seven_atoms(self, tmp_path, capsys, command):
@@ -585,6 +609,19 @@ class TestCli:
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert fragment in captured.err and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("grids", [["--grid-a", "0.5,1e308", "--grid-zc", "0"],
+                                       ["--grid-a", "0.5", "--grid-zc", "0,-1.7e308"]],
+                             ids=["k0a", "k0zc"])
+    def test_sweep_grid_geometry_refusal_exits_2_before_any_solve(self, tmp_path, capsys,
+                                                                  monkeypatch, grids):
+        # the first cell solved, then the second cell's positions overflowed: exit 1
+        solves = []
+        monkeypatch.setattr(experiments, "solve", lambda *args, **kwargs: solves.append(args))
+        code = main(["sweep", "--n-at", "4", *grids, "--out", str(tmp_path / "sweep.csv")])
+        captured = capsys.readouterr()
+        assert code == 2 and solves == [] and os.listdir(tmp_path) == []
+        assert "sweep grid: positions and their differences must be finite" in captured.err
 
     @pytest.mark.parametrize("command", ["evolve", "steady", "correlations",
                                          "populations", "sweep", "experiment"])

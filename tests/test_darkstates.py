@@ -9,7 +9,6 @@ from numpy.testing import assert_allclose
 from darkdimers import build_model, make_bath, make_geometry
 from darkdimers.darkstates import (
     PairSpec,
-    collective_amplitudes,
     collective_dark_state,
     dark_state,
     dimer_chain,
@@ -249,30 +248,12 @@ class TestMeltedDark:
 
 
 class TestCollectiveAmplitudes:
-    def test_two_atoms(self):
-        s = math.sqrt(2) / 2
-        assert collective_amplitudes(2, 0) == pytest.approx(s, abs=1e-12)
-        assert collective_amplitudes(2, 2) == pytest.approx(s, abs=1e-12)
-        assert collective_amplitudes(2, 1) == 0.0
-
-    def test_four_atoms(self):
-        assert collective_amplitudes(4, 0) == pytest.approx(
-            math.sqrt(24) / 8, abs=1e-12
-        )
-        assert collective_amplitudes(4, 2) == pytest.approx(0.5, abs=1e-12)
-        assert collective_amplitudes(4, 4) == pytest.approx(
-            math.sqrt(24) / 8, abs=1e-12
-        )
-
-    def test_odd_excitations_vanish(self):
-        for ne in (1, 3, 5):
-            assert collective_amplitudes(6, ne) == 0.0
-
     @pytest.mark.parametrize("n_at,zc", [(2, 0.0), (2, math.pi / 2),
                                          (4, 0.0), (6, 0.0)])
     def test_amplitude_ratios_in_melted_state(self, bath088, n_at, zc):
         # Projections of the all-squeezed melted state onto the Dicke
-        # ladder follow e^{-2 eta} c(ne+2)/c(ne) up to one fixed sign.
+        # ladder follow e^{-2 eta} |Y_{l,m+2} / Y_{l,m}| (l = n_at/2,
+        # m = ne - l) up to one fixed sign.
         geo = make_geometry(n_at, 2 * math.pi, zc)
         psi = melted_dark(geo, bath088, n_at // 2)
         amps = np.array(
@@ -282,8 +263,8 @@ class TestCollectiveAmplitudes:
         signs = []
         for ne in range(0, n_at - 1, 2):
             ratio = amps[ne + 2] / amps[ne]
-            expected = factor * collective_amplitudes(n_at, ne + 2) / \
-                collective_amplitudes(n_at, ne)
+            l, m = n_at // 2, ne - n_at // 2
+            expected = factor * abs(sph_harm_equator(l, m + 2) / sph_harm_equator(l, m))
             assert abs(abs(ratio) - expected) <= 1e-10
             assert abs(ratio.imag) <= 1e-12
             signs.append(np.sign(ratio.real))

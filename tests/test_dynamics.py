@@ -252,8 +252,7 @@ class TestEvolve:
 
     def test_non_finite_trace_raises(self):
         model = build_model(make_geometry(2, math.pi / 4, 0.0), make_bath(1e100))
-        with np.errstate(all="ignore"), pytest.raises(IntegrationInstabilityError,
-                                                      match="trace nan at t = 0.005"):
+        with pytest.raises(IntegrationInstabilityError, match="trace nan at t = 0.005"):
             evolve(ground_state(2), model, EvolveConfig(t_max=1.0))
 
 
@@ -382,8 +381,7 @@ class TestSteadyState:
         # the RK4 polynomial overflows (n_ph 1e100), or the residual at t = 0
         # (gamma 1e200), where no dt can help
         model = build_model(make_geometry(2, math.pi / 4, 0.0), make_bath(n_ph), gamma)
-        with np.errstate(all="ignore"), pytest.raises(IntegrationInstabilityError,
-                                                      match=fragment):
+        with pytest.raises(IntegrationInstabilityError, match=fragment):
             steady_state(ground_state(2), model, EvolveConfig(t_max=1.0), record=record)
 
     def test_dimer_steady_state_independent_of_initial_state(self, bath088):

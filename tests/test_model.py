@@ -14,7 +14,6 @@ from darkdimers import (
     BathParams,
     ModelOperators,
     build_model,
-    field_two_point,
     lindblad_rhs,
     make_bath,
     make_geometry,
@@ -454,25 +453,6 @@ class TestSqueezedJumps:
 
     def test_non_minimal_rejected(self, geo2_dark):
         assert build_model(geo2_dark, make_bath(0.88, m_abs=0.2)).squeezed_jumps is None
-
-
-class TestFieldTwoPoint:
-    def test_golden_value(self, bath088):
-        # |M|/2 + (N + 1/2)/2 at coincident points, theta = phi = 0
-        assert field_two_point(0.0, 0.0, 0.0, bath088) == pytest.approx(
-            0.5 * M_088 + 0.5 * 1.38, abs=1e-12
-        )
-
-    def test_quadrature_angle_kills_oscillation(self, bath088):
-        base = 0.5 * (0.88 + 0.5)
-        for z in (0.0, 0.3, 1.1):
-            assert field_two_point(z, z, math.pi / 2, bath088) == pytest.approx(
-                base, abs=1e-12
-            )
-
-    def test_maximally_squeezed_point(self, bath088):
-        val = field_two_point(math.pi / 2, math.pi / 2, 0.0, bath088)
-        assert val == pytest.approx(0.5 * 1.38 - 0.5 * M_088, abs=1e-12)
 
 
 class TestBuildModel:

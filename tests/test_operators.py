@@ -14,7 +14,6 @@ from darkdimers.operators import (
     excitation_counts,
     expectation,
     ground_state,
-    kron,
     product_state,
     pure_to_density,
 )
@@ -23,26 +22,6 @@ from matrix_checks import (basis_state, is_hermitian, is_unitary, is_valid_densi
                            smallest_eigenvalue)
 
 PAULI_Z_MATRIX = np.diag([1.0, -1.0]).astype(complex)  # literal diag(1,-1)
-
-
-def test_kron_identity():
-    assert_allclose(kron(IDENTITY_2, IDENTITY_2), np.eye(4))
-
-
-def test_kron_diagonal_placement():
-    assert_allclose(kron(PAULI_Z_MATRIX, IDENTITY_2), np.diag([1, 1, -1, -1]))
-
-
-def test_kron_double_flip_maps_gg_to_ee():
-    gg = basis_state(2, 0)
-    assert_allclose(kron(SIGMA_X, SIGMA_X) @ gg, basis_state(2, 3))
-
-
-def test_kron_associative():
-    rng = np.random.default_rng(7)
-    mats = [rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(3)]
-    a, b, c = mats
-    assert np.max(np.abs(kron(kron(a, b), c) - kron(a, kron(b, c)))) <= 1e-14
 
 
 def test_embed_single_atom():
@@ -84,7 +63,7 @@ def test_expectation_ground_sigma_z():
 
 def test_expectation_maximally_mixed_traceless():
     rho = np.eye(4) / 4.0
-    obs = kron(SIGMA_Z, IDENTITY_2)
+    obs = np.kron(SIGMA_Z, IDENTITY_2)
     assert abs(expectation(rho, obs)) <= 1e-14
 
 
